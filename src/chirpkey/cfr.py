@@ -76,29 +76,20 @@ def _policy_indices(policy: str, n_sym: int, bw: float, fs: float) -> np.ndarray
 def ls_estimate(
     rx_symbol: IqSamples,
     ref_symbol: IqSamples,
-    bin_policy="all-bins",
+    bin_indices: np.ndarray | None = None,
 ) -> Cfr:
     """Least-squares CFR of one received symbol against the reference.
 
-    ``bin_policy`` is "all-bins" or an explicit array of FFT bin indices to
-    retain ("occupied-band" selection depends on bw and fs, so it is resolved
-    by estimate_from_frame and handed down as indices).  Bins whose reference
-    magnitude falls below the low-reference guard are dropped, never divided.
+    ``bin_indices`` are the FFT bins to retain, all of them when None
+    (estimate_from_frame resolves a bin policy to indices).  Bins whose
+    reference magnitude falls below the low-reference guard are dropped,
+    never divided.
     """
     rx = rx_symbol.samples
     ref = ref_symbol.samples
     if len(rx) != len(ref):
         raise ParameterError(f"length mismatch: rx {len(rx)} vs ref {len(ref)}")
-    n = len(ref)
-    if isinstance(bin_policy, str):
-        if bin_policy != "all-bins":
-            raise ParameterError(
-                "only 'all-bins' or an index array is accepted here; "
-                "use estimate_from_frame for 'occupied-band'"
-            )
-        idx = np.arange(n)
-    else:
-        idx = np.asarray(bin_policy, dtype=np.intp)
+    idx = np.arange(len(ref)) if bin_indices is None else np.asarray(bin_indices, dtype=np.intp)
     r_spec = np.fft.fft(rx)
     s_spec = np.fft.fft(ref)
     keep = np.abs(s_spec[idx]) >= LOW_REFERENCE_GUARD * np.max(np.abs(s_spec))

@@ -3,21 +3,21 @@
 Verbs: ``simulate`` (seeded trials, aggregate CSV), ``sweep`` (paired
 shuffle-on/off parameter sweep), ``captures`` (replay recorded IQ files),
 ``nist`` (randomness suite over an ASCII bit file), ``selftest`` (quick
-end-to-end battery).  Flags mirror config-file fields and override them.
+end-to-end battery).  Each flag overrides the config-file key ``FLAG_KEYS``
+names for it.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .config import CSV_HEADER, ExperimentConfig, load_config
+from .config import CSV_HEADER, ExperimentConfig, config_from_parser, raw_config
 from .errors import CaptureFormatError, ParameterError, PreambleNotFoundError
 from .nist import run_suite
 from .pipeline import (
-    _aggregate,
+    aggregate,
     rows_to_csv,
     run_captures,
     run_sweep,
@@ -25,91 +25,56 @@ from .pipeline import (
 )
 
 
+# argparse dest -> the [section] key whose value that flag's text replaces
+FLAG_KEYS = {
+    **{dest: ("lora", dest) for dest in ("sf", "bw", "fs", "preamble_len", "fc")},
+    **{dest: ("channel", dest) for dest in ("num_taps", "decay_db", "snr_db")},
+    "rho": ("channel", "reciprocity_rho"),
+    **{dest: ("quantizer", dest)
+       for dest in ("alpha", "block_size", "shuffle", "encoding", "spread")},
+    "qber": ("cascade", "qber_estimate"),
+    "num_passes": ("cascade", "num_passes"),
+    **{dest: ("experiment", dest)
+       for dest in ("bin_policy", "trials", "master_seed", "sweep_axis", "sweep_values")},
+    **{dest: ("experiment", "capture_" + dest) for dest in ("a2g", "g2a", "eve")},
+}
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI-style config file")
-    p.add_argument("--sf", type=int)
-    p.add_argument("--bw", type=float)
-    p.add_argument("--fs", type=float)
-    p.add_argument("--preamble-len", type=int)
-    p.add_argument("--fc", type=float)
-    p.add_argument("--num-taps", type=int)
-    p.add_argument("--decay-db", type=float)
-    p.add_argument("--rho", type=float, help="reciprocity correlation")
-    p.add_argument("--snr-db", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--block-size", type=int)
-    p.add_argument("--shuffle", dest="shuffle", action="store_true", default=None)
-    p.add_argument("--no-shuffle", dest="shuffle", action="store_false", default=None)
+    p.add_argument("--sf")
+    p.add_argument("--bw")
+    p.add_argument("--fs")
+    p.add_argument("--preamble-len")
+    p.add_argument("--fc")
+    p.add_argument("--num-taps")
+    p.add_argument("--decay-db")
+    p.add_argument("--rho", help="reciprocity correlation")
+    p.add_argument("--snr-db")
+    p.add_argument("--alpha")
+    p.add_argument("--block-size")
+    p.add_argument("--shuffle", dest="shuffle", action="store_const", const="on")
+    p.add_argument("--no-shuffle", dest="shuffle", action="store_const", const="off")
     p.add_argument("--encoding", choices=("plain", "d-gray"))
     p.add_argument("--spread", choices=("std-dev", "variance"))
     p.add_argument("--bin-policy", choices=("all-bins", "occupied-band"))
     p.add_argument("--qber", help="cascade QBER estimate or 'auto'")
-    p.add_argument("--num-passes", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--master-seed", type=int)
+    p.add_argument("--num-passes")
+    p.add_argument("--trials")
+    p.add_argument("--master-seed")
     p.add_argument("--out", help="write CSV here instead of stdout")
 
 
-def _apply_flags(config: ExperimentConfig, args) -> ExperimentConfig:
-    from .channel import ChannelModel, exponential_profile
-
-    lora_kw = {}
-    for flag, field_name in (("sf", "sf"), ("bw", "bw"), ("fs", "fs"),
-                             ("preamble_len", "preamble_len"), ("fc", "fc")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            lora_kw[field_name] = val
-    lora = replace(config.lora, **lora_kw) if lora_kw else config.lora
-
-    channel = config.channel
-    if any(getattr(args, f, None) is not None
-           for f in ("num_taps", "decay_db", "rho", "snr_db")):
-        num_taps = args.num_taps if args.num_taps is not None else channel.num_taps
-        decay = args.decay_db if args.decay_db is not None else 3.0
-        channel = ChannelModel(
-            num_taps=num_taps,
-            power_delay_profile=exponential_profile(num_taps, decay),
-            reciprocity_rho=args.rho if args.rho is not None else channel.reciprocity_rho,
-            snr_db=args.snr_db if args.snr_db is not None else channel.snr_db,
-            eavesdropper_independent=channel.eavesdropper_independent,
-        )
-
-    quant_kw = {}
-    if args.alpha is not None:
-        quant_kw["alpha"] = args.alpha
-    if args.block_size is not None:
-        quant_kw["block_size"] = args.block_size
-    if getattr(args, "shuffle", None) is not None:
-        quant_kw["shuffle_enabled"] = args.shuffle
-    if args.encoding is not None:
-        quant_kw["encoding"] = args.encoding
-    if args.spread is not None:
-        quant_kw["spread"] = args.spread
-    quantizer = replace(config.quantizer, **quant_kw) if quant_kw else config.quantizer
-
-    cascade = config.cascade
-    cascade_kw = {}
-    if args.qber is not None:
-        cascade_kw["qber_estimate"] = "auto" if args.qber == "auto" else float(args.qber)
-    if args.num_passes is not None:
-        cascade_kw["num_passes"] = args.num_passes
-    if cascade_kw:
-        cascade = replace(cascade, **cascade_kw)
-
-    top_kw = {}
-    if args.bin_policy is not None:
-        top_kw["bin_policy"] = args.bin_policy
-    if args.trials is not None:
-        top_kw["trials"] = args.trials
-    if args.master_seed is not None:
-        top_kw["master_seed"] = args.master_seed
-    return replace(config, lora=lora, channel=channel, quantizer=quantizer,
-                   cascade=cascade, **top_kw)
-
-
 def _load(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    return _apply_flags(config, args)
+    """The --config file (or the defaults) with every given flag written over its key."""
+    parser = raw_config(args.config)
+    for dest, (section, key) in FLAG_KEYS.items():
+        text = getattr(args, dest, None)
+        if text is not None:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, text)
+    return config_from_parser(parser)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -123,29 +88,19 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_simulate(args) -> int:
     config = _load(args)
     results = run_trials(config)
-    row = _aggregate(results, "none", 0.0, config.quantizer.shuffle_enabled,
-                     config.master_seed)
+    row = aggregate(results, "none", 0.0, config.quantizer.shuffle_enabled,
+                    config.master_seed)
     _emit(CSV_HEADER + "\n" + row.to_csv() + "\n", args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = _load(args)
-    if args.sweep_axis:
-        values = tuple(float(tok) for tok in args.sweep_values.split(","))
-        config = replace(config, sweep_axis=args.sweep_axis, sweep_values=values)
-    if config.sweep_axis is None:
-        print("error: no sweep axis configured", file=sys.stderr)
-        return 2
-    _emit(rows_to_csv(run_sweep(config)), args.out)
+    _emit(rows_to_csv(run_sweep(_load(args))), args.out)
     return 0
 
 
 def _cmd_captures(args) -> int:
-    config = _load(args)
-    config = replace(config, mode="captures", capture_a2g=args.a2g,
-                     capture_g2a=args.g2a, capture_eve=args.eve)
-    result = run_captures(config, trial_seed=args.trial_seed)
+    result = run_captures(_load(args), trial_seed=args.trial_seed)
     lines = [
         f"key_bits={result.metrics.key_bits}",
         f"skdr={result.metrics.skdr:.6f}",

@@ -64,21 +64,36 @@ def _parse_bool(text: str) -> bool:
     raise ParameterError(f"cannot parse boolean from {text!r}")
 
 
+def _parse_floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_qber(text: str):
+    return "auto" if text.strip() == "auto" else float(text)
+
+
 def _get(section, key, cast, current):
     if section is None or key not in section:
         return current
     raw = section[key]
-    if cast is bool:
-        return _parse_bool(raw)
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ParameterError(f"[{section.name}] {key}: invalid value {raw!r}") from None
+
+
+def raw_config(path=None) -> configparser.ConfigParser:
+    """The unparsed ``[section] key = value`` text of a config file; empty without a path."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    if path is not None:
+        with open(path) as fh:
+            parser.read_file(fh)
+    return parser
 
 
 def load_config(path) -> ExperimentConfig:
     """Read a config file on top of the defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path) as fh:
-        parser.read_file(fh)
-    return config_from_parser(parser)
+    return config_from_parser(raw_config(path))
 
 
 def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
@@ -101,34 +116,24 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         reciprocity_rho=_get(sec["channel"], "reciprocity_rho", float,
                              base.channel.reciprocity_rho),
         snr_db=_get(sec["channel"], "snr_db", float, base.channel.snr_db),
-        eavesdropper_independent=_get(sec["channel"], "eavesdropper_independent", bool,
+        eavesdropper_independent=_get(sec["channel"], "eavesdropper_independent", _parse_bool,
                                       base.channel.eavesdropper_independent),
     )
     quantizer = QuantizerConfig(
         alpha=_get(sec["quantizer"], "alpha", float, base.quantizer.alpha),
         block_size=_get(sec["quantizer"], "block_size", int, base.quantizer.block_size),
-        shuffle_enabled=_get(sec["quantizer"], "shuffle", bool,
+        shuffle_enabled=_get(sec["quantizer"], "shuffle", _parse_bool,
                              base.quantizer.shuffle_enabled),
-        shuffle_seed=_get(sec["quantizer"], "shuffle_seed", int,
-                          base.quantizer.shuffle_seed),
         encoding=_get(sec["quantizer"], "encoding", str, base.quantizer.encoding),
         spread=_get(sec["quantizer"], "spread", str, base.quantizer.spread),
     )
-    qber_raw = _get(sec["cascade"], "qber_estimate", str, None)
-    qber = base.cascade.qber_estimate
-    if qber_raw is not None:
-        qber = "auto" if qber_raw.strip() == "auto" else float(qber_raw)
     cascade = CascadeConfig(
         num_passes=_get(sec["cascade"], "num_passes", int, base.cascade.num_passes),
-        qber_estimate=qber,
-        rng_seed=_get(sec["cascade"], "rng_seed", int, base.cascade.rng_seed),
+        qber_estimate=_get(sec["cascade"], "qber_estimate", _parse_qber,
+                           base.cascade.qber_estimate),
     )
 
     exp = sec["experiment"]
-    sweep_axis = _get(exp, "sweep_axis", str, None)
-    sweep_values: tuple = base.sweep_values
-    if exp is not None and "sweep_values" in exp:
-        sweep_values = tuple(float(tok) for tok in exp["sweep_values"].split(",") if tok.strip())
     return ExperimentConfig(
         lora=lora,
         channel=channel,
@@ -139,8 +144,8 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
                                   base.qber_sample_fraction),
         trials=_get(exp, "trials", int, base.trials),
         master_seed=_get(exp, "master_seed", int, base.master_seed),
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
+        sweep_axis=_get(exp, "sweep_axis", str, base.sweep_axis),
+        sweep_values=_get(exp, "sweep_values", _parse_floats, base.sweep_values),
         mode=_get(exp, "mode", str, base.mode),
         capture_a2g=_get(exp, "capture_a2g", str, base.capture_a2g),
         capture_g2a=_get(exp, "capture_g2a", str, base.capture_g2a),

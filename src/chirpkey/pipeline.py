@@ -30,8 +30,8 @@ from .pipeline_seeds import TrialSeeds, derive_trial_seeds
 from .quantizer import (
     BitKey,
     block_thresholds,
-    censoring_exchange,
     quantize,
+    quantize_pipeline,
     shuffle,
 )
 from .reconciliation import (
@@ -151,14 +151,8 @@ def _pipeline_from_frames(
     amps_g = estimate_from_frame(rx_g, config.lora, config.bin_policy).amplitudes()
     amps_a = estimate_from_frame(rx_a, config.lora, config.bin_policy).amplitudes()
 
-    qcfg = config.quantizer
-    if qcfg.shuffle_enabled:
-        qcfg = replace(qcfg, shuffle_seed=seeds.shuffle)
-        amps_a = shuffle(amps_a, qcfg.shuffle_seed)
-        amps_g = shuffle(amps_g, qcfg.shuffle_seed)
-    retained, th_a, th_g = censoring_exchange(amps_a, amps_g, qcfg)
-    key_a = quantize(amps_a, retained, th_a, qcfg.encoding, qcfg.block_size)
-    key_g = quantize(amps_g, retained, th_g, qcfg.encoding, qcfg.block_size)
+    qcfg = replace(config.quantizer, shuffle_seed=seeds.shuffle)
+    key_a, key_g, retained = quantize_pipeline(amps_a, amps_g, qcfg)
     if len(key_g) == 0:
         raise ParameterError("quantization censored every position; lower alpha")
 
@@ -260,7 +254,7 @@ def export_probe_captures(config: ExperimentConfig, trial_seed: int, directory) 
     return paths
 
 
-def _aggregate(
+def aggregate(
     results: list[PipelineResult],
     axis: str,
     value: float,
@@ -311,8 +305,8 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRow]:
             )
             results = run_trials(arm)
             rows.append(
-                _aggregate(results, config.sweep_axis, value, shuffle_on,
-                           config.master_seed)
+                aggregate(results, config.sweep_axis, value, shuffle_on,
+                          config.master_seed)
             )
     return rows
 

@@ -218,14 +218,16 @@ def quantize_pipeline(
     amps_a: CfrAmplitudes,
     amps_g: CfrAmplitudes,
     config: QuantizerConfig,
-) -> tuple[BitKey, BitKey]:
-    """Shuffle (optional) -> censoring exchange -> per-party quantization."""
-    if len(amps_a.values) != len(amps_g.values):
-        raise ParameterError("amplitude vectors must have equal length")
+) -> tuple[BitKey, BitKey, IndexList]:
+    """Shuffle (optional) -> censoring exchange -> per-party quantization.
+
+    Returns both keys and the shared retained index list, which an
+    eavesdropper overhears.
+    """
     if config.shuffle_enabled:
         amps_a = shuffle(amps_a, config.shuffle_seed)
         amps_g = shuffle(amps_g, config.shuffle_seed)
     retained, th_a, th_g = censoring_exchange(amps_a, amps_g, config)
     key_a = quantize(amps_a, retained, th_a, config.encoding, config.block_size)
     key_g = quantize(amps_g, retained, th_g, config.encoding, config.block_size)
-    return key_a, key_g
+    return key_a, key_g, retained

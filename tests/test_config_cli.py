@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chirpkey import ExperimentConfig, load_config
-from chirpkey.cli import main
+from chirpkey.cli import FLAG_KEYS, main
 from chirpkey.config import CSV_HEADER
 from chirpkey.pipeline import export_probe_captures
 
@@ -151,3 +151,92 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+def _write_config(path, keys: dict) -> str:
+    sections: dict = {}
+    for (section, key), value in keys.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                            for name, lines in sections.items()))
+    return str(path)
+
+
+def _simulate_csv(args, capsys) -> str:
+    assert main(["simulate"] + args) == 0
+    return capsys.readouterr().out
+
+
+# the config-file key each simulate flag stands for, with a non-default value
+FLAG_CASES = {
+    "sf": ("lora", "sf", "8"),
+    "bw": ("lora", "bw", "125000"),
+    "fs": ("lora", "fs", "2000000"),
+    "preamble_len": ("lora", "preamble_len", "6"),
+    "fc": ("lora", "fc", "915e6"),
+    "num_taps": ("channel", "num_taps", "6"),
+    "decay_db": ("channel", "decay_db", "6"),
+    "rho": ("channel", "reciprocity_rho", "0.9"),
+    "snr_db": ("channel", "snr_db", "20"),
+    "alpha": ("quantizer", "alpha", "0.7"),
+    "block_size": ("quantizer", "block_size", "32"),
+    "shuffle": ("quantizer", "shuffle", "off"),
+    "encoding": ("quantizer", "encoding", "d-gray"),
+    "spread": ("quantizer", "spread", "variance"),
+    "qber": ("cascade", "qber_estimate", "0.05"),
+    "num_passes": ("cascade", "num_passes", "6"),
+    "bin_policy": ("experiment", "bin_policy", "occupied-band"),
+    "trials": ("experiment", "trials", "3"),
+    "master_seed": ("experiment", "master_seed", "7"),
+}
+NON_SIMULATE_FLAGS = ("sweep_axis", "sweep_values", "a2g", "g2a", "eve")
+
+
+@pytest.mark.parametrize("dest", [d for d in FLAG_KEYS if d not in NON_SIMULATE_FLAGS])
+def test_each_flag_equals_its_config_key(dest, tmp_path, capsys):
+    section, key, value = FLAG_CASES[dest]
+    flag = ["--no-shuffle"] if dest == "shuffle" else ["--" + dest.replace("_", "-"), value]
+    base = {("experiment", "trials"): "2"}
+    from_flag = _simulate_csv(
+        ["--config", _write_config(tmp_path / "base.cfg", base)] + flag, capsys)
+    from_file = _simulate_csv(
+        ["--config", _write_config(tmp_path / "key.cfg", {**base, (section, key): value})],
+        capsys)
+    assert from_flag == from_file
+
+
+def test_flag_keeps_config_keys_it_does_not_name(tmp_path, capsys):
+    # a channel flag used to rebuild the channel with the default 3 dB decay
+    flagged = _simulate_csv([
+        "--config", _write_config(tmp_path / "decay.cfg", {("channel", "decay_db"): "9.0"}),
+        "--snr-db", "20", "--trials", "2",
+    ], capsys)
+    both = _simulate_csv([
+        "--config", _write_config(tmp_path / "both.cfg", {
+            ("channel", "decay_db"): "9.0", ("channel", "snr_db"): "20",
+        }),
+        "--trials", "2",
+    ], capsys)
+    assert flagged == both
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+def test_cli_sweep_axis_without_values_is_single_line_error(capsys):
+    assert main(["sweep", "--sweep-axis", "alpha", "--trials", "2"]) == 1
+    assert "sweep_values" in _single_error_line(capsys)
+
+
+def test_cli_bad_flag_value_is_single_line_error(capsys):
+    assert main(["simulate", "--qber", "abc"]) == 1
+    assert "[cascade] qber_estimate" in _single_error_line(capsys)
+
+
+def test_cli_bad_config_value_is_single_line_error(tmp_path, capsys):
+    path = _write_config(tmp_path / "bad.cfg", {("experiment", "trials"): "abc"})
+    assert main(["simulate", "--config", path]) == 1
+    assert "[experiment] trials" in _single_error_line(capsys)

@@ -141,7 +141,7 @@ def test_dgray_doubles_length_without_double_runs(seed):
     amps_a = CfrAmplitudes(rng.rayleigh(size=256))
     amps_g = CfrAmplitudes(np.abs(amps_a.values + 0.01 * rng.standard_normal(256)))
     cfg = QuantizerConfig(encoding="d-gray", shuffle_seed=seed)
-    key_a, key_g = quantize_pipeline(amps_a, amps_g, cfg)
+    key_a, key_g, _ = quantize_pipeline(amps_a, amps_g, cfg)
     assert len(key_a) == len(key_g)
     assert len(key_a) % 2 == 0
     pairs = key_a.bits.reshape(-1, 2)
@@ -153,7 +153,7 @@ def test_pipeline_identical_amplitudes_agree_with_and_without_shuffle():
     amps = CfrAmplitudes(rng.rayleigh(size=512))
     for shuffle_on in (True, False):
         cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=5)
-        key_a, key_g = quantize_pipeline(amps, amps, cfg)
+        key_a, key_g, _ = quantize_pipeline(amps, amps, cfg)
         assert len(key_a) > 0
         assert skdr(key_a, key_g) == 0.0
 
@@ -168,7 +168,7 @@ def test_pipeline_correlated_gaussian_pairs():
         a = 10 + base
         g = 10 + rho * base + np.sqrt(1 - rho**2) * noise
         cfg = QuantizerConfig(shuffle_seed=int(rng.integers(2**31)))
-        key_a, key_g = quantize_pipeline(
+        key_a, key_g, _ = quantize_pipeline(
             CfrAmplitudes(np.abs(a)), CfrAmplitudes(np.abs(g)), cfg
         )
         skdrs.append(skdr(key_a, key_g))
@@ -188,7 +188,7 @@ def test_pipeline_shuffle_shortens_runs_on_smooth_profiles():
         amps = CfrAmplitudes(smooth)
         for shuffle_on, sink in ((True, on_runs), (False, off_runs)):
             cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=trial)
-            key_a, _ = quantize_pipeline(amps, amps, cfg)
+            key_a, _, _ = quantize_pipeline(amps, amps, cfg)
             l0, l1 = max_run_lengths(key_a)
             sink.append(max(l0, l1))
     assert np.mean(off_runs) > np.mean(on_runs)
@@ -200,8 +200,8 @@ def test_shuffle_preserves_bit_multiset_under_global_thresholds():
     amps = CfrAmplitudes(values)
     cfg_off = QuantizerConfig(shuffle_enabled=False, block_size=128)
     cfg_on = QuantizerConfig(shuffle_enabled=True, block_size=128, shuffle_seed=77)
-    key_off, _ = quantize_pipeline(amps, amps, cfg_off)
-    key_on, _ = quantize_pipeline(amps, amps, cfg_on)
+    key_off, _, _ = quantize_pipeline(amps, amps, cfg_off)
+    key_on, _, _ = quantize_pipeline(amps, amps, cfg_on)
     assert sorted(key_off.bits.tolist()) == sorted(key_on.bits.tolist())
 
 
