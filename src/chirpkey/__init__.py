@@ -6,7 +6,7 @@ reconciliation -> SHA-256 key confirmation, with a randomness suite and a
 seeded experiment harness on top.
 """
 from .captures import ingest_capture, write_capture
-from .cfr import Cfr, CfrAmplitudes, average_cfr, estimate_from_frame, ls_estimate
+from .cfr import Cfr, CfrAmplitudes, estimate_from_frame
 from .channel import (
     ChannelModel,
     ChannelRealization,
@@ -32,11 +32,11 @@ from .pipeline import (
 )
 from .quantizer import (
     BitKey,
+    BlockThresholds,
     IndexList,
     QuantizerConfig,
-    ThresholdPair,
+    block_thresholds,
     censoring_exchange,
-    compute_thresholds,
     quantize,
     quantize_pipeline,
     shuffle,

@@ -1,14 +1,13 @@
 """Channel frequency response estimation from received chirp preambles.
 
-Per-symbol least-squares estimation is a per-bin division R[b]/S[b] of the
-received spectrum by the reference spectrum (the transmitted symbol is
+Least-squares estimation is a per-bin division R[b]/S[b] of each received
+symbol's spectrum by the reference spectrum (the transmitted symbol is
 diagonal in the frequency domain), followed by averaging over the K
 preamble symbols to beat down noise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -73,42 +72,6 @@ def _policy_indices(policy: str, n_sym: int, bw: float, fs: float) -> np.ndarray
     raise ParameterError(f"unknown bin policy {policy!r}, expected one of {BIN_POLICIES}")
 
 
-def ls_estimate(
-    rx_symbol: IqSamples,
-    ref_symbol: IqSamples,
-    bin_indices: np.ndarray | None = None,
-) -> Cfr:
-    """Least-squares CFR of one received symbol against the reference.
-
-    ``bin_indices`` are the FFT bins to retain, all of them when None
-    (estimate_from_frame resolves a bin policy to indices).  Bins whose
-    reference magnitude falls below the low-reference guard are dropped,
-    never divided.
-    """
-    rx = rx_symbol.samples
-    ref = ref_symbol.samples
-    if len(rx) != len(ref):
-        raise ParameterError(f"length mismatch: rx {len(rx)} vs ref {len(ref)}")
-    idx = np.arange(len(ref)) if bin_indices is None else np.asarray(bin_indices, dtype=np.intp)
-    r_spec = np.fft.fft(rx)
-    s_spec = np.fft.fft(ref)
-    keep = np.abs(s_spec[idx]) >= LOW_REFERENCE_GUARD * np.max(np.abs(s_spec))
-    idx = idx[keep]
-    return Cfr(r_spec[idx] / s_spec[idx], idx)
-
-
-def average_cfr(estimates: Sequence[Cfr]) -> Cfr:
-    """Per-bin arithmetic mean of CFR estimates sharing one bin set."""
-    if len(estimates) == 0:
-        raise ParameterError("need at least one estimate")
-    first = estimates[0]
-    for est in estimates[1:]:
-        if not np.array_equal(est.bin_indices, first.bin_indices):
-            raise ParameterError("estimates have mismatched bin sets")
-    stacked = np.stack([est.bins for est in estimates])
-    return Cfr(stacked.mean(axis=0), first.bin_indices)
-
-
 def estimate_from_frame(
     rx: IqSamples,
     params: LoRaParams,
@@ -116,8 +79,10 @@ def estimate_from_frame(
 ) -> Cfr:
     """Averaged LS estimate from a preamble-aligned received frame.
 
-    Splits the first K symbol windows out of ``rx``, runs the per-bin LS
-    division on each against the reference upchirp, and averages.
+    The first K symbol windows of ``rx`` go through one (K, n) FFT; each
+    retained bin is divided by the reference upchirp's spectrum and the K
+    quotients are averaged.  Bins whose reference magnitude falls below the
+    low-reference guard are dropped, never divided.
     """
     n_sym = params.samples_per_symbol
     k = params.preamble_len
@@ -126,9 +91,9 @@ def estimate_from_frame(
             f"frame has {len(rx.samples)} samples, needs {k * n_sym}"
         )
     idx = _policy_indices(bin_policy, n_sym, params.bw, params.fs)
-    ref = gen_upchirp(params)
-    estimates = []
-    for i in range(k):
-        window = IqSamples(rx.samples[i * n_sym : (i + 1) * n_sym], rx.fs)
-        estimates.append(ls_estimate(window, ref, idx))
-    return average_cfr(estimates)
+    ref = np.fft.fft(gen_upchirp(params).samples)
+    idx = idx[np.abs(ref[idx]) >= LOW_REFERENCE_GUARD * np.max(np.abs(ref))]
+    spectra = np.fft.fft(rx.samples[: k * n_sym].reshape(k, n_sym), axis=1)
+    # take() keeps the quotients row-major, so the mean sums the K symbols
+    # in the same order a per-symbol stack would
+    return Cfr((spectra.take(idx, axis=1) / ref[idx]).mean(axis=0), idx)

@@ -27,7 +27,7 @@ from .pipeline import (
 
 # argparse dest -> the [section] key whose value that flag's text replaces
 FLAG_KEYS = {
-    **{dest: ("lora", dest) for dest in ("sf", "bw", "fs", "preamble_len", "fc")},
+    **{dest: ("lora", dest) for dest in ("sf", "bw", "fs", "preamble_len")},
     **{dest: ("channel", dest) for dest in ("num_taps", "decay_db", "snr_db")},
     "rho": ("channel", "reciprocity_rho"),
     **{dest: ("quantizer", dest)
@@ -46,7 +46,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bw")
     p.add_argument("--fs")
     p.add_argument("--preamble-len")
-    p.add_argument("--fc")
     p.add_argument("--num-taps")
     p.add_argument("--decay-db")
     p.add_argument("--rho", help="reciprocity correlation")
@@ -55,9 +54,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--block-size")
     p.add_argument("--shuffle", dest="shuffle", action="store_const", const="on")
     p.add_argument("--no-shuffle", dest="shuffle", action="store_const", const="off")
-    p.add_argument("--encoding", choices=("plain", "d-gray"))
-    p.add_argument("--spread", choices=("std-dev", "variance"))
-    p.add_argument("--bin-policy", choices=("all-bins", "occupied-band"))
+    p.add_argument("--encoding")
+    p.add_argument("--spread")
+    p.add_argument("--bin-policy")
     p.add_argument("--qber", help="cascade QBER estimate or 'auto'")
     p.add_argument("--num-passes")
     p.add_argument("--trials")
@@ -153,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="paired shuffle-on/off parameter sweep")
     _add_common_flags(p_sweep)
-    p_sweep.add_argument("--sweep-axis", choices=("alpha", "block_size", "snr"))
+    p_sweep.add_argument("--sweep-axis")
     p_sweep.add_argument("--sweep-values", help="comma-separated values")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -3,14 +3,15 @@
 The file format is flat ``key = value`` lines under bracketed section
 headers ([lora], [channel], [quantizer], [cascade], [experiment]).  Every
 field has a default matching the reference deployment (SF 7, bandwidth
-250 kHz, sample rate 1 MHz, 8-symbol preamble, 868 MHz carrier), so an
-empty config runs the standard setup.
+250 kHz, sample rate 1 MHz, 8-symbol preamble), so an empty config runs
+the standard setup.
 """
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
 
+from .cfr import BIN_POLICIES
 from .channel import ChannelModel, exponential_profile
 from .errors import ParameterError
 from .quantizer import QuantizerConfig
@@ -46,6 +47,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
+        if self.bin_policy not in BIN_POLICIES:
+            raise ParameterError(f"bin_policy must be one of {BIN_POLICIES}")
         if self.sweep_axis is not None:
             if self.sweep_axis not in SWEEP_AXES:
                 raise ParameterError(f"sweep_axis must be one of {SWEEP_AXES}")
@@ -87,7 +90,11 @@ def raw_config(path=None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     if path is not None:
         with open(path) as fh:
-            parser.read_file(fh)
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                # configparser spreads some messages over several lines
+                raise ParameterError(f"{path}: {' '.join(str(exc).split())}") from None
     return parser
 
 
@@ -106,7 +113,6 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         bw=_get(sec["lora"], "bw", float, base.lora.bw),
         fs=_get(sec["lora"], "fs", float, base.lora.fs),
         preamble_len=_get(sec["lora"], "preamble_len", int, base.lora.preamble_len),
-        fc=_get(sec["lora"], "fc", float, base.lora.fc),
     )
     num_taps = _get(sec["channel"], "num_taps", int, base.channel.num_taps)
     decay_db = _get(sec["channel"], "decay_db", float, 3.0)

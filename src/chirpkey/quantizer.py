@@ -48,13 +48,24 @@ class QuantizerConfig:
 
 
 @dataclass(frozen=True)
-class ThresholdPair:
-    q_plus: float
-    q_minus: float
+class BlockThresholds:
+    """Thresholds of every block: block b spans positions [b*m, (b+1)*m)."""
+
+    q_plus: np.ndarray = field(repr=False)
+    q_minus: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.q_minus > self.q_plus:
+        qp = np.asarray(self.q_plus, dtype=np.float64)
+        qm = np.asarray(self.q_minus, dtype=np.float64)
+        if qp.ndim != 1 or qp.shape != qm.shape:
+            raise ParameterError("q_plus and q_minus must be 1-d and of equal length")
+        if np.any(qm > qp):
             raise ParameterError("q_minus must not exceed q_plus")
+        object.__setattr__(self, "q_plus", qp)
+        object.__setattr__(self, "q_minus", qm)
+
+    def __len__(self) -> int:
+        return len(self.q_plus)
 
 
 @dataclass(frozen=True)
@@ -112,47 +123,39 @@ def shuffle(amps: CfrAmplitudes, seed: int) -> CfrAmplitudes:
     return CfrAmplitudes(amps.values[perm])
 
 
-def compute_thresholds(block, alpha: float, spread: str = "std-dev") -> ThresholdPair:
-    """Per-block thresholds mean(block) +/- alpha * spread(block)."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.size == 0:
-        raise ParameterError("block must be non-empty")
-    if np.all(block == block[0]):
-        # exactly zero spread: keep q+ == q- == c so nothing is censored
-        c = float(block[0])
-        return ThresholdPair(c, c)
-    center = float(block.mean())
-    width = float(block.std()) if spread == "std-dev" else float(block.var())
-    return ThresholdPair(center + alpha * width, center - alpha * width)
+def _row_thresholds(rows: np.ndarray, alpha: float, spread: str) -> np.ndarray:
+    """(2, len(rows)) array: q_plus and q_minus of each row, mean +/- alpha * spread."""
+    center = rows.mean(axis=1)
+    width = rows.std(axis=1) if spread == "std-dev" else rows.var(axis=1)
+    # exactly zero spread: keep q+ == q- == c so nothing is censored
+    constant = np.all(rows == rows[:, :1], axis=1)
+    return np.where(constant, rows[:, 0], [center + alpha * width, center - alpha * width])
 
 
-def _block_slices(n: int, m: int) -> list[slice]:
-    """Blocks of length m; a trailing remainder of >= 2 stands alone."""
-    slices = [slice(i, min(i + m, n)) for i in range(0, n, m)]
-    return slices
+def block_thresholds(amps: CfrAmplitudes, config: QuantizerConfig) -> BlockThresholds:
+    """Thresholds of each block of m values; a trailing remainder is one more block."""
+    v = amps.values
+    m = config.block_size
+    full = len(v) - len(v) % m
+    rows = [v[:full].reshape(-1, m)]
+    if full < len(v):
+        rows.append(v[None, full:])
+    q_plus, q_minus = np.concatenate(
+        [_row_thresholds(r, config.alpha, config.spread) for r in rows], axis=1
+    )
+    return BlockThresholds(q_plus, q_minus)
 
 
-def block_thresholds(amps: CfrAmplitudes, config: QuantizerConfig) -> list[ThresholdPair]:
-    """One ThresholdPair per block of the amplitude vector."""
-    return [
-        compute_thresholds(amps.values[s], config.alpha, config.spread)
-        for s in _block_slices(len(amps.values), config.block_size)
-    ]
-
-
-def _censored_mask(amps: CfrAmplitudes, thresholds: list[ThresholdPair], m: int) -> np.ndarray:
+def _censored_mask(amps: CfrAmplitudes, thresholds: BlockThresholds, m: int) -> np.ndarray:
     """True where a value falls strictly between its own block's thresholds.
 
     A trailing block of length 1 is censored outright (no usable spread).
     """
     v = amps.values
-    mask = np.zeros(len(v), dtype=bool)
-    for s, th in zip(_block_slices(len(v), m), thresholds):
-        if s.stop - s.start < 2:
-            mask[s] = True
-            continue
-        blk = v[s]
-        mask[s] = (blk > th.q_minus) & (blk < th.q_plus)
+    block_of = np.arange(len(v)) // m
+    mask = (v > thresholds.q_minus[block_of]) & (v < thresholds.q_plus[block_of])
+    if len(v) % m == 1:
+        mask[-1] = True
     return mask
 
 
@@ -160,7 +163,7 @@ def censoring_exchange(
     amps_a: CfrAmplitudes,
     amps_g: CfrAmplitudes,
     config: QuantizerConfig,
-) -> tuple[IndexList, list[ThresholdPair], list[ThresholdPair]]:
+) -> tuple[IndexList, BlockThresholds, BlockThresholds]:
     """The two-message index-censoring exchange.
 
     Each party independently computes per-block thresholds and the set of
@@ -182,13 +185,13 @@ def censoring_exchange(
 def quantize(
     amps: CfrAmplitudes,
     retained: IndexList,
-    thresholds: list[ThresholdPair],
+    thresholds: BlockThresholds,
     encoding: str = "plain",
     block_size: int = 64,
 ) -> BitKey:
     """Quantize the retained amplitude values against per-block thresholds.
 
-    ``block_size`` must be the m the threshold list was computed with.  A
+    ``block_size`` must be the m the thresholds were computed with.  A
     value >= q_plus maps to 1 and <= q_minus maps to 0.  A retained value
     can still fall inside this party's gap (the retained set is shared but
     thresholds are not): it maps to the nearer threshold, ties to 1.  With
@@ -196,7 +199,7 @@ def quantize(
     """
     if encoding not in ENCODINGS:
         raise ParameterError(f"encoding must be one of {ENCODINGS}")
-    expected = len(_block_slices(len(amps.values), block_size))
+    expected = -(-len(amps.values) // block_size)  # ceil(n / m)
     if len(thresholds) != expected:
         raise ParameterError(
             f"{len(thresholds)} threshold pairs for {expected} blocks"
@@ -205,8 +208,8 @@ def quantize(
         raise ParameterError("retained index out of bounds")
     v = amps.values[retained.indices]
     block_of = retained.indices // block_size
-    qp = np.array([t.q_plus for t in thresholds])[block_of]
-    qm = np.array([t.q_minus for t in thresholds])[block_of]
+    qp = thresholds.q_plus[block_of]
+    qm = thresholds.q_minus[block_of]
     gap_to_one = (qp - v) <= (v - qm)
     bits = np.where(v >= qp, 1, np.where(v <= qm, 0, gap_to_one)).astype(np.uint8)
     if encoding == "d-gray":

@@ -14,7 +14,7 @@ from .errors import ParameterError
 from .metrics import max_run_lengths, skdr
 from .nist import run_suite
 from .pipeline import run_pipeline_once
-from .quantizer import BitKey, QuantizerConfig, compute_thresholds, quantize_pipeline
+from .quantizer import BitKey, QuantizerConfig, block_thresholds, quantize_pipeline
 from .reconciliation import CascadeConfig, LocalParityOracle, cascade
 from .waveform import IqSamples, LoRaParams, gen_upchirp
 
@@ -47,10 +47,10 @@ def _check_ls_recovery() -> bool:
 
 
 def _check_thresholds() -> bool:
-    pair = compute_thresholds([1, 2, 3, 4, 5], 0.5)
+    th = block_thresholds(CfrAmplitudes(np.arange(1.0, 6.0)), QuantizerConfig(block_size=5))
     return (
-        abs(pair.q_plus - (3 + 0.5 * np.sqrt(2))) < 1e-12
-        and abs(pair.q_minus - (3 - 0.5 * np.sqrt(2))) < 1e-12
+        abs(th.q_plus[0] - (3 + 0.5 * np.sqrt(2))) < 1e-12
+        and abs(th.q_minus[0] - (3 - 0.5 * np.sqrt(2))) < 1e-12
     )
 
 

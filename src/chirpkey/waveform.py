@@ -1,7 +1,6 @@
 """Chirp-spread-spectrum baseband waveforms: upchirp symbols, preambles, detection.
 
-Everything here is baseband; the carrier frequency is carried along for
-bookkeeping but never mixed in. Sampling instants are t = n/fs starting at
+Everything here is baseband. Sampling instants are t = n/fs starting at
 t = 0, so sample 0 always has phase 0.
 """
 from __future__ import annotations
@@ -28,7 +27,6 @@ class LoRaParams:
     bw: float = 250e3
     fs: float = 1e6
     preamble_len: int = 8
-    fc: float = 868e6
 
     def __post_init__(self) -> None:
         if not (5 <= self.sf <= 12):

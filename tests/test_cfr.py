@@ -1,18 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chirpkey import (
-    Cfr,
     IqSamples,
     LoRaParams,
     ParameterError,
     apply_channel,
-    average_cfr,
     estimate_from_frame,
     gen_preamble,
     gen_upchirp,
-    ls_estimate,
 )
+from chirpkey.cfr import BIN_POLICIES, LOW_REFERENCE_GUARD
 
 
 def _circular_rx(params: LoRaParams, taps: np.ndarray) -> IqSamples:
@@ -23,9 +23,13 @@ def _circular_rx(params: LoRaParams, taps: np.ndarray) -> IqSamples:
     return IqSamples(np.tile(rx_sym, params.preamble_len), params.fs)
 
 
+def _single(params: LoRaParams) -> LoRaParams:
+    return replace(params, preamble_len=1)
+
+
 def test_ls_identity_channel(default_params):
     ref = gen_upchirp(default_params)
-    est = ls_estimate(ref, ref)
+    est = estimate_from_frame(ref, _single(default_params))
     np.testing.assert_allclose(est.bins, 1.0, atol=1e-12)
     assert len(est) == 512
 
@@ -34,7 +38,8 @@ def test_ls_flat_complex_gain(default_params):
     ref = gen_upchirp(default_params)
     g = 0.3 - 1.7j
     rx = IqSamples(g * ref.samples, default_params.fs)
-    np.testing.assert_allclose(ls_estimate(rx, ref).bins, g, atol=1e-12)
+    np.testing.assert_allclose(estimate_from_frame(rx, _single(default_params)).bins, g,
+                               atol=1e-12)
 
 
 def test_ls_two_tap_circular_channel(default_params):
@@ -42,7 +47,7 @@ def test_ls_two_tap_circular_channel(default_params):
     n = p.samples_per_symbol
     taps = np.array([1.0, 0.5])
     rx = IqSamples(_circular_rx(p, taps).samples[:n], p.fs)
-    est = ls_estimate(rx, gen_upchirp(p))
+    est = estimate_from_frame(rx, _single(p))
     b = np.arange(n)
     expected = 1.0 + 0.5 * np.exp(-2j * np.pi * b / n)
     np.testing.assert_allclose(est.bins, expected, atol=1e-9)
@@ -52,53 +57,71 @@ def test_ls_length_mismatch(default_params):
     ref = gen_upchirp(default_params)
     rx = IqSamples(ref.samples[:100], default_params.fs)
     with pytest.raises(ParameterError):
-        ls_estimate(rx, ref)
+        estimate_from_frame(rx, _single(default_params))
 
 
 def test_ls_linearity(default_params):
-    p = default_params
-    ref = gen_upchirp(p)
+    p = _single(default_params)
     rng = np.random.default_rng(0)
     x1 = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     x2 = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     a, b = 1.3 - 0.2j, -0.7 + 2.1j
-    lhs = ls_estimate(IqSamples(a * x1 + b * x2, p.fs), ref).bins
+    lhs = estimate_from_frame(IqSamples(a * x1 + b * x2, p.fs), p).bins
     rhs = (
-        a * ls_estimate(IqSamples(x1, p.fs), ref).bins
-        + b * ls_estimate(IqSamples(x2, p.fs), ref).bins
+        a * estimate_from_frame(IqSamples(x1, p.fs), p).bins
+        + b * estimate_from_frame(IqSamples(x2, p.fs), p).bins
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+def _frame_of(symbols: list, params: LoRaParams) -> tuple[IqSamples, LoRaParams]:
+    """A frame of the given symbol windows, with K set to their count."""
+    return IqSamples(np.concatenate(symbols), params.fs), replace(params, preamble_len=len(symbols))
+
+
 def test_average_of_identical_estimates(default_params):
-    est = ls_estimate(gen_upchirp(default_params), gen_upchirp(default_params))
-    avg = average_cfr([est] * 5)
-    np.testing.assert_allclose(avg.bins, est.bins, rtol=0, atol=1e-15)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    one = estimate_from_frame(*_frame_of([x], default_params))
+    avg = estimate_from_frame(*_frame_of([x] * 5, default_params))
+    np.testing.assert_allclose(avg.bins, one.bins, rtol=1e-15, atol=0)
 
 
-def test_average_cancellation():
-    idx = np.arange(4)
-    h = Cfr(np.array([1 + 1j, 2, 3j, -1]), idx)
-    neg = Cfr(-h.bins, idx)
-    np.testing.assert_allclose(average_cfr([h, neg]).bins, 0.0, atol=1e-15)
+def test_average_cancellation(default_params):
+    x = gen_upchirp(default_params).samples * (1 + 1j)
+    est = estimate_from_frame(*_frame_of([x, -x], default_params))
+    np.testing.assert_allclose(est.bins, 0.0, atol=1e-15)
 
 
 def test_average_permutation_invariant(default_params):
     rng = np.random.default_rng(4)
-    idx = np.arange(8)
-    ests = [Cfr(rng.standard_normal(8) + 1j * rng.standard_normal(8), idx) for _ in range(6)]
-    fwd = average_cfr(ests).bins
-    rev = average_cfr(ests[::-1]).bins
-    np.testing.assert_allclose(fwd, rev, atol=1e-15)
+    syms = [rng.standard_normal(512) + 1j * rng.standard_normal(512) for _ in range(6)]
+    fwd = estimate_from_frame(*_frame_of(syms, default_params), "occupied-band").bins
+    rev = estimate_from_frame(*_frame_of(syms[::-1], default_params), "occupied-band").bins
+    np.testing.assert_allclose(fwd, rev, rtol=1e-12)
 
 
-def test_average_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        average_cfr([])
-    a = Cfr(np.ones(4, dtype=complex), np.arange(4))
-    b = Cfr(np.ones(4, dtype=complex), np.arange(1, 5))
-    with pytest.raises(ParameterError):
-        average_cfr([a, b])
+@pytest.mark.parametrize("sf", [7, 8])
+@pytest.mark.parametrize("policy", BIN_POLICIES)
+def test_frame_estimate_equals_per_symbol_loop(sf, policy):
+    p = LoRaParams(sf=sf)
+    n = p.samples_per_symbol
+    rng = np.random.default_rng(sf)
+    rx = IqSamples((rng.standard_normal(p.preamble_len * n + 7)
+                    + 1j * rng.standard_normal(p.preamble_len * n + 7)).astype(np.complex64),
+                   p.fs)
+    ref = np.fft.fft(gen_upchirp(p).samples)
+    freqs = np.fft.fftfreq(n, 1 / p.fs)
+    in_band = (freqs >= -p.bw / 2) & (freqs < p.bw / 2)
+    above_guard = np.abs(ref) >= LOW_REFERENCE_GUARD * np.max(np.abs(ref))
+    idx = np.flatnonzero(above_guard & (in_band if policy == "occupied-band" else True))
+    per_symbol = [
+        np.fft.fft(rx.samples[i * n : (i + 1) * n])[idx] / ref[idx]
+        for i in range(p.preamble_len)
+    ]
+    est = estimate_from_frame(rx, p, policy)
+    np.testing.assert_array_equal(est.bin_indices, idx)
+    np.testing.assert_array_equal(est.bins, np.stack(per_symbol).mean(axis=0))
 
 
 def test_frame_estimate_clean_preamble(default_params):
@@ -135,7 +158,7 @@ def test_frame_estimate_too_short(default_params):
 def test_averaging_beats_single_symbol(default_params):
     p = default_params
     tx = gen_preamble(p)
-    single = LoRaParams(sf=p.sf, bw=p.bw, fs=p.fs, preamble_len=1, fc=p.fc)
+    single = _single(p)
     err_k8, err_k1 = [], []
     for seed in range(100):
         rx = apply_channel(tx, np.array([1.0]), snr_db=30.0, seed=seed)

@@ -13,7 +13,6 @@ def test_defaults_match_reference_deployment():
     assert cfg.lora.bw == 250e3
     assert cfg.lora.fs == 1e6
     assert cfg.lora.preamble_len == 8
-    assert cfg.lora.fc == 868e6
     assert cfg.quantizer.alpha == 0.5
     assert cfg.quantizer.block_size == 64
     assert cfg.quantizer.shuffle_enabled
@@ -173,7 +172,6 @@ FLAG_CASES = {
     "bw": ("lora", "bw", "125000"),
     "fs": ("lora", "fs", "2000000"),
     "preamble_len": ("lora", "preamble_len", "6"),
-    "fc": ("lora", "fc", "915e6"),
     "num_taps": ("channel", "num_taps", "6"),
     "decay_db": ("channel", "decay_db", "6"),
     "rho": ("channel", "reciprocity_rho", "0.9"),
@@ -234,9 +232,29 @@ def test_cli_sweep_axis_without_values_is_single_line_error(capsys):
 def test_cli_bad_flag_value_is_single_line_error(capsys):
     assert main(["simulate", "--qber", "abc"]) == 1
     assert "[cascade] qber_estimate" in _single_error_line(capsys)
+    assert main(["simulate", "--encoding", "foo"]) == 1
+    assert "encoding" in _single_error_line(capsys)
+    assert main(["simulate", "--bin-policy", "sideband"]) == 1
+    assert "bin_policy" in _single_error_line(capsys)
 
 
 def test_cli_bad_config_value_is_single_line_error(tmp_path, capsys):
     path = _write_config(tmp_path / "bad.cfg", {("experiment", "trials"): "abc"})
     assert main(["simulate", "--config", path]) == 1
     assert "[experiment] trials" in _single_error_line(capsys)
+    # a bad policy in a file used to surface only at the first trial
+    path = _write_config(tmp_path / "policy.cfg", {("experiment", "bin_policy"): "sideband"})
+    assert main(["simulate", "--config", path]) == 1
+    assert "bin_policy" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "sf = 8\n",
+    "[lora]\nsf = 8\n[lora]\nbw = 125000\n",
+    "[lora]\nsf 8\n",
+], ids=["no-section-header", "repeated-section", "no-separator"])
+def test_cli_config_syntax_error_is_single_line_error(text, tmp_path, capsys):
+    path = tmp_path / "syntax.cfg"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert str(path) in _single_error_line(capsys)

@@ -8,16 +8,14 @@ from chirpkey import (
     IndexList,
     ParameterError,
     QuantizerConfig,
-    ThresholdPair,
     censoring_exchange,
-    compute_thresholds,
     quantize,
     quantize_pipeline,
     shuffle,
     skdr,
 )
 from chirpkey.metrics import max_run_lengths
-from chirpkey.quantizer import BitKey, block_thresholds
+from chirpkey.quantizer import SPREADS, BitKey, BlockThresholds, block_thresholds
 
 amplitude_arrays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -47,26 +45,70 @@ def test_shuffle_length_one_is_identity():
     np.testing.assert_array_equal(shuffle(amps, 99).values, amps.values)
 
 
+def _one_block(values, alpha: float, spread: str = "std-dev") -> tuple[float, float]:
+    """(q_plus, q_minus) of a vector that forms exactly one block."""
+    th = block_thresholds(CfrAmplitudes(np.asarray(values, dtype=float)),
+                          QuantizerConfig(alpha=alpha, block_size=len(values), spread=spread))
+    assert len(th) == 1
+    return th.q_plus[0], th.q_minus[0]
+
+
 def test_thresholds_constant_block():
-    pair = compute_thresholds([4.2] * 10, alpha=1.5)
-    assert pair.q_plus == pair.q_minus == pytest.approx(4.2)
+    q_plus, q_minus = _one_block([4.2] * 10, alpha=1.5)
+    assert q_plus == q_minus == pytest.approx(4.2)
 
 
 def test_thresholds_worked_example():
-    pair = compute_thresholds([1, 2, 3, 4, 5], alpha=0.5)
+    q_plus, q_minus = _one_block([1, 2, 3, 4, 5], alpha=0.5)
     # population std of 1..5 is sqrt(2)
-    assert pair.q_plus == pytest.approx(3 + 0.5 * np.sqrt(2), abs=1e-12)
-    assert pair.q_minus == pytest.approx(3 - 0.5 * np.sqrt(2), abs=1e-12)
+    assert q_plus == pytest.approx(3 + 0.5 * np.sqrt(2), abs=1e-12)
+    assert q_minus == pytest.approx(3 - 0.5 * np.sqrt(2), abs=1e-12)
 
 
 def test_thresholds_alpha_zero_collapse():
-    pair = compute_thresholds([1.0, 9.0], alpha=0.0)
-    assert pair.q_plus == pair.q_minus == pytest.approx(5.0)
+    q_plus, q_minus = _one_block([1.0, 9.0], alpha=0.0)
+    assert q_plus == q_minus == pytest.approx(5.0)
 
 
 def test_thresholds_variance_spread():
-    pair = compute_thresholds([1, 2, 3, 4, 5], alpha=0.5, spread="variance")
-    assert pair.q_plus == pytest.approx(3 + 0.5 * 2.0)
+    q_plus, _ = _one_block([1, 2, 3, 4, 5], alpha=0.5, spread="variance")
+    assert q_plus == pytest.approx(3 + 0.5 * 2.0)
+
+
+@given(
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=2, max_value=130),
+    st.sampled_from(SPREADS),
+    st.sampled_from([0.0, 0.5, 1.3]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=200)
+def test_block_thresholds_equal_per_slice_numpy(n, m, spread, alpha, constant, seed):
+    values = np.random.default_rng(seed).rayleigh(size=n)
+    if constant:  # every block repeats one value, whose mean need not be exact
+        values = np.repeat(values[::m], m)[:n]
+    th = block_thresholds(CfrAmplitudes(values), QuantizerConfig(alpha=alpha, block_size=m,
+                                                                 spread=spread))
+    want_plus, want_minus = [], []
+    for start in range(0, n, m):
+        block = values[start : start + m]
+        if np.all(block == block[0]):
+            want_plus.append(block[0])
+            want_minus.append(block[0])
+            continue
+        width = np.std(block) if spread == "std-dev" else np.var(block)
+        want_plus.append(np.mean(block) + alpha * width)
+        want_minus.append(np.mean(block) - alpha * width)
+    assert th.q_plus.tolist() == want_plus
+    assert th.q_minus.tolist() == want_minus
+
+
+def test_block_thresholds_reject_crossed_or_ragged_arrays():
+    with pytest.raises(ParameterError):
+        BlockThresholds(np.array([4.0]), np.array([6.0]))
+    with pytest.raises(ParameterError):
+        BlockThresholds(np.array([6.0, 7.0]), np.array([4.0]))
 
 
 def test_censoring_identical_inputs_alpha_zero_retains_all():
@@ -80,7 +122,7 @@ def test_censoring_worked_example():
     cfg = QuantizerConfig(alpha=0.5, block_size=5)
     retained, th_a, _ = censoring_exchange(amps, amps, cfg)
     block = amps.values
-    assert th_a[0].q_plus == pytest.approx(block.mean() + 0.5 * block.std())
+    assert th_a.q_plus[0] == pytest.approx(block.mean() + 0.5 * block.std())
     np.testing.assert_array_equal(retained.indices, [0, 1, 3, 4])
 
 
@@ -111,7 +153,7 @@ def test_censoring_length_mismatch():
 def test_quantize_plain_and_dgray():
     amps = CfrAmplitudes(np.array([9.0, 1.0, 9.0]))
     retained = IndexList(np.arange(3))
-    th = [ThresholdPair(6.0, 4.0)]
+    th = BlockThresholds([6.0], [4.0])
     plain = quantize(amps, retained, th, "plain", block_size=3)
     np.testing.assert_array_equal(plain.bits, [1, 0, 1])
     dgray = quantize(amps, retained, th, "d-gray", block_size=3)
@@ -119,7 +161,7 @@ def test_quantize_plain_and_dgray():
 
 
 def test_quantize_gap_values_map_to_nearest_threshold():
-    th = [ThresholdPair(6.0, 4.0)]
+    th = BlockThresholds([6.0], [4.0])
     retained = IndexList(np.arange(3))
     amps = CfrAmplitudes(np.array([4.5, 5.0, 5.5]))
     bits = quantize(amps, retained, th, block_size=3)
@@ -128,7 +170,7 @@ def test_quantize_gap_values_map_to_nearest_threshold():
 
 
 def test_quantize_zero_spread_block():
-    th = [ThresholdPair(5.0, 5.0)]
+    th = BlockThresholds([5.0], [5.0])
     retained = IndexList(np.arange(2))
     bits = quantize(CfrAmplitudes(np.array([5.0, 4.99])), retained, th, block_size=2)
     np.testing.assert_array_equal(bits.bits, [1, 0])
