@@ -85,17 +85,6 @@ class IndexList:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def to_wire(self) -> str:
-        """ASCII decimal, comma-separated, newline-terminated."""
-        return ",".join(str(int(i)) for i in self.indices) + "\n"
-
-    @classmethod
-    def from_wire(cls, line: str) -> "IndexList":
-        body = line.rstrip("\n")
-        if body == "":
-            return cls(np.array([], dtype=np.intp))
-        return cls(np.array([int(tok) for tok in body.split(",")], dtype=np.intp))
-
 
 @dataclass(frozen=True)
 class BitKey:

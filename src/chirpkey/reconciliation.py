@@ -3,15 +3,18 @@
 The correcting party never sees the reference key; it only asks for the
 parity of index subsets.  Pass 1 works over blocks of k1 = ceil(0.73/QBER)
 in natural order; each later pass doubles the block size under a fresh
-seeded permutation.  Odd blocks are binary-searched for one error, and every
-flip re-checks all previously seen blocks containing that position until no
-known-odd block remains.  Parity answers are counted as leaked bits.
+seeded permutation.  All blocks of all passes share one table of parities
+indexed by a global block id, and a position's block in any pass is found
+from that pass's inverse permutation.  Odd blocks are binary-searched for
+one error, smallest block first; every flip toggles the parity of the
+position's block in each pass seen so far, which may make earlier blocks odd
+again, until no odd block remains.  Parity answers are counted as leaked bits.
 """
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -101,21 +104,21 @@ def binary_search_error(
     positions,
     parity_a: Callable,
     parity_g: Callable,
-    block_parity_g: int | None = None,
+    block_parity_g: int,
 ) -> int:
     """Locate one genuinely differing position inside an odd block.
 
     ``positions`` is the block's index sequence (in the pass's permuted
     order); ``parity_a`` computes the local parity of an index subset and
-    ``parity_g`` queries the far side.  The search halves the block, asking
-    only for left-half parities (the right half's parity is inferred from
-    the parent), so it spends at most ceil(log2(len)) queries.  Passing the
-    already-known ``block_parity_g`` avoids re-querying the whole block.
+    ``parity_g`` queries the far side, whose parity of the whole block,
+    ``block_parity_g``, is already known.  The search halves the block,
+    asking only for left-half parities (the right half's parity is inferred
+    from the parent), so it spends at most ceil(log2(len)) queries.
     """
     seg = np.asarray(positions, dtype=np.intp)
     if seg.size == 0:
         raise ParameterError("block must be non-empty")
-    pg = parity_g(seg) if block_parity_g is None else block_parity_g
+    pg = block_parity_g
     pa = parity_a(seg)
     while len(seg) > 1:
         half = (len(seg) + 1) // 2
@@ -143,6 +146,13 @@ def cascade(
 ) -> ReconciliationOutcome:
     """Reconcile ``key_a`` against the key behind the parity oracle.
 
+    Every block of every pass has a global id in one block table: its start
+    in the flattened pass orders, its length and both parities.  Position i
+    lies in block ``first[p] + inverse[p][i] // sizes[p]`` of pass p, so a
+    flip toggles the local parity of its block in every pass seen so far at
+    once.  Odd blocks wait in a heap and the smallest (then lowest id) is
+    binary-searched first, which spends the fewest queries per correction.
+
     ``config.qber_estimate`` must be numeric here; "auto" is resolved by the
     pipeline via estimate_qber before cascading.  If ``transcript`` is a
     list, one CSV line "pass,block_id,indices_hash,parity_a,parity_g" is
@@ -153,7 +163,7 @@ def cascade(
         raise ParameterError(
             "qber_estimate is 'auto'; run estimate_qber first and pass the value"
         )
-    n = len(oracle_g) if hasattr(oracle_g, "__len__") else len(key_a)
+    n = len(oracle_g)
     if len(key_a) != n:
         raise ParameterError(f"key length {len(key_a)} != oracle key length {n}")
     if n == 0:
@@ -162,87 +172,71 @@ def cascade(
     bits = key_a.bits.copy()
     k1 = initial_block_size(float(config.qber_estimate), n)
     rng = np.random.default_rng(config.rng_seed)
+    sizes = np.array(pass_block_sizes(k1, n, config.num_passes))
+    orders = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in sizes[1:]])
+    inverse = np.argsort(orders, axis=1)
+    first = np.concatenate(([0], np.cumsum(-(-n // sizes))))
+    start = np.concatenate([p * n + np.arange(0, n, k) for p, k in enumerate(sizes)])
+    length = np.diff(start, append=orders.size)
+    parity_a = np.zeros(first[-1], dtype=np.uint8)
+    parity_g = np.zeros(first[-1], dtype=np.uint8)
+    queries = 0
 
-    leaked = 0
-    messages = 0
-    blocks: list[np.ndarray] = []          # positions of every seen block
-    parity_g_of: list[int] = []            # far-side parity (fixed once learned)
-    parity_a_of: list[int] = []            # local parity, updated on every flip
-    by_position: dict[int, list[int]] = defaultdict(list)
-    odd: set[int] = set()
+    def local_parity(idx) -> int:
+        return int(bits[idx].sum() & 1)
 
-    def log_query(pass_idx: int, block_id: int, idx: np.ndarray, pa: int, pg: int) -> None:
+    def log_query(pass_idx: int, block_id: int, idx, pa: int, pg: int) -> None:
+        transcript.append(f"{pass_idx},{block_id},{_indices_digest(idx)},{pa},{pg}")
+
+    def ask(pass_idx: int, block_id: int, idx) -> int:
+        nonlocal queries
+        queries += 1
+        pg = oracle_g.parity(idx)
         if transcript is not None:
-            transcript.append(
-                f"{pass_idx},{block_id},{_indices_digest(idx)},{pa},{pg}"
-            )
+            log_query(pass_idx, block_id, idx, local_parity(idx), pg)
+        return pg
 
-    def flip(pos: int) -> None:
-        bits[pos] ^= 1
-        if on_flip is not None:
-            on_flip(pos)
-        for bid in by_position[pos]:
-            parity_a_of[bid] ^= 1
-            if parity_a_of[bid] != parity_g_of[bid]:
-                odd.add(bid)
-            else:
-                odd.discard(bid)
-
-    def drain_odd(pass_idx: int) -> None:
-        while odd:
-            # smallest block first: fewest queries per correction
-            bid = min(odd, key=lambda b: (len(blocks[b]), b))
-            seg = blocks[bid]
-
-            def parity_a_fn(idx):
-                return int(bits[np.asarray(idx, dtype=np.intp)].sum() & 1)
-
-            def parity_g_fn(idx):
-                nonlocal leaked, messages
-                pg = oracle_g.parity(idx)
-                leaked += 1
-                messages += 1
-                log_query(pass_idx, bid, np.asarray(idx), parity_a_fn(idx), pg)
-                return pg
-
+    for p, k in enumerate(sizes):
+        ids = np.arange(first[p], first[p + 1])
+        heads = np.arange(0, n, k)
+        segs = np.split(orders[p], heads[1:])
+        parity_g[ids] = oracle_g.parities(segs)
+        # uint8 sums wrap modulo 256, which keeps their parity
+        parity_a[ids] = np.add.reduceat(bits[orders[p]], heads) & 1
+        if transcript is not None:
+            for bid, seg in zip(ids.tolist(), segs):
+                log_query(p, bid, seg, parity_a[bid], parity_g[bid])
+        odd = ids[parity_a[ids] != parity_g[ids]]
+        heap = list(zip(length[odd].tolist(), odd.tolist()))
+        heapq.heapify(heap)
+        while heap:
+            bid = heapq.heappop(heap)[1]
+            if parity_a[bid] == parity_g[bid]:
+                continue  # made even by a later flip
+            seg = orders.flat[start[bid] : start[bid] + length[bid]]
             pos = binary_search_error(
-                seg, parity_a_fn, parity_g_fn, block_parity_g=parity_g_of[bid]
+                seg, local_parity, lambda idx: ask(p, bid, idx), int(parity_g[bid])
             )
-            flip(pos)
-
-    sizes = pass_block_sizes(k1, n, config.num_passes)
-    for pass_idx in range(config.num_passes):
-        k = sizes[pass_idx]
-        order = np.arange(n) if pass_idx == 0 else rng.permutation(n)
-        new_blocks = [order[i : i + k] for i in range(0, n, k)]
-        answers = oracle_g.parities(new_blocks)
-        messages += 1
-        leaked += len(answers)
-        for seg, pg in zip(new_blocks, answers):
-            bid = len(blocks)
-            blocks.append(seg)
-            parity_g_of.append(pg)
-            pa = int(bits[seg].sum() & 1)
-            parity_a_of.append(pa)
-            for pos in seg:
-                by_position[int(pos)].append(bid)
-            if pa != pg:
-                odd.add(bid)
-            log_query(pass_idx, bid, seg, pa, pg)
-        drain_odd(pass_idx)
+            bits[pos] ^= 1
+            if on_flip is not None:
+                on_flip(pos)
+            hit = first[: p + 1] + inverse[: p + 1, pos] // sizes[: p + 1]
+            parity_a[hit] ^= 1
+            hit = hit[parity_a[hit] != parity_g[hit]]
+            for entry in zip(length[hit].tolist(), hit.tolist()):
+                heapq.heappush(heap, entry)
 
     # final full-key parity comparison (a necessary, not sufficient, check)
     full = np.arange(n)
     pg_full = oracle_g.parity(full)
-    messages += 1
-    leaked += 1
-    converged = int(bits.sum() & 1) == pg_full
-    log_query(config.num_passes, -1, full, int(bits.sum() & 1), pg_full)
+    converged = local_parity(full) == pg_full
+    if transcript is not None:
+        log_query(config.num_passes, -1, full, local_parity(full), pg_full)
 
     return ReconciliationOutcome(
         corrected_key=BitKey(bits, "reconciled"),
-        parity_bits_leaked=leaked,
-        parity_messages=messages,
+        parity_bits_leaked=int(first[-1]) + queries + 1,
+        parity_messages=config.num_passes + queries + 1,
         converged=converged,
     )
 

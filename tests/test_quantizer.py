@@ -284,14 +284,6 @@ def test_pipeline_deterministic():
     np.testing.assert_array_equal(k1[1].bits, k2[1].bits)
 
 
-def test_index_list_wire_roundtrip():
-    idx = IndexList(np.array([1, 5, 9, 200]))
-    assert idx.to_wire() == "1,5,9,200\n"
-    back = IndexList.from_wire(idx.to_wire())
-    np.testing.assert_array_equal(back.indices, idx.indices)
-    assert IndexList.from_wire("\n").indices.size == 0
-
-
 def test_index_list_must_increase():
     with pytest.raises(ParameterError):
         IndexList(np.array([3, 3]))

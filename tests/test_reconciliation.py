@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -264,3 +265,40 @@ def test_cascade_never_increases_disagreement(n, seed):
     after = int(np.sum(outcome.corrected_key.bits != truth))
     assert after <= before
     assert len(outcome.corrected_key) == n
+
+
+# SHA-256 over corrected bits, leak, messages, converged, transcript and flip
+# order of every (q, passes) case below, per key length n.  Cascade's outputs
+# are part of the protocol, so any rewrite of it must reproduce these exactly.
+PINNED_CASCADE = {
+    1: "75ae0335683e21ef6c64825a241ad63e30d1173c06ea784f76e692e8b8f02bb7",
+    3: "6fc7fcd206712ef4340707535ae5b82e784eefee66ce53a2b81d73c5cd1545eb",
+    31: "011212da033c576c48bfe4e061b1e79cac8a9b7ae1a657304425cc59cf4f7ab1",
+    280: "0aa18e1e6b43be5f5c466ac194c53753ccbd2dfa63e61f12d61dd5022ae934b9",
+    2048: "c9d43665db634fa4eda083c538f1399e2f4cddba3783df78fd52b8d16a4ff741",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CASCADE))
+def test_cascade_matches_pinned_transcripts(n):
+    # (estimated QBER, true error rate, passes); the last two cases under-estimate
+    # the error rate, so k1 > n/2 for n = 280 with several errors to correct
+    grid = [(q, q, p) for q in (0.002, 0.01, 0.11, 0.45) for p in (1, 3, 14)]
+    grid += [(0.002, 0.05, 3), (0.002, 0.05, 14)]
+    h = hashlib.sha256()
+    for q_est, q_true, passes in grid:
+        rng = np.random.default_rng([n, round(q_true * 1000), passes])
+        truth = rng.integers(0, 2, n).astype(np.uint8)
+        noisy = truth.copy()
+        noisy[rng.random(n) < q_true] ^= 1
+        cfg = CascadeConfig(num_passes=passes, qber_estimate=q_est, rng_seed=n + passes)
+        for transcript in (None, []):
+            flips: list[int] = []
+            out = cascade(
+                BitKey(noisy), LocalParityOracle(truth), cfg,
+                transcript=transcript, on_flip=flips.append,
+            )
+            h.update(out.corrected_key.bits.tobytes())
+            h.update(repr((out.parity_bits_leaked, out.parity_messages,
+                           out.converged, flips, transcript)).encode())
+    assert h.hexdigest() == PINNED_CASCADE[n]
