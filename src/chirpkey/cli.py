@@ -9,6 +9,7 @@ names for it.
 from __future__ import annotations
 
 import argparse
+import string
 import sys
 
 import numpy as np
@@ -119,13 +120,12 @@ def _cmd_captures(args) -> int:
 
 
 def _cmd_nist(args) -> int:
-    with open(args.bits) as fh:
-        text = fh.read()
-    bits = np.array([int(c) for c in text if c in "01"], dtype=np.uint8)
-    if any(c not in "01" and not c.isspace() for c in text):
-        print(f"error: {args.bits}: bit files may contain only 0, 1, whitespace",
-              file=sys.stderr)
-        return 1
+    with open(args.bits, "rb") as fh:
+        raw = np.frombuffer(fh.read(), dtype=np.uint8)
+    # uint8 wraps every byte but b"0" and b"1" to a value above 1
+    bits = raw[~np.isin(raw, list(string.whitespace.encode()))] - ord("0")
+    if np.any(bits > 1):
+        raise ParameterError(f"{args.bits}: bit files may contain only 0, 1, whitespace")
     report = run_suite(bits)
     verdict = "pass" if report.overall_pass else (
         "insufficient data" if report.insufficient_data else "fail")
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParameterError, PreambleNotFoundError, CaptureFormatError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

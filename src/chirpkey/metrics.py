@@ -33,18 +33,20 @@ def skgr(key_bits: int, probes: int) -> float:
     return key_bits / probes
 
 
+def longest_runs(rows: np.ndarray, value: int) -> np.ndarray:
+    """Longest run of ``value`` in each row of a 2-d bit array (0 if none)."""
+    cols = np.arange(rows.shape[1])
+    # column of the last other value at or before each column (-1 if none)
+    last_miss = np.maximum.accumulate(np.where(rows == value, -1, cols), axis=1)
+    return (cols - last_miss).max(axis=1)
+
+
 def max_run_lengths(bits) -> tuple[int, int]:
     """Longest run of consecutive 0s and of consecutive 1s."""
     b = bits.bits if isinstance(bits, BitKey) else np.asarray(bits, dtype=np.uint8)
     if b.size == 0:
         raise ParameterError("bit sequence must be non-empty")
-    edges = np.flatnonzero(np.diff(b)) + 1
-    bounds = np.concatenate(([0], edges, [len(b)]))
-    lengths = np.diff(bounds)
-    values = b[bounds[:-1]]
-    l0 = int(lengths[values == 0].max()) if np.any(values == 0) else 0
-    l1 = int(lengths[values == 1].max()) if np.any(values == 1) else 0
-    return l0, l1
+    return int(longest_runs(b[None], 0)[0]), int(longest_runs(b[None], 1)[0])
 
 
 def report(key_a: BitKey, key_g: BitKey, probes: int = 1) -> MetricsReport:

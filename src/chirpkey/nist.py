@@ -5,6 +5,10 @@ Run of Ones, Spectral (DFT), Non-overlapping Template, Approximate Entropy,
 and Linear Complexity.  Each test returns a p-value; a sequence passes the
 gate when every applicable test yields p >= 0.01.  Constants follow the
 reference test suite so its published worked examples reproduce exactly.
+
+The Non-overlapping Template test takes aperiodic templates only: no proper
+prefix equals a suffix, so occurrences never overlap.  A periodic template
+such as "11" or "0101" raises ParameterError.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from scipy.special import erfc, gammaincc
 from scipy.stats import norm
 
 from .errors import ParameterError
+from .metrics import longest_runs
 
 PASS_LEVEL = 0.01
 
@@ -29,14 +34,13 @@ TEST_NAMES = (
     "linear_complexity",
 )
 
-# longest-run parameterizations: (min n, block M, tabulated class bounds, class probs)
+# longest-run parameterizations: (min n, block M, first class bound, class probs);
+# the classes are the consecutive run lengths from the first bound on, with
+# the first and last classes open-ended
 _LONGEST_RUN_TABLE = (
-    (750000, 10000, (10, 11, 12, 13, 14, 15, 16),
-     (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
-    (6272, 128, (4, 5, 6, 7, 8, 9),
-     (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)),
-    (128, 8, (1, 2, 3, 4),
-     (0.2148, 0.3672, 0.2305, 0.1875)),
+    (750000, 10000, 10, (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
+    (6272, 128, 4, (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)),
+    (128, 8, 1, (0.2148, 0.3672, 0.2305, 0.1875)),
 )
 
 # linear-complexity class probabilities as shipped in the reference suite
@@ -134,33 +138,18 @@ def cumulative_sums_test(bits) -> TestResult:
     return TestResult("cumulative_sums", float(np.clip(p, 0.0, 1.0)), True)
 
 
-def _max_run_of_ones(block: np.ndarray) -> int:
-    if not block.any():
-        return 0
-    padded = np.concatenate(([0], block, [0]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return int((ends - starts).max())
-
-
 def longest_run_test(bits) -> TestResult:
     b = _as_bits(bits)
     n = len(b)
     if n < 128:
         return _inapplicable("longest_run", f"needs n >= 128, got {n}")
-    for min_n, m_blk, bounds, probs in _LONGEST_RUN_TABLE:
+    for min_n, m_blk, lo, probs in _LONGEST_RUN_TABLE:
         if n >= min_n:
             break
     num = n // m_blk
-    runs = np.array([
-        _max_run_of_ones(b[i * m_blk : (i + 1) * m_blk]) for i in range(num)
-    ])
-    k = len(bounds) - 1
-    nu = np.zeros(k + 1)
-    clipped = np.clip(runs, bounds[0], bounds[-1])
-    for j, bound in enumerate(bounds):
-        nu[j] = np.sum(clipped == bound)
+    runs = longest_runs(b[: num * m_blk].reshape(num, m_blk), 1)
+    k = len(probs) - 1
+    nu = np.bincount(np.clip(runs, lo, lo + k) - lo, minlength=k + 1)
     expected = num * np.asarray(probs)
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     p = float(gammaincc(k / 2.0, chi2 / 2.0))
@@ -197,26 +186,23 @@ def non_overlapping_template_test(
     m = len(template)
     if m == 0 or any(c not in "01" for c in template):
         raise ParameterError("template must be a non-empty string of 0/1")
+    if any(template[:j] == template[-j:] for j in range(1, m)):
+        raise ParameterError(f"template {template!r} overlaps itself; it must be aperiodic")
     block_len = n // num_blocks
     if block_len < m + 1:
         return _inapplicable(
             "non_overlapping_template",
             f"needs blocks longer than the template, got n={n}",
         )
-    tpl = np.array([int(c) for c in template], dtype=np.uint8)
-    counts = np.zeros(num_blocks)
-    for j in range(num_blocks):
-        blk = b[j * block_len : (j + 1) * block_len]
-        i = 0
-        hits = 0
-        while i <= block_len - m:
-            if np.array_equal(blk[i : i + m], tpl):
-                hits += 1
-                i += m
-            else:
-                i += 1
-        counts[j] = hits
-    mean = (block_len - m + 1) / 2.0**m
+    # occurrences of an aperiodic template never overlap, so the reference
+    # scan, which skips past each hit, counts every occurrence in a block
+    blocks = b[: num_blocks * block_len].reshape(num_blocks, block_len)
+    width = block_len - m + 1
+    hits = np.ones((num_blocks, width), dtype=bool)
+    for j, c in enumerate(template):
+        hits &= blocks[:, j : j + width] == int(c)
+    counts = hits.sum(axis=1)
+    mean = width / 2.0**m
     var = block_len * (1.0 / 2.0**m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
     chi2 = float(np.sum((counts - mean) ** 2 / var))
     p = float(gammaincc(num_blocks / 2.0, chi2 / 2.0))
@@ -226,8 +212,11 @@ def non_overlapping_template_test(
 def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
     b = _as_bits(bits)
     n = len(b)
-    if n < 100 or 2 ** (m_pattern + 1) > n:
-        return _inapplicable("approximate_entropy", f"needs n >= 100, got {n}")
+    need = max(100, 2 ** (m_pattern + 1))
+    if n < need:
+        return _inapplicable(
+            "approximate_entropy", f"needs n >= max(100, 2^(m+1)) = {need}, got {n}"
+        )
 
     def phi(m: int) -> float:
         if m == 0:
@@ -278,12 +267,10 @@ def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
         + (9.0 + (-1.0) ** (m_blk + 1)) / 36.0
         - (m_blk / 3.0 + 2.0 / 9.0) / 2.0**m_blk
     )
-    nu = np.zeros(7)
-    sign = (-1.0) ** m_blk
-    for j in range(num):
-        complexity = berlekamp_massey(b[j * m_blk : (j + 1) * m_blk])
-        t = sign * (complexity - mu) + 2.0 / 9.0
-        nu[int(np.searchsorted([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], t, side="left"))] += 1
+    blocks = b[: num * m_blk].reshape(num, m_blk)
+    complexity = np.fromiter(map(berlekamp_massey, blocks), dtype=np.int64, count=num)
+    t = (-1.0) ** m_blk * (complexity - mu) + 2.0 / 9.0
+    nu = np.bincount(np.searchsorted([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], t), minlength=7)
     expected = num * _LC_PROBS
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     p = float(gammaincc(3.0, chi2 / 2.0))

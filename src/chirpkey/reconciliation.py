@@ -16,7 +16,7 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -79,8 +79,9 @@ class LocalParityOracle:
     def parity(self, indices) -> int:
         return int(self._bits[np.asarray(indices, dtype=np.intp)].sum() & 1)
 
-    def parities(self, index_sets: Sequence) -> list[int]:
-        return [self.parity(idx) for idx in index_sets]
+    def parities(self, order: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Parities of the blocks of ``order`` that start at ``heads``."""
+        return np.add.reduceat(self._bits[order], heads) & 1
 
 
 def initial_block_size(qber: float, key_len: int) -> int:
@@ -199,12 +200,11 @@ def cascade(
     for p, k in enumerate(sizes):
         ids = np.arange(first[p], first[p + 1])
         heads = np.arange(0, n, k)
-        segs = np.split(orders[p], heads[1:])
-        parity_g[ids] = oracle_g.parities(segs)
+        parity_g[ids] = oracle_g.parities(orders[p], heads)
         # uint8 sums wrap modulo 256, which keeps their parity
         parity_a[ids] = np.add.reduceat(bits[orders[p]], heads) & 1
         if transcript is not None:
-            for bid, seg in zip(ids.tolist(), segs):
+            for bid, seg in zip(ids.tolist(), np.split(orders[p], heads[1:])):
                 log_query(p, bid, seg, parity_a[bid], parity_g[bid])
         odd = ids[parity_a[ids] != parity_g[ids]]
         heap = list(zip(length[odd].tolist(), odd.tolist()))

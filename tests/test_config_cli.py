@@ -145,6 +145,19 @@ def test_cli_nist_verbs(tmp_path, capsys):
     assert "overall,fail" in out
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe0101", b"0110x1", None])
+def test_cli_nist_bad_bit_file_is_single_line_error(tmp_path, capsys, content):
+    # a binary file, a stray character, and a directory in place of a file
+    path = tmp_path / "bits"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["nist", "--bits", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -4,10 +4,19 @@ The reference p-values below are frozen from the standard battery's
 documentation; digit streams of pi and e (integer part included) reproduce
 them to the documented precision.
 """
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaincc
 
+from chirpkey import ParameterError
+from chirpkey.metrics import longest_runs
 from chirpkey.nist import (
+    _LC_PROBS,
+    _LONGEST_RUN_TABLE,
     PASS_LEVEL,
     approximate_entropy_test,
     berlekamp_massey,
@@ -74,9 +83,21 @@ def test_non_overlapping_template_worked_example():
     assert result.p_value == pytest.approx(0.344154, abs=1e-4)
 
 
+@pytest.mark.parametrize("template", ["11", "00", "010", "0101", "1101", "110110", "000000000"])
+def test_non_overlapping_template_rejects_periodic_templates(template):
+    # a proper prefix equals a suffix, so occurrences could overlap
+    with pytest.raises(ParameterError, match="aperiodic"):
+        non_overlapping_template_test(np.zeros(1000, dtype=np.uint8), template=template)
+
+
 def test_approximate_entropy_worked_example():
     result = approximate_entropy_test(constant_bits("pi", 100), m_pattern=2)
     assert result.p_value == pytest.approx(0.235301, abs=1e-4)
+
+
+def test_approximate_entropy_note_names_the_failed_bound():
+    note = approximate_entropy_test(np.zeros(1000, dtype=np.uint8), m_pattern=10).note
+    assert note == "needs n >= max(100, 2^(m+1)) = 2048, got 1000"
 
 
 @pytest.mark.slow
@@ -180,3 +201,105 @@ def test_rejection_rate_calibration():
             if result.p_value < PASS_LEVEL:
                 rejections[result.name] += 1
     assert all(count <= 5 for count in rejections.values()), rejections
+
+
+# Per-bit and per-block references: the scan that skips past each template
+# hit, one longest-run call per block, and one class tally per bound or block.
+# The rewritten tests must reproduce them bit for bit.
+
+def _longest_run(row, value):
+    return max((len(list(g)) for v, g in itertools.groupby(row.tolist()) if v == value),
+               default=0)
+
+
+def _reference_longest_run(b):
+    n = len(b)
+    for min_n, m_blk, lo, probs in _LONGEST_RUN_TABLE:
+        if n >= min_n:
+            break
+    bounds = range(lo, lo + len(probs))
+    num = n // m_blk
+    runs = np.array([_longest_run(b[i * m_blk : (i + 1) * m_blk], 1) for i in range(num)])
+    nu = np.zeros(len(bounds))
+    clipped = np.clip(runs, bounds[0], bounds[-1])
+    for j, bound in enumerate(bounds):
+        nu[j] = np.sum(clipped == bound)
+    expected = num * np.asarray(probs)
+    chi2 = float(np.sum((nu - expected) ** 2 / expected))
+    return float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))
+
+
+def _reference_template(b, template, num_blocks):
+    m = len(template)
+    block_len = len(b) // num_blocks
+    tpl = np.array([int(c) for c in template], dtype=np.uint8)
+    counts = np.zeros(num_blocks)
+    for j in range(num_blocks):
+        blk = b[j * block_len : (j + 1) * block_len]
+        i = hits = 0
+        while i <= block_len - m:
+            if np.array_equal(blk[i : i + m], tpl):
+                hits += 1
+                i += m
+            else:
+                i += 1
+        counts[j] = hits
+    mean = (block_len - m + 1) / 2.0**m
+    var = block_len * (1.0 / 2.0**m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
+    chi2 = float(np.sum((counts - mean) ** 2 / var))
+    return float(gammaincc(num_blocks / 2.0, chi2 / 2.0))
+
+
+def _reference_linear_complexity(b, m_blk):
+    mu = (m_blk / 2.0 + (9.0 + (-1.0) ** (m_blk + 1)) / 36.0
+          - (m_blk / 3.0 + 2.0 / 9.0) / 2.0**m_blk)
+    num = len(b) // m_blk
+    nu = np.zeros(7)
+    for j in range(num):
+        complexity = berlekamp_massey(b[j * m_blk : (j + 1) * m_blk])
+        t = (-1.0) ** m_blk * (complexity - mu) + 2.0 / 9.0
+        nu[int(np.searchsorted([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], t, side="left"))] += 1
+    expected = num * _LC_PROBS
+    chi2 = float(np.sum((nu - expected) ** 2 / expected))
+    return float(gammaincc(3.0, chi2 / 2.0))
+
+
+APERIODIC = ["0", "1", "01", "10", "001", "011", "0011", "0010111", "000000001", "111111110"]
+
+streams = st.tuples(
+    st.one_of(
+        st.integers(50, 400),
+        st.sampled_from([127, 128, 129, 6271, 6272, 6273, 800, 1000, 1600, 2000]),
+        st.integers(400, 14000),
+    ),
+    st.sampled_from([0.0, 0.03, 0.3, 0.5, 0.5, 0.7, 0.97, 1.0]),
+    st.integers(0, 2**32 - 1),
+).map(lambda a: (np.random.default_rng(a[2]).random(a[0]) < a[1]).astype(np.uint8))
+
+
+@given(streams, st.sampled_from(APERIODIC), st.integers(1, 12), st.integers(4, 70))
+@settings(max_examples=60, deadline=None)
+def test_block_tests_equal_per_bit_reference(bits, template, num_blocks, lc_block):
+    n = len(bits)
+    result = longest_run_test(bits)
+    assert result.applicable == (n >= 128)
+    if result.applicable:
+        assert result.p_value == _reference_longest_run(bits)
+
+    result = non_overlapping_template_test(bits, template=template, num_blocks=num_blocks)
+    assert result.applicable == (n // num_blocks > len(template))
+    if result.applicable:
+        assert result.p_value == _reference_template(bits, template, num_blocks)
+
+    lc_block = min(lc_block, max(4, n // 200))  # applicable from n = 800 on
+    result = linear_complexity_test(bits, block_len=lc_block)
+    assert result.applicable == (n // lc_block >= 200)
+    if result.applicable:
+        assert result.p_value == _reference_linear_complexity(bits, lc_block)
+
+
+@given(st.integers(1, 6), st.integers(1, 40), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+       st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_longest_runs_equal_per_row_loop(rows, cols, p, value, seed):
+    grid = (np.random.default_rng(seed).random((rows, cols)) < p).astype(np.uint8)
+    assert longest_runs(grid, value).tolist() == [_longest_run(row, value) for row in grid]
