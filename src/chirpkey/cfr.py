@@ -8,6 +8,7 @@ preamble symbols to beat down noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,13 +64,23 @@ class CfrAmplitudes:
         return len(self.values)
 
 
-def _policy_indices(policy: str, n_sym: int, bw: float, fs: float) -> np.ndarray:
-    if policy == "all-bins":
-        return np.arange(n_sym)
-    if policy == "occupied-band":
-        freqs = np.fft.fftfreq(n_sym, 1.0 / fs)
-        return np.where((freqs >= -bw / 2) & (freqs < bw / 2))[0]
-    raise ParameterError(f"unknown bin policy {policy!r}, expected one of {BIN_POLICIES}")
+@lru_cache(maxsize=16)
+def _reference(params: LoRaParams, bin_policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Reference upchirp spectrum on the retained bins, and those bins; read-only."""
+    n_sym = params.samples_per_symbol
+    if bin_policy == "all-bins":
+        idx = np.arange(n_sym)
+    elif bin_policy == "occupied-band":
+        freqs = np.fft.fftfreq(n_sym, 1.0 / params.fs)
+        idx = np.where((freqs >= -params.bw / 2) & (freqs < params.bw / 2))[0]
+    else:
+        raise ParameterError(f"unknown bin policy {bin_policy!r}, expected one of {BIN_POLICIES}")
+    ref = np.fft.fft(gen_upchirp(params).samples)
+    idx = idx[np.abs(ref[idx]) >= LOW_REFERENCE_GUARD * np.max(np.abs(ref))]
+    ref_idx = ref[idx]
+    ref_idx.setflags(write=False)
+    idx.setflags(write=False)
+    return ref_idx, idx
 
 
 def estimate_from_frame(
@@ -82,7 +93,8 @@ def estimate_from_frame(
     The first K symbol windows of ``rx`` go through one (K, n) FFT; each
     retained bin is divided by the reference upchirp's spectrum and the K
     quotients are averaged.  Bins whose reference magnitude falls below the
-    low-reference guard are dropped, never divided.
+    low-reference guard are dropped, never divided.  The retained bins and
+    their reference spectrum are cached per (params, bin_policy).
     """
     n_sym = params.samples_per_symbol
     k = params.preamble_len
@@ -90,10 +102,8 @@ def estimate_from_frame(
         raise ParameterError(
             f"frame has {len(rx.samples)} samples, needs {k * n_sym}"
         )
-    idx = _policy_indices(bin_policy, n_sym, params.bw, params.fs)
-    ref = np.fft.fft(gen_upchirp(params).samples)
-    idx = idx[np.abs(ref[idx]) >= LOW_REFERENCE_GUARD * np.max(np.abs(ref))]
+    ref_idx, idx = _reference(params, bin_policy)
     spectra = np.fft.fft(rx.samples[: k * n_sym].reshape(k, n_sym), axis=1)
     # take() keeps the quotients row-major, so the mean sums the K symbols
     # in the same order a per-symbol stack would
-    return Cfr((spectra.take(idx, axis=1) / ref[idx]).mean(axis=0), idx)
+    return Cfr((spectra.take(idx, axis=1) / ref_idx).mean(axis=0), idx)

@@ -83,12 +83,14 @@ class NistReport:
 
 
 def _as_bits(bits) -> np.ndarray:
-    b = np.asarray(getattr(bits, "bits", bits), dtype=np.uint8)
+    b = np.asarray(getattr(bits, "bits", bits))
     if b.ndim != 1:
         raise ParameterError("bits must be one-dimensional")
-    if b.size and b.max() > 1:
+    # other dtypes are checked before the cast, which would truncate 0.9 to 0
+    ok = (b.size == 0 or b.max() <= 1) if b.dtype == np.uint8 else np.all((b == 0) | (b == 1))
+    if not ok:
         raise ParameterError("bits must be 0 or 1")
-    return b
+    return b.astype(np.uint8, copy=False)
 
 
 def _inapplicable(name: str, note: str) -> TestResult:

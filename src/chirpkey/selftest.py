@@ -16,7 +16,7 @@ from .nist import run_suite
 from .pipeline import run_pipeline_once
 from .quantizer import BitKey, QuantizerConfig, block_thresholds, quantize_pipeline
 from .reconciliation import CascadeConfig, LocalParityOracle, cascade
-from .waveform import IqSamples, LoRaParams, gen_upchirp
+from .waveform import IqSamples, LoRaParams, gen_preamble, gen_upchirp
 
 
 def _check_upchirp_phase() -> bool:
@@ -36,7 +36,7 @@ def _check_ls_recovery() -> bool:
     params = LoRaParams()
     rng = np.random.default_rng(7)
     taps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    tx = np.tile(gen_upchirp(params).samples, params.preamble_len)
+    tx = gen_preamble(params).samples
     n = params.samples_per_symbol
     sym = tx[:n]
     rx_sym = np.fft.ifft(np.fft.fft(sym) * np.fft.fft(taps, n))

@@ -6,8 +6,10 @@ t = 0, so sample 0 always has phase 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.signal import fftconvolve
 
 from .errors import ParameterError, PreambleNotFoundError
@@ -73,22 +75,27 @@ class IqSamples:
         return len(self.samples)
 
 
+@lru_cache(maxsize=16)
 def gen_upchirp(params: LoRaParams) -> IqSamples:
     """One upchirp symbol: exp(j*pi*(-bw + k*t)*t) sampled at t = n/fs.
 
     The instantaneous frequency sweeps linearly from -bw/2 at t = 0 to
-    +bw/2 at t = T; every sample has unit magnitude.
+    +bw/2 at t = T; every sample has unit magnitude.  Cached, read-only.
     """
     n_sym = params.samples_per_symbol
     t = np.arange(n_sym) / params.fs
     phase = np.pi * (-params.bw + params.sweep_rate * t) * t
-    return IqSamples(np.exp(1j * phase), params.fs)
+    chirp = np.exp(1j * phase)
+    chirp.setflags(write=False)
+    return IqSamples(chirp, params.fs)
 
 
+@lru_cache(maxsize=16)
 def gen_preamble(params: LoRaParams) -> IqSamples:
-    """K identical upchirps back to back."""
-    one = gen_upchirp(params).samples
-    return IqSamples(np.tile(one, params.preamble_len), params.fs)
+    """K identical upchirps back to back.  Cached, read-only."""
+    preamble = np.tile(gen_upchirp(params).samples, params.preamble_len)
+    preamble.setflags(write=False)
+    return IqSamples(preamble, params.fs)
 
 
 def detect_preamble(
@@ -101,24 +108,34 @@ def detect_preamble(
     The full K-symbol preamble is used as the reference template: a single
     upchirp would produce K equal peaks (one per symbol boundary), making the
     start ambiguous under noise, whereas the K-symbol template peaks only at
-    the true start.
+    the true start.  As the template is K copies of one chirp c of n_sym
+    samples, its correlation at lag l, sum_k sum_m cap[l + k*n_sym + m] *
+    conj(c[m]), is the correlation of c with the folded capture
+    S = sum_k cap[k*n_sym : k*n_sym + n_sym + lags - 1]; the window energy
+    is a difference of one cumulative sum of |cap|^2, the template energy K
+    times the chirp's.  The decision rule is the K-symbol one, unchanged:
+    normalized |correlation|, argmax, threshold.
 
     Returns the sample offset of the best peak.  Raises
     PreambleNotFoundError if the peak correlation is below ``threshold``.
     """
-    template = gen_preamble(params).samples
-    n = len(template)
+    chirp = gen_upchirp(params).samples
+    n_sym, k = len(chirp), params.preamble_len
+    n = k * n_sym
     cap = capture.samples
     if len(cap) < n:
         raise ParameterError(
             f"capture has {len(cap)} samples, needs at least {n}"
         )
-    # numerator: |<capture window, template>| at every lag
-    num = np.abs(fftconvolve(cap, np.conj(template[::-1]), mode="valid"))
-    # denominator: window energy * template energy
-    window_energy = fftconvolve(np.abs(cap) ** 2, np.ones(n), mode="valid").real
-    window_energy = np.maximum(window_energy, 0.0)
-    den = np.sqrt(window_energy * np.sum(np.abs(template) ** 2))
+    lags = len(cap) - n + 1
+    # row i is cap[i*n_sym : i*n_sym + n_sym + lags - 1]; row k - 1 ends at len(cap)
+    step = cap.strides[0]
+    rows = as_strided(cap, (k, n_sym + lags - 1), (n_sym * step, step), writeable=False)
+    folded = rows.sum(axis=0)
+    num = np.abs(fftconvolve(folded, np.conj(chirp[::-1]), mode="valid"))
+    cs = np.concatenate(([0.0], np.cumsum(np.abs(cap) ** 2)))
+    window_energy = np.maximum(cs[n:] - cs[:lags], 0.0)
+    den = np.sqrt(window_energy * (k * np.vdot(chirp, chirp).real))
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.where(den > 0, num / den, 0.0)
     offset = int(np.argmax(corr))

@@ -183,3 +183,20 @@ def test_bin_policies_retain_expected_counts(default_params):
 def test_unknown_policy_rejected(default_params):
     with pytest.raises(ParameterError):
         estimate_from_frame(gen_preamble(default_params), default_params, "sideband")
+
+
+@pytest.mark.parametrize("policy", BIN_POLICIES)
+def test_cached_arrays_are_read_only(default_params, policy):
+    p = default_params
+
+    def cached():
+        pre = gen_preamble(p)
+        return [pre.samples, gen_upchirp(p).samples, estimate_from_frame(pre, p, policy).bin_indices]
+
+    first = cached()
+    snapshot = [a.copy() for a in first]
+    for a in first:
+        with pytest.raises(ValueError):
+            a[0] = 0
+    for want, got in zip(snapshot, cached()):
+        np.testing.assert_array_equal(got, want)

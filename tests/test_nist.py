@@ -56,6 +56,23 @@ def test_frequency_all_ones_fails_hard():
     assert not result.passed
 
 
+@pytest.mark.parametrize("value", [0.9, 0.5, 1.5, -1.0])
+def test_non_binary_float_bits_rejected(value):
+    # one bad entry among 0.0/1.0 floats; a cast to uint8 would truncate it
+    bits = np.tile([0.0, 1.0], 100)
+    bits[17] = value
+    with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+        frequency_test(bits)
+
+
+def test_float_and_bool_bits_equal_uint8():
+    bits = np.random.default_rng(5).integers(0, 2, 500, dtype=np.uint8)
+    want = frequency_test(bits).p_value
+    assert frequency_test(bits.astype(float)).p_value == want
+    assert frequency_test(bits.astype(bool)).p_value == want
+    assert frequency_test(bits.tolist()).p_value == want
+
+
 def test_block_frequency_worked_example():
     result = block_frequency_test(constant_bits("pi", 100), block_len=10)
     assert result.p_value == pytest.approx(0.706438, abs=1e-4)

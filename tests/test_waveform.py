@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from chirpkey import (
     IqSamples,
@@ -10,6 +11,7 @@ from chirpkey import (
     gen_preamble,
     gen_upchirp,
 )
+from chirpkey.waveform import DETECTION_THRESHOLD
 
 
 def test_default_params_sample_counts(default_params):
@@ -118,6 +120,56 @@ def test_detect_at_20db_snr(default_params):
         )
         hits += detect_preamble(IqSamples(cap, default_params.fs), default_params) == offset
     assert hits >= 99
+
+
+def _template_correlation_peak(cap: np.ndarray, params: LoRaParams) -> tuple[int, float]:
+    """Reference detector: the K-symbol template correlated at every lag,
+    window energy by convolution with ones; returns (argmax, peak)."""
+    template = np.tile(gen_upchirp(params).samples, params.preamble_len)
+    n = len(template)
+    num = np.abs(fftconvolve(cap, np.conj(template[::-1]), mode="valid"))
+    energy = fftconvolve(np.abs(cap) ** 2, np.ones(n), mode="valid").real
+    den = np.sqrt(np.maximum(energy, 0.0) * np.sum(np.abs(template) ** 2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(den > 0, num / den, 0.0)
+    offset = int(np.argmax(corr))
+    return offset, corr[offset]
+
+
+@pytest.mark.parametrize("snr_db", [None, 0.0, -4.0, -15.0])
+@pytest.mark.parametrize("lag_case", ["one", "below-symbol", "above-symbol"])
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize(
+    "link",
+    [(7, 250e3, 1e6), (8, 250e3, 1e6), (9, 250e3, 1e6), (5, 250e3, 250e3)],  # last: small_params
+)
+def test_detect_equals_k_symbol_template_reference(link, k, lag_case, snr_db):
+    sf, bw, fs = link
+    p = LoRaParams(sf=sf, bw=bw, fs=fs, preamble_len=k)
+    n_sym = p.samples_per_symbol
+    lags = {"one": 1, "below-symbol": n_sym // 2 + 3, "above-symbol": 2 * n_sym + 5}[lag_case]
+    rng = np.random.default_rng([sf, k, lags, 0 if snr_db is None else int(snr_db) + 100])
+    offset = int(rng.integers(lags))
+    signal = gen_preamble(p).samples
+    if snr_db is not None:
+        # multipath smears the peak over neighbouring lags, noise sets its height
+        taps = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * [1.0, 0.5, 0.25]
+        signal = np.convolve(signal, taps)[: len(signal)]
+    cap = _embed(signal, offset, lags - 1 - offset, p.fs).samples
+    if snr_db is None:
+        # impulses next to the preamble: a window one sample off takes one in
+        cap[[i for i in (offset - 1, offset + len(signal)) if 0 <= i < len(cap)]] = 30.0
+    else:
+        noise_std = np.sqrt(np.mean(np.abs(signal) ** 2) * 10 ** (-snr_db / 10) / 2)
+        cap = cap + noise_std * (rng.standard_normal(len(cap)) + 1j * rng.standard_normal(len(cap)))
+    want, peak = _template_correlation_peak(cap, p)
+    if peak < DETECTION_THRESHOLD:
+        with pytest.raises(PreambleNotFoundError):
+            detect_preamble(IqSamples(cap, p.fs), p)
+    else:
+        assert detect_preamble(IqSamples(cap, p.fs), p) == want
+    if snr_db is None:
+        assert want == offset
 
 
 def test_detect_rejects_silence(default_params):
