@@ -26,7 +26,6 @@ def main() -> None:
     result = run_captures(
         replace(
             cfg,
-            mode="captures",
             capture_a2g=paths["a2g"],
             capture_g2a=paths["g2a"],
             capture_eve=paths["eve"],

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import CSV_HEADER, ExperimentConfig, config_from_parser, raw_config
+from .config import KEYS, ExperimentConfig, config_from_parser, raw_config
 from .errors import CaptureFormatError, ParameterError, PreambleNotFoundError
 from .nist import run_suite
 from .pipeline import (
@@ -26,42 +26,31 @@ from .pipeline import (
 )
 
 
-# argparse dest -> the [section] key whose value that flag's text replaces
-FLAG_KEYS = {
-    **{dest: ("lora", dest) for dest in ("sf", "bw", "fs", "preamble_len")},
-    **{dest: ("channel", dest) for dest in ("num_taps", "decay_db", "snr_db")},
-    "rho": ("channel", "reciprocity_rho"),
-    **{dest: ("quantizer", dest)
-       for dest in ("alpha", "block_size", "shuffle", "encoding", "spread")},
-    "qber": ("cascade", "qber_estimate"),
-    "num_passes": ("cascade", "num_passes"),
-    **{dest: ("experiment", dest)
-       for dest in ("bin_policy", "trials", "master_seed", "sweep_axis", "sweep_values")},
-    **{dest: ("experiment", "capture_" + dest) for dest in ("a2g", "g2a", "eve")},
+# config keys whose flag has another name; None marks a key no flag sets
+FLAG_NAMES = {
+    "reciprocity_rho": "rho",
+    "qber_estimate": "qber",
+    "capture_a2g": "a2g",
+    "capture_g2a": "g2a",
+    "capture_eve": "eve",
+    **dict.fromkeys(("eavesdropper_independent", "qber_sample_fraction", "mode")),
 }
+# argparse dest -> the [section] key whose value that flag's text replaces
+FLAG_KEYS = {FLAG_NAMES.get(key, key): (section, key)
+             for section, key in KEYS if FLAG_NAMES.get(key, key)}
+# flags that only the sweep and captures verbs take, declared there
+VERB_FLAGS = ("sweep_axis", "sweep_values", "a2g", "g2a", "eve")
+FLAG_HELP = {"rho": "reciprocity correlation", "qber": "cascade QBER estimate or 'auto'"}
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI-style config file")
-    p.add_argument("--sf")
-    p.add_argument("--bw")
-    p.add_argument("--fs")
-    p.add_argument("--preamble-len")
-    p.add_argument("--num-taps")
-    p.add_argument("--decay-db")
-    p.add_argument("--rho", help="reciprocity correlation")
-    p.add_argument("--snr-db")
-    p.add_argument("--alpha")
-    p.add_argument("--block-size")
-    p.add_argument("--shuffle", dest="shuffle", action="store_const", const="on")
-    p.add_argument("--no-shuffle", dest="shuffle", action="store_const", const="off")
-    p.add_argument("--encoding")
-    p.add_argument("--spread")
-    p.add_argument("--bin-policy")
-    p.add_argument("--qber", help="cascade QBER estimate or 'auto'")
-    p.add_argument("--num-passes")
-    p.add_argument("--trials")
-    p.add_argument("--master-seed")
+    for dest in FLAG_KEYS:
+        if dest == "shuffle":
+            p.add_argument("--shuffle", dest="shuffle", action="store_const", const="on")
+            p.add_argument("--no-shuffle", dest="shuffle", action="store_const", const="off")
+        elif dest not in VERB_FLAGS:
+            p.add_argument("--" + dest.replace("_", "-"), help=FLAG_HELP.get(dest))
     p.add_argument("--out", help="write CSV here instead of stdout")
 
 
@@ -90,7 +79,7 @@ def _cmd_simulate(args) -> int:
     results = run_trials(config)
     row = aggregate(results, "none", 0.0, config.quantizer.shuffle_enabled,
                     config.master_seed)
-    _emit(CSV_HEADER + "\n" + row.to_csv() + "\n", args.out)
+    _emit(rows_to_csv([row]), args.out)
     return 0
 
 

@@ -18,7 +18,12 @@ from .quantizer import QuantizerConfig
 from .reconciliation import CascadeConfig
 from .waveform import LoRaParams
 
-SWEEP_AXES = ("alpha", "block_size", "snr")
+# sweep axis -> the [section] key its values pin
+SWEEP_AXES = {
+    "alpha": ("quantizer", "alpha"),
+    "block_size": ("quantizer", "block_size"),
+    "snr": ("channel", "snr_db"),
+}
 MODES = ("simulate", "captures")
 
 CSV_HEADER = (
@@ -51,7 +56,7 @@ class ExperimentConfig:
             raise ParameterError(f"bin_policy must be one of {BIN_POLICIES}")
         if self.sweep_axis is not None:
             if self.sweep_axis not in SWEEP_AXES:
-                raise ParameterError(f"sweep_axis must be one of {SWEEP_AXES}")
+                raise ParameterError(f"sweep_axis must be one of {tuple(SWEEP_AXES)}")
             if not self.sweep_values:
                 raise ParameterError("sweep_values must be non-empty when sweeping")
         if self.mode not in MODES:
@@ -59,12 +64,10 @@ class ExperimentConfig:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ParameterError(f"cannot parse boolean from {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ParameterError(f"cannot parse boolean from {text!r}") from None
 
 
 def _parse_floats(text: str) -> tuple:
@@ -75,14 +78,37 @@ def _parse_qber(text: str):
     return "auto" if text.strip() == "auto" else float(text)
 
 
-def _get(section, key, cast, current):
-    if section is None or key not in section:
-        return current
-    raw = section[key]
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ParameterError(f"[{section.name}] {key}: invalid value {raw!r}") from None
+# every [section] key a config file may set -> how its text parses, in CLI
+# flag order; each sets its section dataclass's field of that name, except
+# [channel] decay_db (shapes power_delay_profile) and [quantizer] shuffle
+KEYS = {
+    ("lora", "sf"): int,
+    ("lora", "bw"): float,
+    ("lora", "fs"): float,
+    ("lora", "preamble_len"): int,
+    ("channel", "num_taps"): int,
+    ("channel", "decay_db"): float,
+    ("channel", "reciprocity_rho"): float,
+    ("channel", "snr_db"): float,
+    ("channel", "eavesdropper_independent"): _parse_bool,
+    ("quantizer", "alpha"): float,
+    ("quantizer", "block_size"): int,
+    ("quantizer", "shuffle"): _parse_bool,
+    ("quantizer", "encoding"): str,
+    ("quantizer", "spread"): str,
+    ("experiment", "bin_policy"): str,
+    ("cascade", "qber_estimate"): _parse_qber,
+    ("cascade", "num_passes"): int,
+    ("experiment", "qber_sample_fraction"): float,
+    ("experiment", "trials"): int,
+    ("experiment", "master_seed"): int,
+    ("experiment", "sweep_axis"): str,
+    ("experiment", "sweep_values"): _parse_floats,
+    ("experiment", "mode"): str,
+    ("experiment", "capture_a2g"): str,
+    ("experiment", "capture_g2a"): str,
+    ("experiment", "capture_eve"): str,
+}
 
 
 def raw_config(path=None) -> configparser.ConfigParser:
@@ -104,67 +130,37 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    base = ExperimentConfig()
-    sec = {name: parser[name] if parser.has_section(name) else None
-           for name in ("lora", "channel", "quantizer", "cascade", "experiment")}
-
-    lora = LoRaParams(
-        sf=_get(sec["lora"], "sf", int, base.lora.sf),
-        bw=_get(sec["lora"], "bw", float, base.lora.bw),
-        fs=_get(sec["lora"], "fs", float, base.lora.fs),
-        preamble_len=_get(sec["lora"], "preamble_len", int, base.lora.preamble_len),
-    )
-    num_taps = _get(sec["channel"], "num_taps", int, base.channel.num_taps)
-    decay_db = _get(sec["channel"], "decay_db", float, 3.0)
-    channel = ChannelModel(
-        num_taps=num_taps,
-        power_delay_profile=exponential_profile(num_taps, decay_db),
-        reciprocity_rho=_get(sec["channel"], "reciprocity_rho", float,
-                             base.channel.reciprocity_rho),
-        snr_db=_get(sec["channel"], "snr_db", float, base.channel.snr_db),
-        eavesdropper_independent=_get(sec["channel"], "eavesdropper_independent", _parse_bool,
-                                      base.channel.eavesdropper_independent),
-    )
-    quantizer = QuantizerConfig(
-        alpha=_get(sec["quantizer"], "alpha", float, base.quantizer.alpha),
-        block_size=_get(sec["quantizer"], "block_size", int, base.quantizer.block_size),
-        shuffle_enabled=_get(sec["quantizer"], "shuffle", _parse_bool,
-                             base.quantizer.shuffle_enabled),
-        encoding=_get(sec["quantizer"], "encoding", str, base.quantizer.encoding),
-        spread=_get(sec["quantizer"], "spread", str, base.quantizer.spread),
-    )
-    cascade = CascadeConfig(
-        num_passes=_get(sec["cascade"], "num_passes", int, base.cascade.num_passes),
-        qber_estimate=_get(sec["cascade"], "qber_estimate", _parse_qber,
-                           base.cascade.qber_estimate),
-    )
-
-    exp = sec["experiment"]
+    """The defaults with every ``KEYS`` entry the parser holds written over them."""
+    given = {section: {} for section, _ in KEYS}
+    for (section, key), parse in KEYS.items():
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                given[section][key] = parse(raw)
+            except ValueError:
+                raise ParameterError(f"[{section}] {key}: invalid value {raw!r}") from None
+    channel, quantizer = given["channel"], given["quantizer"]
+    if "decay_db" in channel:
+        channel["power_delay_profile"] = exponential_profile(
+            channel.get("num_taps", ChannelModel.num_taps), channel.pop("decay_db")
+        )
+    if "shuffle" in quantizer:
+        quantizer["shuffle_enabled"] = quantizer.pop("shuffle")
     return ExperimentConfig(
-        lora=lora,
-        channel=channel,
-        quantizer=quantizer,
-        cascade=cascade,
-        bin_policy=_get(exp, "bin_policy", str, base.bin_policy),
-        qber_sample_fraction=_get(exp, "qber_sample_fraction", float,
-                                  base.qber_sample_fraction),
-        trials=_get(exp, "trials", int, base.trials),
-        master_seed=_get(exp, "master_seed", int, base.master_seed),
-        sweep_axis=_get(exp, "sweep_axis", str, base.sweep_axis),
-        sweep_values=_get(exp, "sweep_values", _parse_floats, base.sweep_values),
-        mode=_get(exp, "mode", str, base.mode),
-        capture_a2g=_get(exp, "capture_a2g", str, base.capture_a2g),
-        capture_g2a=_get(exp, "capture_g2a", str, base.capture_g2a),
-        capture_eve=_get(exp, "capture_eve", str, base.capture_eve),
+        lora=LoRaParams(**given["lora"]),
+        channel=ChannelModel(**channel),
+        quantizer=QuantizerConfig(**quantizer),
+        cascade=CascadeConfig(**given["cascade"]),
+        **given["experiment"],
     )
 
 
 def with_sweep_value(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """A copy of the config with one sweep axis pinned to a value."""
-    if axis == "alpha":
-        return replace(config, quantizer=replace(config.quantizer, alpha=value))
-    if axis == "block_size":
-        return replace(config, quantizer=replace(config.quantizer, block_size=int(value)))
-    if axis == "snr":
-        return replace(config, channel=replace(config.channel, snr_db=value))
-    raise ParameterError(f"sweep_axis must be one of {SWEEP_AXES}")
+    if axis not in SWEEP_AXES:
+        raise ParameterError(f"sweep_axis must be one of {tuple(SWEEP_AXES)}")
+    section, key = SWEEP_AXES[axis]
+    pinned = KEYS[section, key](value)
+    if pinned != value:
+        raise ParameterError(f"sweep_axis {axis}: {value} is not a valid [{section}] {key}")
+    return replace(config, **{section: replace(getattr(config, section), **{key: pinned})})

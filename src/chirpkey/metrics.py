@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .quantizer import BitKey
+from .quantizer import BitKey, as_bits
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def longest_runs(rows: np.ndarray, value: int) -> np.ndarray:
 
 def max_run_lengths(bits) -> tuple[int, int]:
     """Longest run of consecutive 0s and of consecutive 1s."""
-    b = bits.bits if isinstance(bits, BitKey) else np.asarray(bits, dtype=np.uint8)
+    b = as_bits(bits)
     if b.size == 0:
         raise ParameterError("bit sequence must be non-empty")
     return int(longest_runs(b[None], 0)[0]), int(longest_runs(b[None], 1)[0])

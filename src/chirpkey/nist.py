@@ -20,6 +20,7 @@ from scipy.stats import norm
 
 from .errors import ParameterError
 from .metrics import longest_runs
+from .quantizer import as_bits
 
 PASS_LEVEL = 0.01
 
@@ -82,24 +83,13 @@ class NistReport:
         return "\n".join(lines) + "\n"
 
 
-def _as_bits(bits) -> np.ndarray:
-    b = np.asarray(getattr(bits, "bits", bits))
-    if b.ndim != 1:
-        raise ParameterError("bits must be one-dimensional")
-    # other dtypes are checked before the cast, which would truncate 0.9 to 0
-    ok = (b.size == 0 or b.max() <= 1) if b.dtype == np.uint8 else np.all((b == 0) | (b == 1))
-    if not ok:
-        raise ParameterError("bits must be 0 or 1")
-    return b.astype(np.uint8, copy=False)
-
-
 def _inapplicable(name: str, note: str) -> TestResult:
     return TestResult(name, None, False, note)
 
 
 def frequency_test(bits) -> TestResult:
     """Monobit balance: p = erfc(|S_n| / sqrt(2 n)) with S_n = sum(2 b - 1)."""
-    b = _as_bits(bits)
+    b = as_bits(bits)
     n = len(b)
     if n < 100:
         return _inapplicable("frequency", f"needs n >= 100, got {n}")
@@ -109,7 +99,7 @@ def frequency_test(bits) -> TestResult:
 
 
 def block_frequency_test(bits, block_len: int = 128) -> TestResult:
-    b = _as_bits(bits)
+    b = as_bits(bits)
     n = len(b)
     if n < 100 or n < block_len:
         return _inapplicable("block_frequency", f"needs n >= max(100, M), got {n}")
@@ -122,7 +112,7 @@ def block_frequency_test(bits, block_len: int = 128) -> TestResult:
 
 def cumulative_sums_test(bits) -> TestResult:
     """Forward cumulative-sums excursion test."""
-    b = _as_bits(bits)
+    b = as_bits(bits)
     n = len(b)
     if n < 100:
         return _inapplicable("cumulative_sums", f"needs n >= 100, got {n}")
@@ -141,7 +131,7 @@ def cumulative_sums_test(bits) -> TestResult:
 
 
 def longest_run_test(bits) -> TestResult:
-    b = _as_bits(bits)
+    b = as_bits(bits)
     n = len(b)
     if n < 128:
         return _inapplicable("longest_run", f"needs n >= 128, got {n}")
@@ -164,7 +154,7 @@ def spectral_fft_test(bits) -> TestResult:
     The threshold is sqrt(n log(1/0.05)); under randomness 95% of
     magnitudes fall below it.
     """
-    b = _as_bits(bits)
+    b = as_bits(bits)
     n = len(b)
     if n < 100:
         return _inapplicable("spectral_fft", f"needs n >= 100, got {n}")
@@ -183,7 +173,7 @@ def non_overlapping_template_test(
     template: str = "000000001",
     num_blocks: int = 8,
 ) -> TestResult:
-    b = _as_bits(bits)
+    b = as_bits(bits)
     n = len(b)
     m = len(template)
     if m == 0 or any(c not in "01" for c in template):
@@ -212,7 +202,7 @@ def non_overlapping_template_test(
 
 
 def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
-    b = _as_bits(bits)
+    b = as_bits(bits)
     n = len(b)
     need = max(100, 2 ** (m_pattern + 1))
     if n < need:
@@ -256,7 +246,7 @@ def berlekamp_massey(block: np.ndarray) -> int:
 
 
 def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
-    b = _as_bits(bits)
+    b = as_bits(bits)
     n = len(b)
     num = n // block_len
     if block_len < 4 or num < 200:
@@ -281,7 +271,7 @@ def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
 
 def run_suite(bits) -> NistReport:
     """All eight tests at their standard defaults, aggregated with the 0.01 gate."""
-    b = _as_bits(bits)
+    b = as_bits(bits)
     return NistReport((
         frequency_test(b),
         block_frequency_test(b),

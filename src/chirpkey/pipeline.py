@@ -12,8 +12,7 @@ estimation so that serializing them to capture files and replaying through
 """
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -58,6 +57,11 @@ class PipelineResult:
     qber_estimate: float
 
 
+# CSV text of an ExperimentRow field by its declared type (a string under
+# postponed annotations); other types print with str
+_CSV_FORMAT = {"bool": lambda on: "on" if on else "off", "float": lambda x: f"{x:.10g}"}
+
+
 @dataclass(frozen=True)
 class ExperimentRow:
     sweep_axis: str
@@ -75,24 +79,8 @@ class ExperimentRow:
     seed: int
 
     def to_csv(self) -> str:
-        def num(x: float) -> str:
-            return f"{x:.10g}"
-
-        return ",".join([
-            self.sweep_axis,
-            num(self.sweep_value),
-            "on" if self.shuffle_on else "off",
-            num(self.skdr_mean),
-            num(self.skdr_std),
-            num(self.skgr_mean),
-            num(self.l0_mean),
-            num(self.l1_mean),
-            num(self.eve_skdr_mean),
-            num(self.cascade_converged_frac),
-            num(self.leak_mean),
-            str(self.trials),
-            str(self.seed),
-        ])
+        return ",".join(_CSV_FORMAT.get(f.type, str)(getattr(self, f.name))
+                        for f in fields(self))
 
 
 def _capture_depth(iq: IqSamples) -> IqSamples:
@@ -312,8 +300,4 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRow]:
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for row in rows:
-        out.write(row.to_csv() + "\n")
-    return out.getvalue()
+    return "".join(line + "\n" for line in [CSV_HEADER, *(row.to_csv() for row in rows)])

@@ -86,6 +86,18 @@ class IndexList:
         return len(self.indices)
 
 
+def as_bits(bits) -> np.ndarray:
+    """The 0/1 values of a 1-d sequence or BitKey as a uint8 array."""
+    b = np.asarray(getattr(bits, "bits", bits))
+    if b.ndim != 1:
+        raise ParameterError("bits must be one-dimensional")
+    # other dtypes are checked before the cast, which would truncate 0.9 to 0
+    ok = (b.size == 0 or b.max() <= 1) if b.dtype == np.uint8 else np.all((b == 0) | (b == 1))
+    if not ok:
+        raise ParameterError("bits must be 0 or 1")
+    return b.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class BitKey:
     """Ordered bit sequence at one pipeline stage (initial/reconciled/final)."""
@@ -94,10 +106,7 @@ class BitKey:
     stage: str = "initial"
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.bits, dtype=np.uint8)
-        if np.any(b > 1):
-            raise ParameterError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", b)
+        object.__setattr__(self, "bits", as_bits(self.bits))
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .quantizer import BitKey
+from .quantizer import BitKey, as_bits
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class LocalParityOracle:
     """In-process adapter answering parity queries over a visible key."""
 
     def __init__(self, key: BitKey | np.ndarray):
-        bits = key.bits if isinstance(key, BitKey) else np.asarray(key, dtype=np.uint8)
-        self._bits = bits
+        self._bits = as_bits(key)
 
     def __len__(self) -> int:
         return len(self._bits)

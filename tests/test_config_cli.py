@@ -1,8 +1,11 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from chirpkey import ExperimentConfig, load_config
-from chirpkey.cli import FLAG_KEYS, main
+from chirpkey.channel import exponential_profile
+from chirpkey.cli import FLAG_KEYS, build_parser, main
 from chirpkey.config import CSV_HEADER
 from chirpkey.pipeline import export_probe_captures
 
@@ -271,3 +274,108 @@ def test_cli_config_syntax_error_is_single_line_error(text, tmp_path, capsys):
     path.write_text(text)
     assert main(["simulate", "--config", str(path)]) == 1
     assert str(path) in _single_error_line(capsys)
+
+
+def test_cli_fractional_block_size_sweep_is_single_line_error(capsys):
+    # int() would run block size 16 under rows that say 16.5
+    assert main(["sweep", "--sweep-axis", "block_size", "--sweep-values", "16.5",
+                 "--trials", "1"]) == 1
+    assert "block_size" in _single_error_line(capsys)
+
+
+# (option strings, dest, required, help, const) of every option but -h
+COMMON_OPTIONS = [
+    (["--config"], "config", False, "INI-style config file", None),
+    (["--sf"], "sf", False, None, None),
+    (["--bw"], "bw", False, None, None),
+    (["--fs"], "fs", False, None, None),
+    (["--preamble-len"], "preamble_len", False, None, None),
+    (["--num-taps"], "num_taps", False, None, None),
+    (["--decay-db"], "decay_db", False, None, None),
+    (["--rho"], "rho", False, "reciprocity correlation", None),
+    (["--snr-db"], "snr_db", False, None, None),
+    (["--alpha"], "alpha", False, None, None),
+    (["--block-size"], "block_size", False, None, None),
+    (["--shuffle"], "shuffle", False, None, "on"),
+    (["--no-shuffle"], "shuffle", False, None, "off"),
+    (["--encoding"], "encoding", False, None, None),
+    (["--spread"], "spread", False, None, None),
+    (["--bin-policy"], "bin_policy", False, None, None),
+    (["--qber"], "qber", False, "cascade QBER estimate or 'auto'", None),
+    (["--num-passes"], "num_passes", False, None, None),
+    (["--trials"], "trials", False, None, None),
+    (["--master-seed"], "master_seed", False, None, None),
+    (["--out"], "out", False, "write CSV here instead of stdout", None),
+]
+VERB_OPTIONS = {
+    "simulate": COMMON_OPTIONS,
+    "sweep": COMMON_OPTIONS + [
+        (["--sweep-axis"], "sweep_axis", False, None, None),
+        (["--sweep-values"], "sweep_values", False, "comma-separated values", None),
+    ],
+    "captures": COMMON_OPTIONS + [
+        (["--a2g"], "a2g", True, "capture of A's frame received at G", None),
+        (["--g2a"], "g2a", True, "capture of G's frame received at A", None),
+        (["--eve"], "eve", False, "optional capture of G's frame at the eavesdropper", None),
+        (["--trial-seed"], "trial_seed", False, None, None),
+    ],
+    "nist": [
+        (["--bits"], "bits", True, "file of 0/1 characters", None),
+        (["--out"], "out", False, None, None),
+    ],
+    "selftest": [],
+}
+
+
+def test_each_verb_takes_exactly_its_options():
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(verbs) == list(VERB_OPTIONS)
+    for verb, want in VERB_OPTIONS.items():
+        got = [(a.option_strings, a.dest, a.required, a.help, a.const)
+               for a in verbs[verb]._actions if a.dest != "help"]
+        assert got == want, verb
+
+
+# every [section] key a config file may set, a non-default value for it, and
+# where that value lands in the config
+KEY_CASES = [
+    ("lora", "sf", "8", lambda c: c.lora.sf, 8),
+    ("lora", "bw", "125000", lambda c: c.lora.bw, 125000.0),
+    ("lora", "fs", "2000000", lambda c: c.lora.fs, 2e6),
+    ("lora", "preamble_len", "6", lambda c: c.lora.preamble_len, 6),
+    ("channel", "num_taps", "6", lambda c: c.channel.num_taps, 6),
+    ("channel", "decay_db", "6", lambda c: c.channel.power_delay_profile.tolist(),
+     exponential_profile(4, 6.0).tolist()),
+    ("channel", "reciprocity_rho", "0.9", lambda c: c.channel.reciprocity_rho, 0.9),
+    ("channel", "snr_db", "20", lambda c: c.channel.snr_db, 20.0),
+    ("channel", "eavesdropper_independent", "no",
+     lambda c: c.channel.eavesdropper_independent, False),
+    ("quantizer", "alpha", "0.7", lambda c: c.quantizer.alpha, 0.7),
+    ("quantizer", "block_size", "32", lambda c: c.quantizer.block_size, 32),
+    ("quantizer", "shuffle", "off", lambda c: c.quantizer.shuffle_enabled, False),
+    ("quantizer", "encoding", "d-gray", lambda c: c.quantizer.encoding, "d-gray"),
+    ("quantizer", "spread", "variance", lambda c: c.quantizer.spread, "variance"),
+    ("cascade", "num_passes", "6", lambda c: c.cascade.num_passes, 6),
+    ("cascade", "qber_estimate", "0.05", lambda c: c.cascade.qber_estimate, 0.05),
+    ("experiment", "bin_policy", "occupied-band", lambda c: c.bin_policy, "occupied-band"),
+    ("experiment", "qber_sample_fraction", "0.2", lambda c: c.qber_sample_fraction, 0.2),
+    ("experiment", "trials", "7", lambda c: c.trials, 7),
+    ("experiment", "master_seed", "99", lambda c: c.master_seed, 99),
+    ("experiment", "sweep_axis", "snr", lambda c: c.sweep_axis, "snr"),
+    ("experiment", "sweep_values", "1, 2.5", lambda c: c.sweep_values, (1.0, 2.5)),
+    ("experiment", "mode", "captures", lambda c: c.mode, "captures"),
+    ("experiment", "capture_a2g", "a.cf32", lambda c: c.capture_a2g, "a.cf32"),
+    ("experiment", "capture_g2a", "g.cf32", lambda c: c.capture_g2a, "g.cf32"),
+    ("experiment", "capture_eve", "e.cf32", lambda c: c.capture_eve, "e.cf32"),
+]
+
+
+@pytest.mark.parametrize("section, key, text, get, want", KEY_CASES,
+                         ids=[f"{case[0]}-{case[1]}" for case in KEY_CASES])
+def test_each_config_key_reaches_the_config(section, key, text, get, want, tmp_path):
+    keys = {(section, key): text}
+    if key == "sweep_axis":
+        keys["experiment", "sweep_values"] = "1"  # a sweep needs values
+    assert get(ExperimentConfig()) != want
+    assert get(load_config(_write_config(tmp_path / "key.cfg", keys))) == want

@@ -155,6 +155,8 @@ def test_with_sweep_value_axes():
     assert with_sweep_value(cfg, "snr", 20.0).channel.snr_db == 20.0
     with pytest.raises(ParameterError):
         with_sweep_value(cfg, "taps", 1.0)
+    with pytest.raises(ParameterError, match="block_size"):
+        with_sweep_value(cfg, "block_size", 16.5)
 
 
 def test_qber_consumption_shortens_cascaded_key():

@@ -15,6 +15,7 @@ from chirpkey import (
     skdr,
 )
 from chirpkey.metrics import max_run_lengths
+from chirpkey.reconciliation import LocalParityOracle
 from chirpkey.quantizer import SPREADS, BitKey, BlockThresholds, block_thresholds
 
 amplitude_arrays = st.lists(
@@ -294,6 +295,20 @@ def test_index_list_must_increase():
 def test_bitkey_rejects_non_bits():
     with pytest.raises(ParameterError):
         BitKey(np.array([0, 2], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BitKey(np.full(4, 0.9)),
+    lambda: BitKey(np.zeros((2, 4), dtype=np.uint8)),
+    lambda: max_run_lengths([2, 2, 2]),
+    lambda: max_run_lengths([0.5, 0.9, 1.0]),
+    lambda: LocalParityOracle(np.array([0.9, 1.2])),
+], ids=["fractional-bitkey", "2d-bitkey", "run-lengths-of-2s", "fractional-run-lengths",
+        "fractional-oracle"])
+def test_non_bits_rejected_before_any_cast(call):
+    # a cast to uint8 before the check would truncate 0.9 to 0
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_config_validation():
