@@ -24,6 +24,7 @@ from .pipeline import (
     run_sweep,
     run_trials,
 )
+from .quantizer import as_bits
 
 
 # config keys whose flag has another name; None marks a key no flag sets
@@ -112,9 +113,10 @@ def _cmd_nist(args) -> int:
     with open(args.bits, "rb") as fh:
         raw = np.frombuffer(fh.read(), dtype=np.uint8)
     # uint8 wraps every byte but b"0" and b"1" to a value above 1
-    bits = raw[~np.isin(raw, list(string.whitespace.encode()))] - ord("0")
-    if np.any(bits > 1):
-        raise ParameterError(f"{args.bits}: bit files may contain only 0, 1, whitespace")
+    try:
+        bits = as_bits(raw[~np.isin(raw, list(string.whitespace.encode()))] - ord("0"))
+    except ParameterError as exc:
+        raise ParameterError(f"{args.bits}: {exc}") from None
     report = run_suite(bits)
     verdict = "pass" if report.overall_pass else (
         "insufficient data" if report.insufficient_data else "fail")

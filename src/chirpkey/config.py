@@ -26,11 +26,6 @@ SWEEP_AXES = {
 }
 MODES = ("simulate", "captures")
 
-CSV_HEADER = (
-    "sweep_axis,sweep_value,shuffle,skdr_mean,skdr_std,skgr_mean,"
-    "l0_mean,l1_mean,eve_skdr_mean,cascade_converged_frac,leak_mean,trials,seed"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

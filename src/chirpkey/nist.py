@@ -9,6 +9,13 @@ reference test suite so its published worked examples reproduce exactly.
 The Non-overlapping Template test takes aperiodic templates only: no proper
 prefix equals a suffix, so occurrences never overlap.  A periodic template
 such as "11" or "0101" raises ParameterError.
+
+The Linear Complexity test runs one bit-sliced Berlekamp-Massey over all
+its blocks at once (``linear_complexities``): each uint64 word holds the
+same bit of 64 blocks, and the shifted polynomial b x^k is a view into a
+zeroed buffer whose start moves back one row per step, so multiplying by x
+copies nothing.  The complexities are integers, so the p-value equals the
+one-block-at-a-time reference exactly.
 """
 from __future__ import annotations
 
@@ -228,21 +235,44 @@ def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
     return TestResult("approximate_entropy", p, True)
 
 
-def berlekamp_massey(block: np.ndarray) -> int:
-    """Linear complexity of a bit block (connection polynomials as int bitmasks)."""
-    c_poly, b_poly = 1, 1
-    complexity, last_change = 0, -1
-    window = 0
-    for idx, bit in enumerate(block):
-        window = (window << 1) | int(bit)
-        if (c_poly & window).bit_count() & 1:
-            t = c_poly
-            c_poly ^= b_poly << (idx - last_change)
-            if 2 * complexity <= idx:
-                complexity = idx + 1 - complexity
-                b_poly = t
-                last_change = idx
-    return complexity
+def linear_complexities(blocks) -> np.ndarray:
+    """Linear complexity of every row of a (num, m) 0/1 array, as int64.
+
+    One Berlekamp-Massey run serves all rows, bit-sliced: rows are lanes,
+    64 to a uint64 word, so every polynomial is an (m + 1, g) word array,
+    g = ceil(num / 64), whose row j holds coefficient j of every lane.  Per
+    step the discrepancy is the xor over rows of ``c & s`` reversed, and
+    lanes whose complexity grows swap the old ``c`` into ``b``.  ``b`` is
+    kept already multiplied by x^(idx - last change) as a view into one
+    zeroed buffer; moving the view's start back one row each step
+    multiplies every lane by x, so nothing is copied.  At step idx every
+    polynomial has degree <= idx + 1, so each step touches idx + 2 rows.
+    """
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    num, m = blocks.shape
+    g = -(-num // 64)
+    lanes = np.zeros((m, 64 * g), dtype=np.uint8)
+    lanes[:, :num] = blocks.T
+    # s[i] is bit i of every lane; lane k of word w is row 64 w + k
+    s = np.packbits(lanes, axis=1, bitorder="little").view("<u8")
+    ones = ~np.uint64(0)
+    c = np.zeros((m + 1, g), dtype="<u8")
+    c[0] = ones
+    # b = 1 with its last change at -1, so b x^(idx + 1) at step idx
+    b_buf = np.zeros((m + 2, g), dtype="<u8")
+    b_buf[m + 1] = ones
+    complexity = np.zeros(64 * g, dtype=np.int64)
+    for idx in range(m):
+        d = np.bitwise_xor.reduce(c[: idx + 1] & s[idx::-1], axis=0)
+        grow = np.unpackbits(d.view(np.uint8), bitorder="little").view(bool)
+        grow &= 2 * complexity <= idx
+        np.subtract(idx + 1, complexity, out=complexity, where=grow)
+        upd = np.packbits(grow, bitorder="little").view("<u8")
+        bs, cs = b_buf[m - idx :], c[: idx + 2]
+        swap = (bs ^ cs) & upd
+        cs ^= bs & d
+        bs ^= swap
+    return complexity[:num]
 
 
 def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
@@ -260,7 +290,7 @@ def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
         - (m_blk / 3.0 + 2.0 / 9.0) / 2.0**m_blk
     )
     blocks = b[: num * m_blk].reshape(num, m_blk)
-    complexity = np.fromiter(map(berlekamp_massey, blocks), dtype=np.int64, count=num)
+    complexity = linear_complexities(blocks)
     t = (-1.0) ** m_blk * (complexity - mu) + 2.0 / 9.0
     nu = np.bincount(np.searchsorted([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], t), minlength=7)
     expected = num * _LC_PROBS

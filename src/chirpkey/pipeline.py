@@ -19,7 +19,7 @@ import numpy as np
 from .captures import ingest_capture, write_capture
 from .cfr import estimate_from_frame
 from .channel import sample_channel, apply_channel
-from .config import CSV_HEADER, ExperimentConfig, with_sweep_value
+from .config import ExperimentConfig, with_sweep_value
 from .confirm import ConfirmationResult, confirm
 from .errors import ParameterError, PreambleNotFoundError
 from .metrics import MetricsReport
@@ -66,7 +66,7 @@ _CSV_FORMAT = {"bool": lambda on: "on" if on else "off", "float": lambda x: f"{x
 class ExperimentRow:
     sweep_axis: str
     sweep_value: float
-    shuffle_on: bool
+    shuffle: bool
     skdr_mean: float
     skdr_std: float
     skgr_mean: float
@@ -81,6 +81,9 @@ class ExperimentRow:
     def to_csv(self) -> str:
         return ",".join(_CSV_FORMAT.get(f.type, str)(getattr(self, f.name))
                         for f in fields(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
 def _capture_depth(iq: IqSamples) -> IqSamples:
@@ -254,7 +257,7 @@ def aggregate(
     return ExperimentRow(
         sweep_axis=axis,
         sweep_value=value,
-        shuffle_on=shuffle_on,
+        shuffle=shuffle_on,
         skdr_mean=float(skdrs.mean()),
         skdr_std=float(skdrs.std()),
         skgr_mean=float(np.mean([r.metrics.skgr_bits_per_probe for r in results])),

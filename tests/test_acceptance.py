@@ -142,8 +142,8 @@ def test_criterion_04_alpha_sweep_trends():
         trials=100, sweep_axis="alpha", sweep_values=(0.1, 0.3, 0.5, 0.7, 0.9)
     )
     rows = run_sweep(cfg)
-    off = [r for r in rows if not r.shuffle_on]
-    on = [r for r in rows if r.shuffle_on]
+    off = [r for r in rows if not r.shuffle]
+    on = [r for r in rows if r.shuffle]
     ok_off = (
         _monotone_non_increasing([r.skdr_mean for r in off])
         and _monotone_non_increasing([r.l0_mean for r in off])
@@ -165,8 +165,8 @@ def test_criterion_05_block_size_sweep_trends():
         trials=100, sweep_axis="block_size", sweep_values=(16, 32, 64, 128, 256)
     )
     rows = run_sweep(cfg)
-    off = [r for r in rows if not r.shuffle_on]
-    on = [r for r in rows if r.shuffle_on]
+    off = [r for r in rows if not r.shuffle]
+    on = [r for r in rows if r.shuffle]
     l0_off = [r.l0_mean for r in off]
     l1_off = [r.l1_mean for r in off]
     ok_off = all(b >= a for a, b in zip(l0_off, l0_off[1:])) and all(

@@ -6,8 +6,13 @@ import pytest
 from chirpkey import ExperimentConfig, load_config
 from chirpkey.channel import exponential_profile
 from chirpkey.cli import FLAG_KEYS, build_parser, main
-from chirpkey.config import CSV_HEADER
 from chirpkey.pipeline import export_probe_captures
+
+# the sweep CSV header, byte for byte
+CSV_HEADER = (
+    "sweep_axis,sweep_value,shuffle,skdr_mean,skdr_std,skgr_mean,"
+    "l0_mean,l1_mean,eve_skdr_mean,cascade_converged_frac,leak_mean,trials,seed"
+)
 
 
 def test_defaults_match_reference_deployment():

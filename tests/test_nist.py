@@ -19,10 +19,10 @@ from chirpkey.nist import (
     _LONGEST_RUN_TABLE,
     PASS_LEVEL,
     approximate_entropy_test,
-    berlekamp_massey,
     block_frequency_test,
     cumulative_sums_test,
     frequency_test,
+    linear_complexities,
     linear_complexity_test,
     longest_run_test,
     non_overlapping_template_test,
@@ -123,18 +123,22 @@ def test_linear_complexity_worked_example():
     assert result.p_value == pytest.approx(0.845406, abs=1e-4)
 
 
+def _one_row(bits):
+    return int(linear_complexities(np.array([bits], dtype=np.uint8))[0])
+
+
 def test_berlekamp_massey_known_lfsr():
     # maximal-length sequence of s[n] = s[n-1] ^ s[n-3] has complexity 3
     seq = [1, 0, 0]
     for n in range(3, 21):
         seq.append(seq[n - 1] ^ seq[n - 3])
-    assert berlekamp_massey(np.array(seq, dtype=np.uint8)) == 3
+    assert _one_row(seq) == 3
 
 
 def test_berlekamp_massey_simple_cases():
-    assert berlekamp_massey(np.zeros(16, dtype=np.uint8)) == 0
-    assert berlekamp_massey(np.array([0, 0, 0, 1], dtype=np.uint8)) == 4
-    assert berlekamp_massey(np.tile([0, 1], 8)) == 2
+    assert _one_row(np.zeros(16)) == 0
+    assert _one_row([0, 0, 0, 1]) == 4
+    assert _one_row(np.tile([0, 1], 8)) == 2
 
 
 def test_all_zeros_fails_frequency_family():
@@ -221,8 +225,9 @@ def test_rejection_rate_calibration():
 
 
 # Per-bit and per-block references: the scan that skips past each template
-# hit, one longest-run call per block, and one class tally per bound or block.
-# The rewritten tests must reproduce them bit for bit.
+# hit, one longest-run call and one Berlekamp-Massey run per block, and one
+# class tally per bound or block.  The rewritten tests must reproduce them
+# bit for bit.
 
 def _longest_run(row, value):
     return max((len(list(g)) for v, g in itertools.groupby(row.tolist()) if v == value),
@@ -265,6 +270,23 @@ def _reference_template(b, template, num_blocks):
     var = block_len * (1.0 / 2.0**m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
     chi2 = float(np.sum((counts - mean) ** 2 / var))
     return float(gammaincc(num_blocks / 2.0, chi2 / 2.0))
+
+
+def berlekamp_massey(block) -> int:
+    """Linear complexity of one bit block (connection polynomials as int bitmasks)."""
+    c_poly, b_poly = 1, 1
+    complexity, last_change = 0, -1
+    window = 0
+    for idx, bit in enumerate(block):
+        window = (window << 1) | int(bit)
+        if (c_poly & window).bit_count() & 1:
+            t = c_poly
+            c_poly ^= b_poly << (idx - last_change)
+            if 2 * complexity <= idx:
+                complexity = idx + 1 - complexity
+                b_poly = t
+                last_change = idx
+    return complexity
 
 
 def _reference_linear_complexity(b, m_blk):
@@ -313,6 +335,53 @@ def test_block_tests_equal_per_bit_reference(bits, template, num_blocks, lc_bloc
     assert result.applicable == (n // lc_block >= 200)
     if result.applicable:
         assert result.p_value == _reference_linear_complexity(bits, lc_block)
+
+
+def _periodic_rows(rng, rows, m):
+    return np.array([np.resize(rng.integers(0, 2, rng.integers(1, 33)), m)
+                     for _ in range(rows)], dtype=np.uint8)
+
+
+def _lfsr_rows(rng, rows, m):
+    # random taps of degree <= 24 from a random state: complexity <= degree
+    out = np.zeros((rows, m), dtype=np.uint8)
+    for row in out:
+        degree = int(rng.integers(1, 25))
+        taps = rng.integers(0, 2, degree)
+        taps[-1] = 1
+        seq = rng.integers(0, 2, degree).tolist()
+        while len(seq) < m:
+            seq.append(int(taps @ seq[: -degree - 1 : -1]) & 1)
+        row[:] = seq[:m]
+    return out
+
+
+BM_ROWS = {
+    "random": lambda rng, rows, m: rng.integers(0, 2, (rows, m), dtype=np.uint8),
+    "biased-0.03": lambda rng, rows, m: (rng.random((rows, m)) < 0.03).astype(np.uint8),
+    "biased-0.97": lambda rng, rows, m: (rng.random((rows, m)) < 0.97).astype(np.uint8),
+    "all-zero": lambda rng, rows, m: np.zeros((rows, m), dtype=np.uint8),
+    "last-bit": lambda rng, rows, m: np.eye(1, m, m - 1, dtype=np.uint8).repeat(rows, axis=0),
+    "periodic": _periodic_rows,
+    "lfsr": _lfsr_rows,
+}
+# the lanes of one word in different states: row i of the kind i mod 7
+_KINDS = list(BM_ROWS.values())
+BM_ROWS["mixed"] = lambda rng, rows, m: np.concatenate(
+    [_KINDS[i % len(_KINDS)](rng, 1, m) for i in range(rows)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 500, 1000])
+@pytest.mark.parametrize("kind", BM_ROWS)
+def test_linear_complexities_equal_per_block_reference(kind, m):
+    rng = np.random.default_rng([list(BM_ROWS).index(kind), m])
+    blocks = BM_ROWS[kind](rng, 201, m)
+    want = [berlekamp_massey(row) for row in blocks]
+    # every block count around the 64-lane word edges; fewer blocks are a prefix
+    for num in (1, 63, 64, 65, 200, 201):
+        got = linear_complexities(blocks[:num])
+        assert got.dtype == np.int64 and got.shape == (num,)
+        assert got.tolist() == want[:num], num
 
 
 @given(st.integers(1, 6), st.integers(1, 40), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),

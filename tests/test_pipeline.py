@@ -133,7 +133,7 @@ def test_sweep_rows_structure():
     )
     rows = run_sweep(cfg)
     assert len(rows) == 4  # two values x two shuffle arms
-    assert [(r.sweep_value, r.shuffle_on) for r in rows] == [
+    assert [(r.sweep_value, r.shuffle) for r in rows] == [
         (0.3, True), (0.3, False), (0.7, True), (0.7, False)
     ]
     csv_text = rows_to_csv(rows)
