@@ -76,7 +76,9 @@ class LocalParityOracle:
         return len(self._bits)
 
     def parity(self, indices) -> int:
-        return int(self._bits[np.asarray(indices, dtype=np.intp)].sum() & 1)
+        # as_bits guarantees 0/1, so the count of ones has the sum's parity
+        ones = np.count_nonzero(self._bits[np.asarray(indices, dtype=np.intp)])
+        return int(ones) & 1
 
     def parities(self, order: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Parities of the blocks of ``order`` that start at ``heads``."""
@@ -102,34 +104,33 @@ def pass_block_sizes(k1: int, key_len: int, num_passes: int) -> list[int]:
 
 def binary_search_error(
     positions,
-    parity_a: Callable,
+    local_bits,
     parity_g: Callable,
     block_parity_g: int,
 ) -> int:
     """Locate one genuinely differing position inside an odd block.
 
     ``positions`` is the block's index sequence (in the pass's permuted
-    order); ``parity_a`` computes the local parity of an index subset and
-    ``parity_g`` queries the far side, whose parity of the whole block,
-    ``block_parity_g``, is already known.  The search halves the block,
-    asking only for left-half parities (the right half's parity is inferred
-    from the parent), so it spends at most ceil(log2(len)) queries.
+    order) and ``local_bits`` the correcting party's own bits at those
+    positions; ``parity_g`` queries the far side, whose parity of the whole
+    block, ``block_parity_g``, is already known.  The search keeps a window
+    ``[lo, hi)`` into the block and asks only for the parity of its left
+    half, ``positions[lo:mid]``: the right half's parity follows from the
+    parent's, so it spends at most ceil(log2(len)) queries.  Every local
+    left-half parity is a difference of one prefix sum of ``local_bits``.
     """
     seg = np.asarray(positions, dtype=np.intp)
     if seg.size == 0:
         raise ParameterError("block must be non-empty")
-    pg = block_parity_g
-    pa = parity_a(seg)
-    while len(seg) > 1:
-        half = (len(seg) + 1) // 2
-        left = seg[:half]
-        pg_left = parity_g(left)
-        pa_left = parity_a(left)
-        if pa_left != pg_left:
-            seg, pa, pg = left, pa_left, pg_left
+    sums = [0, *np.cumsum(local_bits).tolist()]
+    lo, hi = 0, len(seg)
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2
+        if (sums[mid] - sums[lo]) & 1 != parity_g(seg[lo:mid]):
+            hi = mid
         else:
-            seg, pa, pg = seg[half:], pa ^ pa_left, pg ^ pg_left
-    return int(seg[0])
+            lo = mid
+    return int(seg[lo])
 
 
 def _indices_digest(indices: np.ndarray) -> str:
@@ -150,8 +151,12 @@ def cascade(
     in the flattened pass orders, its length and both parities.  Position i
     lies in block ``first[p] + inverse[p][i] // sizes[p]`` of pass p, so a
     flip toggles the local parity of its block in every pass seen so far at
-    once.  Odd blocks wait in a heap and the smallest (then lowest id) is
-    binary-searched first, which spends the fewest queries per correction.
+    once.  The inverse permutations are one scatter of ``arange(n)``.  Odd
+    blocks wait in a heap and the smallest (then lowest id) is
+    binary-searched first, which spends the fewest queries per correction;
+    the search gets the block as a view into the flattened orders and the
+    local bits at it as one gather, so it pays one prefix sum per block and
+    one oracle call per halving.
 
     ``config.qber_estimate`` must be numeric here; "auto" is resolved by the
     pipeline via estimate_qber before cascading.  If ``transcript`` is a
@@ -174,7 +179,9 @@ def cascade(
     rng = np.random.default_rng(config.rng_seed)
     sizes = np.array(pass_block_sizes(k1, n, config.num_passes))
     orders = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in sizes[1:]])
-    inverse = np.argsort(orders, axis=1)
+    flat = orders.reshape(-1)
+    inverse = np.empty_like(orders)
+    inverse[np.arange(len(sizes))[:, None], orders] = np.arange(n)
     first = np.concatenate(([0], np.cumsum(-(-n // sizes))))
     start = np.concatenate([p * n + np.arange(0, n, k) for p, k in enumerate(sizes)])
     length = np.diff(start, append=orders.size)
@@ -212,9 +219,9 @@ def cascade(
             bid = heapq.heappop(heap)[1]
             if parity_a[bid] == parity_g[bid]:
                 continue  # made even by a later flip
-            seg = orders.flat[start[bid] : start[bid] + length[bid]]
+            seg = flat[start[bid] : start[bid] + length[bid]]
             pos = binary_search_error(
-                seg, local_parity, lambda idx: ask(p, bid, idx), int(parity_g[bid])
+                seg, bits[seg], lambda idx: ask(p, bid, idx), int(parity_g[bid])
             )
             bits[pos] ^= 1
             if on_flip is not None:

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import ParameterError, PreambleNotFoundError
 
@@ -98,6 +98,15 @@ def gen_preamble(params: LoRaParams) -> IqSamples:
     return IqSamples(preamble, params.fs)
 
 
+@lru_cache(maxsize=16)
+def _matched_filter_spectrum(params: LoRaParams, nfft: int) -> np.ndarray:
+    """FFT of the conjugate-reversed upchirp, zero-padded to nfft.  Cached,
+    read-only."""
+    spectrum = sp_fft.fft(np.conj(gen_upchirp(params).samples[::-1]), nfft)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def detect_preamble(
     capture: IqSamples,
     params: LoRaParams,
@@ -113,7 +122,9 @@ def detect_preamble(
     conj(c[m]), is the correlation of c with the folded capture
     S = sum_k cap[k*n_sym : k*n_sym + n_sym + lags - 1]; the window energy
     is a difference of one cumulative sum of |cap|^2, the template energy K
-    times the chirp's.  The decision rule is the K-symbol one, unchanged:
+    times the chirp's.  The correlation is one FFT product against the
+    chirp's cached spectrum, the same calls ``scipy.signal.fftconvolve``
+    makes in "valid" mode.  The decision rule is the K-symbol one, unchanged:
     normalized |correlation|, argmax, threshold.
 
     Returns the sample offset of the best peak.  Raises
@@ -132,7 +143,9 @@ def detect_preamble(
     step = cap.strides[0]
     rows = as_strided(cap, (k, n_sym + lags - 1), (n_sym * step, step), writeable=False)
     folded = rows.sum(axis=0)
-    num = np.abs(fftconvolve(folded, np.conj(chirp[::-1]), mode="valid"))
+    nfft = sp_fft.next_fast_len(len(folded) + n_sym - 1)
+    spectrum = sp_fft.fft(folded, nfft) * _matched_filter_spectrum(params, nfft)
+    num = np.abs(sp_fft.ifft(spectrum)[n_sym - 1 : n_sym - 1 + lags])
     cs = np.concatenate(([0.0], np.cumsum(np.abs(cap) ** 2)))
     window_energy = np.maximum(cs[n:] - cs[:lags], 0.0)
     den = np.sqrt(window_energy * (k * np.vdot(chirp, chirp).real))

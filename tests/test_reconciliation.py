@@ -175,15 +175,13 @@ def test_binary_search_single_error_all_offsets():
         local[err] ^= 1
         queries = 0
 
-        def parity_a(idx, local=local):
-            return int(local[np.asarray(idx, dtype=np.intp)].sum() & 1)
-
         def parity_g(idx):
             nonlocal queries
             queries += 1
             return int(truth[np.asarray(idx, dtype=np.intp)].sum() & 1)
 
-        pos = binary_search_error(np.arange(8), parity_a, parity_g, block_parity_g=0)
+        positions = np.arange(8)
+        pos = binary_search_error(positions, local[positions], parity_g, block_parity_g=0)
         assert pos == err
         assert queries <= 3
 
@@ -198,12 +196,8 @@ def test_binary_search_block_of_one():
         queries += 1
         return 1
 
-    pos = binary_search_error(
-        np.array([0]),
-        lambda idx: int(local[idx].sum() & 1),
-        parity_g,
-        block_parity_g=1,
-    )
+    positions = np.array([0])
+    pos = binary_search_error(positions, local[positions], parity_g, block_parity_g=1)
     assert pos == 0 and queries == 0
 
 
@@ -214,13 +208,73 @@ def test_binary_search_three_errors_returns_a_true_one():
     for errs in combinations(range(8), 3):
         local = truth.copy()
         local[list(errs)] ^= 1
+        positions = np.arange(8)
         pos = binary_search_error(
-            np.arange(8),
-            lambda idx, local=local: int(local[np.asarray(idx)].sum() & 1),
+            positions,
+            local[positions],
             lambda idx: int(truth[np.asarray(idx)].sum() & 1),
             block_parity_g=0,
         )
         assert pos in errs
+
+
+def _binary_search_reference(positions, parity_a, parity_g, block_parity_g):
+    """Reference search: one local and one far-side parity call per
+    halving, each on the left half of the remaining segment."""
+    seg = np.asarray(positions, dtype=np.intp)
+    pg = block_parity_g
+    pa = parity_a(seg)
+    while len(seg) > 1:
+        half = (len(seg) + 1) // 2
+        left = seg[:half]
+        pg_left = parity_g(left)
+        pa_left = parity_a(left)
+        if pa_left != pg_left:
+            seg, pa, pg = left, pa_left, pg_left
+        else:
+            seg, pa, pg = seg[half:], pa ^ pa_left, pg ^ pg_left
+    return int(seg[0])
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 73, 1024, 1100])
+def test_binary_search_equals_reference(length):
+    rng = np.random.default_rng(length)
+    for trial in range(40):
+        n = length + int(rng.integers(0, 50))
+        truth = rng.integers(0, 2, n).astype(np.uint8)
+        positions = rng.permutation(n)[:length]
+        local = truth.copy()
+        errors = min(1 + trial % 5, length)
+        local[rng.choice(positions, size=errors, replace=False)] ^= 1
+        block_g = int(truth[positions].sum() & 1)
+        asked = {"reference": [], "prefix": []}
+
+        def far(name):
+            def parity_g(idx):
+                asked[name].append(np.asarray(idx).tolist())
+                return int(truth[idx].sum() & 1)
+            return parity_g
+
+        want = _binary_search_reference(
+            positions, lambda idx: int(local[idx].sum() & 1), far("reference"), block_g
+        )
+        got = binary_search_error(positions, local[positions], far("prefix"), block_g)
+        assert got == want
+        assert asked["prefix"] == asked["reference"]
+
+
+def test_parity_answers_are_python_scalars():
+    # repr() of a numpy scalar differs from a Python one (np.True_ vs True),
+    # so a numpy answer would surface only as a pinned-transcript mismatch
+    rng = np.random.default_rng(4)
+    key_a, truth = _random_keys(rng, 256, 0.05)
+    oracle = LocalParityOracle(truth)
+    answer = oracle.parity(np.arange(10))
+    assert type(answer) is int, f"parity() returned {type(answer)!r}, not int"
+    outcome = cascade(key_a, oracle, CascadeConfig(qber_estimate=0.05))
+    assert type(outcome.converged) is bool, (
+        f"converged is {type(outcome.converged)!r}, not bool"
+    )
 
 
 def test_qber_estimate_clamps():
