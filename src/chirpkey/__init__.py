@@ -18,7 +18,12 @@ from .channel import (
 )
 from .config import ExperimentConfig, load_config
 from .confirm import ConfirmationResult, KeyDigest, confirm, digest, serialize_key
-from .errors import CaptureFormatError, ParameterError, PreambleNotFoundError
+from .errors import (
+    CaptureFormatError,
+    ParameterError,
+    PreambleNotFoundError,
+    ReconciliationError,
+)
 from .metrics import MetricsReport, max_run_lengths, skdr, skgr
 from .nist import NistReport, run_suite
 from .pipeline import (

@@ -35,11 +35,8 @@ def ingest_capture(path, params: LoRaParams) -> IqSamples:
 def write_capture(path, iq: IqSamples) -> None:
     """Serialize samples as interleaved float32 pairs (the ingest inverse).
 
-    Values are cast to float32; a round trip is bit-identical once the
-    samples are already at capture depth.
+    Values are cast to little-endian complex64, whose memory layout is that
+    pair; a round trip is bit-identical once the samples are already at
+    capture depth.
     """
-    as32 = iq.samples.astype(np.complex64)
-    interleaved = np.empty(2 * len(as32), dtype="<f4")
-    interleaved[0::2] = as32.real
-    interleaved[1::2] = as32.imag
-    interleaved.tofile(path)
+    iq.samples.astype("<c8").tofile(path)

@@ -92,24 +92,31 @@ def sample_channel(model: ChannelModel, seed) -> ChannelRealization:
 
 
 def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db, seed) -> IqSamples:
-    """Convolve with the tap vector and add receiver noise at the given SNR.
+    """Pass the signal through the taps and add receiver noise at the given SNR.
 
-    The linear convolution is truncated to the input length.  Noise is
-    circularly-symmetric complex Gaussian scaled so that mean received
-    signal power / noise power = 10**(snr_db/10); pass None or +inf to
-    disable it.
+    The received signal is the sum of shifted, scaled copies of the input,
+    one per tap, truncated to the input length: the linear convolution,
+    summed tap by tap.  Noise is circularly-symmetric complex Gaussian
+    scaled so that mean received signal power / noise power =
+    10**(snr_db/10); pass None or +inf to disable it.
     """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.size == 0:
         raise ParameterError("taps must be non-empty")
-    y = np.convolve(tx.samples, taps)[: len(tx.samples)]
+    x = tx.samples
+    n = len(x)
+    y = taps[0] * x
+    for lag in range(1, min(taps.size, n)):
+        y[lag:] += taps[lag] * x[:-lag]
     if snr_db is not None and not np.isinf(snr_db):
         rng = np.random.default_rng(seed)
         p_rx = np.mean(np.abs(y) ** 2)
         noise_var = p_rx / 10.0 ** (snr_db / 10.0)
-        y = y + np.sqrt(noise_var / 2.0) * (
-            rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
-        )
+        noise = np.empty(n, dtype=np.complex128)
+        noise.real = rng.standard_normal(n)
+        noise.imag = rng.standard_normal(n)
+        noise *= np.sqrt(noise_var / 2.0)
+        y += noise
     return IqSamples(y, tx.fs)
 
 

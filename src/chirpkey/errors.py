@@ -11,3 +11,7 @@ class PreambleNotFoundError(RuntimeError):
 
 class CaptureFormatError(ValueError):
     """A capture file does not parse as interleaved little-endian float32 I/Q."""
+
+
+class ReconciliationError(RuntimeError):
+    """Parity answers that no key could give: reconciliation cannot end."""

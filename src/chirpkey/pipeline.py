@@ -6,9 +6,11 @@ sampled bits), cascade-reconcile, and confirm by digest exchange.  The
 eavesdropper runs the identical public pipeline (shared shuffle rule, its
 own thresholds, the overheard retained-index list) against its own CFR.
 
-Simulated received frames are rounded to capture depth (complex64) before
-estimation so that serializing them to capture files and replaying through
-``run_captures`` reproduces a simulate-mode trial bit-for-bit.
+Simulated received frames are rounded to capture depth (complex64), the
+cf32 layout SDR file sinks write, before estimation.  Every stage reads
+frames only at that depth, so serializing them to capture files and
+replaying through ``run_captures`` reproduces a simulate-mode trial
+bit-for-bit.
 """
 from __future__ import annotations
 
@@ -86,16 +88,6 @@ class ExperimentRow:
 CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
-def _capture_depth(iq: IqSamples) -> IqSamples:
-    return IqSamples(iq.samples.astype(np.complex64).astype(np.complex128), iq.fs)
-
-
-def _with_tail_pad(iq: IqSamples, params) -> IqSamples:
-    # one symbol of silence after the frame, room for the aligner's slice
-    pad = np.zeros(params.samples_per_symbol, dtype=np.complex128)
-    return IqSamples(np.concatenate([iq.samples, pad]), iq.fs)
-
-
 def aligned_frame(capture: IqSamples, params) -> IqSamples:
     """Locate the preamble and slice exactly K symbols from its start.
 
@@ -117,18 +109,24 @@ def simulate_probe_frames(
 ) -> tuple[IqSamples, IqSamples, IqSamples]:
     """Received frames at G, A, and the eavesdropper for one probing round.
 
-    Frames carry a silent tail and are rounded to capture depth (complex64),
-    exactly what export_probe_captures serializes.
+    Each frame is followed by one symbol of silence, room for the aligner's
+    slice, and is rounded to capture depth (complex64), exactly what
+    export_probe_captures serializes.
     """
     model = config.channel
     realization = sample_channel(model, trial_seeds.channel)
     tx = gen_preamble(config.lora)
-    rx_g = apply_channel(tx, realization.forward_taps, model.snr_db, trial_seeds.noise_g)
-    rx_a = apply_channel(tx, realization.reverse_taps, model.snr_db, trial_seeds.noise_a)
-    rx_e = apply_channel(tx, realization.eve_taps, model.snr_db, trial_seeds.noise_e)
-    return tuple(
-        _capture_depth(_with_tail_pad(rx, config.lora)) for rx in (rx_g, rx_a, rx_e)
-    )
+    n = len(tx.samples)
+    frames = []
+    for taps, noise_seed in (
+        (realization.forward_taps, trial_seeds.noise_g),
+        (realization.reverse_taps, trial_seeds.noise_a),
+        (realization.eve_taps, trial_seeds.noise_e),
+    ):
+        frame = np.zeros(n + config.lora.samples_per_symbol, dtype=np.complex64)
+        frame[:n] = apply_channel(tx, taps, model.snr_db, noise_seed).samples
+        frames.append(IqSamples(frame.astype(np.complex128), tx.fs))
+    return tuple(frames)
 
 
 def _pipeline_from_frames(

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ReconciliationError
 from .quantizer import BitKey, as_bits
 
 
@@ -102,22 +102,17 @@ def pass_block_sizes(k1: int, key_len: int, num_passes: int) -> list[int]:
     return sizes
 
 
-def binary_search_error(
-    positions,
-    local_bits,
-    parity_g: Callable,
-    block_parity_g: int,
-) -> int:
+def binary_search_error(positions, local_bits, parity_g: Callable) -> int:
     """Locate one genuinely differing position inside an odd block.
 
     ``positions`` is the block's index sequence (in the pass's permuted
     order) and ``local_bits`` the correcting party's own bits at those
-    positions; ``parity_g`` queries the far side, whose parity of the whole
-    block, ``block_parity_g``, is already known.  The search keeps a window
-    ``[lo, hi)`` into the block and asks only for the parity of its left
-    half, ``positions[lo:mid]``: the right half's parity follows from the
-    parent's, so it spends at most ceil(log2(len)) queries.  Every local
-    left-half parity is a difference of one prefix sum of ``local_bits``.
+    positions; ``parity_g`` queries the far side.  The block is odd by
+    assumption, so the search keeps a window ``[lo, hi)`` into it and asks
+    only for the parity of its left half, ``positions[lo:mid]``: the right
+    half's parity follows from the parent's, so it spends at most
+    ceil(log2(len)) queries.  Every local left-half parity is a difference
+    of one prefix sum of ``local_bits``.
     """
     seg = np.asarray(positions, dtype=np.intp)
     if seg.size == 0:
@@ -162,7 +157,9 @@ def cascade(
     pipeline via estimate_qber before cascading.  If ``transcript`` is a
     list, one CSV line "pass,block_id,indices_hash,parity_a,parity_g" is
     appended per parity answer; ``on_flip`` is called with every corrected
-    position in order (audit hook).
+    position in order (audit hook).  Raises ``ReconciliationError`` instead
+    of making an (n+1)-th flip: with consistent answers each flip removes
+    one disagreement, so more than n prove the far side inconsistent.
     """
     if isinstance(config.qber_estimate, str):
         raise ParameterError(
@@ -187,7 +184,7 @@ def cascade(
     length = np.diff(start, append=orders.size)
     parity_a = np.zeros(first[-1], dtype=np.uint8)
     parity_g = np.zeros(first[-1], dtype=np.uint8)
-    queries = 0
+    queries = flips = 0
 
     def local_parity(idx) -> int:
         return int(bits[idx].sum() & 1)
@@ -220,9 +217,14 @@ def cascade(
             if parity_a[bid] == parity_g[bid]:
                 continue  # made even by a later flip
             seg = flat[start[bid] : start[bid] + length[bid]]
-            pos = binary_search_error(
-                seg, bits[seg], lambda idx: ask(p, bid, idx), int(parity_g[bid])
-            )
+            pos = binary_search_error(seg, bits[seg], lambda idx: ask(p, bid, idx))
+            flips += 1
+            if flips > n:
+                raise ReconciliationError(
+                    f"{flips} flips on a {n}-bit key: every consistent flip "
+                    "removes one disagreement, so the parity answers contradict "
+                    "each other"
+                )
             bits[pos] ^= 1
             if on_flip is not None:
                 on_flip(pos)

@@ -60,3 +60,18 @@ def test_writer_interleaves_little_endian(tmp_path, default_params):
     path = tmp_path / "one.cf32"
     write_capture(path, iq)
     assert path.read_bytes() == struct.pack("<2f", 0.25, -0.5)
+
+
+def test_writer_bytes_equal_interleaved_float32_pairs(tmp_path, default_params):
+    # a frame not at capture depth, with signed zeros, against the explicit
+    # interleaving of float32 real and imaginary parts
+    rng = np.random.default_rng(12)
+    samples = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    samples[:3] = [complex(-0.0, 0.5), complex(0.25, -0.0), complex(-0.0, -0.0)]
+    path = tmp_path / "frame.cf32"
+    write_capture(path, IqSamples(samples, default_params.fs))
+    as32 = samples.astype(np.complex64)
+    interleaved = np.empty(2 * len(as32), dtype="<f4")
+    interleaved[0::2] = as32.real
+    interleaved[1::2] = as32.imag
+    assert path.read_bytes() == interleaved.tobytes()

@@ -81,6 +81,19 @@ def test_identity_channel_passthrough(default_params):
     np.testing.assert_allclose(rx.samples, 0.5 * tx.samples, rtol=1e-15)
 
 
+@pytest.mark.parametrize("num_taps", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_noiseless_channel_matches_linear_convolution(num_taps):
+    # summation order differs from np.convolve's, so allow float64 rounding
+    rng = np.random.default_rng(num_taps)
+    for n in (1, 2, num_taps, 37, 4096):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        taps = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
+        rx = apply_channel(IqSamples(x, 1e6), taps, snr_db=None, seed=0)
+        want = np.convolve(x, taps)[:n]
+        assert rx.samples.shape == want.shape
+        assert np.max(np.abs(rx.samples - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_noise_power_calibration(default_params):
     tx = IqSamples(np.ones(100_000, dtype=complex), default_params.fs)
     rx = apply_channel(tx, np.array([1.0]), snr_db=0.0, seed=3)

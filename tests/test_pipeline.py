@@ -14,7 +14,8 @@ from chirpkey import (
     run_sweep,
 )
 from chirpkey.config import with_sweep_value
-from chirpkey.pipeline import rows_to_csv
+from chirpkey.pipeline import rows_to_csv, simulate_probe_frames
+from chirpkey.pipeline_seeds import derive_trial_seeds
 from chirpkey.waveform import LoRaParams
 
 
@@ -206,3 +207,38 @@ def test_sweep_arms_share_channel_realizations():
         r_on = run_pipeline_once(base, t)
         r_off = run_pipeline_once(off, t)
         assert sorted(r_on.key_g.bits.tolist()) == sorted(r_off.key_g.bits.tolist())
+
+
+def _reference_frames(config, seeds):
+    """Frames by the textbook formula: np.convolve truncated to the frame,
+    noise added as one expression, a concatenated silent symbol, then a
+    complex64 round trip."""
+    from chirpkey import gen_preamble, sample_channel
+
+    model = config.channel
+    real = sample_channel(model, seeds.channel)
+    tx = gen_preamble(config.lora).samples
+    frames = []
+    for taps, noise_seed in (
+        (real.forward_taps, seeds.noise_g),
+        (real.reverse_taps, seeds.noise_a),
+        (real.eve_taps, seeds.noise_e),
+    ):
+        y = np.convolve(tx, taps)[: len(tx)]
+        rng = np.random.default_rng(noise_seed)
+        noise_var = np.mean(np.abs(y) ** 2) / 10.0 ** (model.snr_db / 10.0)
+        y = y + np.sqrt(noise_var / 2.0) * (
+            rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
+        )
+        padded = np.concatenate([y, np.zeros(config.lora.samples_per_symbol)])
+        frames.append(padded.astype(np.complex64).astype(np.complex128))
+    return frames
+
+
+def test_simulated_frames_equal_reference_at_capture_depth():
+    cfg = ExperimentConfig()
+    for t in range(200):
+        seeds = derive_trial_seeds(cfg.master_seed, t)
+        got = simulate_probe_frames(cfg, seeds)
+        for frame, want in zip(got, _reference_frames(cfg, seeds), strict=True):
+            assert frame.samples.tobytes() == want.tobytes(), f"trial {t}"

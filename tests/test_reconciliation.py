@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chirpkey import (
     CascadeConfig,
     LocalParityOracle,
     ParameterError,
+    ReconciliationError,
     binary_search_error,
     cascade,
     estimate_qber,
@@ -109,6 +111,28 @@ def test_every_flip_lands_on_a_true_disagreement():
         np.testing.assert_array_equal(replay, outcome.corrected_key.bits)
 
 
+class _LiarOracle(LocalParityOracle):
+    """Far side that inverts every parity answer it gives."""
+
+    def parity(self, indices) -> int:
+        return super().parity(indices) ^ 1
+
+    def parities(self, order, heads):
+        return super().parities(order, heads) ^ 1
+
+
+def test_inconsistent_far_side_raises_instead_of_flipping_forever():
+    rng = np.random.default_rng(8)
+    key_a, truth = _random_keys(rng, 256, 0.05)
+    flips: list[int] = []
+    start = time.perf_counter()
+    with pytest.raises(ReconciliationError, match="257 flips on a 256-bit key"):
+        cascade(key_a, _LiarOracle(truth), CascadeConfig(qber_estimate=0.05),
+                on_flip=flips.append)
+    assert time.perf_counter() - start < 1.0
+    assert len(flips) <= 256 + 1
+
+
 def test_converged_equals_full_parity_match():
     rng = np.random.default_rng(3)
     for t in range(30):
@@ -181,7 +205,7 @@ def test_binary_search_single_error_all_offsets():
             return int(truth[np.asarray(idx, dtype=np.intp)].sum() & 1)
 
         positions = np.arange(8)
-        pos = binary_search_error(positions, local[positions], parity_g, block_parity_g=0)
+        pos = binary_search_error(positions, local[positions], parity_g)
         assert pos == err
         assert queries <= 3
 
@@ -197,7 +221,7 @@ def test_binary_search_block_of_one():
         return 1
 
     positions = np.array([0])
-    pos = binary_search_error(positions, local[positions], parity_g, block_parity_g=1)
+    pos = binary_search_error(positions, local[positions], parity_g)
     assert pos == 0 and queries == 0
 
 
@@ -213,26 +237,21 @@ def test_binary_search_three_errors_returns_a_true_one():
             positions,
             local[positions],
             lambda idx: int(truth[np.asarray(idx)].sum() & 1),
-            block_parity_g=0,
         )
         assert pos in errs
 
 
-def _binary_search_reference(positions, parity_a, parity_g, block_parity_g):
+def _binary_search_reference(positions, parity_a, parity_g):
     """Reference search: one local and one far-side parity call per
     halving, each on the left half of the remaining segment."""
     seg = np.asarray(positions, dtype=np.intp)
-    pg = block_parity_g
-    pa = parity_a(seg)
     while len(seg) > 1:
         half = (len(seg) + 1) // 2
         left = seg[:half]
-        pg_left = parity_g(left)
-        pa_left = parity_a(left)
-        if pa_left != pg_left:
-            seg, pa, pg = left, pa_left, pg_left
+        if parity_a(left) != parity_g(left):
+            seg = left
         else:
-            seg, pa, pg = seg[half:], pa ^ pa_left, pg ^ pg_left
+            seg = seg[half:]
     return int(seg[0])
 
 
@@ -246,7 +265,6 @@ def test_binary_search_equals_reference(length):
         local = truth.copy()
         errors = min(1 + trial % 5, length)
         local[rng.choice(positions, size=errors, replace=False)] ^= 1
-        block_g = int(truth[positions].sum() & 1)
         asked = {"reference": [], "prefix": []}
 
         def far(name):
@@ -256,9 +274,9 @@ def test_binary_search_equals_reference(length):
             return parity_g
 
         want = _binary_search_reference(
-            positions, lambda idx: int(local[idx].sum() & 1), far("reference"), block_g
+            positions, lambda idx: int(local[idx].sum() & 1), far("reference")
         )
-        got = binary_search_error(positions, local[positions], far("prefix"), block_g)
+        got = binary_search_error(positions, local[positions], far("prefix"))
         assert got == want
         assert asked["prefix"] == asked["reference"]
 
