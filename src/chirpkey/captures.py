@@ -12,6 +12,9 @@ import numpy as np
 from .errors import CaptureFormatError
 from .waveform import IqSamples, LoRaParams
 
+# the file layout, named once: little-endian complex64, one float32 I/Q pair per sample
+CAPTURE_DTYPE = np.dtype("<c8")
+
 
 def ingest_capture(path, params: LoRaParams) -> IqSamples:
     """Parse a capture file into complex samples at the configured rate."""
@@ -28,15 +31,14 @@ def ingest_capture(path, params: LoRaParams) -> IqSamples:
         raise CaptureFormatError(
             f"{os.fspath(path)}: non-finite float at byte offset {int(bad[0]) * 4}"
         )
-    samples = floats[0::2].astype(np.float64) + 1j * floats[1::2].astype(np.float64)
-    return IqSamples(samples, params.fs)
+    return IqSamples(data.view(CAPTURE_DTYPE), params.fs)
 
 
 def write_capture(path, iq: IqSamples) -> None:
     """Serialize samples as interleaved float32 pairs (the ingest inverse).
 
-    Values are cast to little-endian complex64, whose memory layout is that
-    pair; a round trip is bit-identical once the samples are already at
-    capture depth.
+    Values are cast to ``CAPTURE_DTYPE``, whose memory layout is that pair;
+    a round trip is bit-identical once the samples are already at capture
+    depth.
     """
-    iq.samples.astype("<c8").tofile(path)
+    iq.samples.astype(CAPTURE_DTYPE).tofile(path)

@@ -8,7 +8,9 @@ All randomness is seed-deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,36 +19,39 @@ from .errors import ParameterError
 from .waveform import IqSamples, LoRaParams, gen_preamble
 
 
+@lru_cache(maxsize=16)
 def exponential_profile(num_taps: int, decay_db: float = 3.0) -> np.ndarray:
-    """Per-tap average power decaying by ``decay_db`` per tap, normalized to 1."""
+    """Per-tap power decaying by ``decay_db`` dB per tap, normalized to 1; cached, read-only."""
     if num_taps < 1:
         raise ParameterError("num_taps must be >= 1")
-    p = 10.0 ** (-decay_db * np.arange(num_taps) / 10.0)
-    return p / p.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 10.0 ** (-decay_db * np.arange(num_taps) / 10.0)
+        p = p / p.sum()
+    if not np.all(np.isfinite(p)):
+        raise ParameterError(f"decay_db must keep {num_taps} tap powers finite, got {decay_db}")
+    p.setflags(write=False)
+    return p
 
 
 @dataclass(frozen=True)
 class ChannelModel:
     num_taps: int = 4
-    power_delay_profile: np.ndarray | None = None
+    decay_db: float = 3.0
     reciprocity_rho: float = 0.99
     snr_db: float = 50.0
     eavesdropper_independent: bool = True
 
     def __post_init__(self) -> None:
-        if self.num_taps < 1:
-            raise ParameterError("num_taps must be >= 1")
-        pdp = self.power_delay_profile
-        if pdp is None:
-            pdp = exponential_profile(self.num_taps)
-        pdp = np.asarray(pdp, dtype=np.float64)
-        if len(pdp) != self.num_taps:
-            raise ParameterError("power_delay_profile length must equal num_taps")
-        if np.any(pdp < 0) or abs(pdp.sum() - 1.0) > 1e-9:
-            raise ParameterError("power_delay_profile entries must be >= 0 and sum to 1")
+        exponential_profile(self.num_taps, self.decay_db)  # checks both
         if not (0.0 <= self.reciprocity_rho <= 1.0):
             raise ParameterError("reciprocity_rho must be in [0, 1]")
-        object.__setattr__(self, "power_delay_profile", pdp)
+        if math.isnan(self.snr_db):  # +inf is legal: noiseless
+            raise ParameterError("snr_db must not be NaN")
+
+    @property
+    def power_delay_profile(self) -> np.ndarray:
+        """Per-tap average power, summing to 1: ``exponential_profile(num_taps, decay_db)``."""
+        return exponential_profile(self.num_taps, self.decay_db)
 
 
 @dataclass(frozen=True)
@@ -120,27 +125,33 @@ def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db, seed) -> IqSamples:
     return IqSamples(y, tx.fs)
 
 
+def receive(tx: IqSamples, model: ChannelModel, seeds) -> tuple[IqSamples, IqSamples, IqSamples]:
+    """Receptions of ``tx`` at G, A and the eavesdropper over one shared realization.
+
+    ``seeds``: the realization's, then the noise of G, A and the eavesdropper.
+    G hears A through the forward taps, A hears G through the reverse taps
+    (block fading within a round), and the eavesdropper overhears G through
+    its own taps.
+    """
+    s_real, s_g, s_a, s_e = seeds
+    realization = sample_channel(model, s_real)
+    return (
+        apply_channel(tx, realization.forward_taps, model.snr_db, s_g),
+        apply_channel(tx, realization.reverse_taps, model.snr_db, s_a),
+        apply_channel(tx, realization.eve_taps, model.snr_db, s_e),
+    )
+
+
 def probe(
     params: LoRaParams,
     model: ChannelModel,
     seed,
     bin_policy: str = "all-bins",
 ) -> ProbeResult:
-    """Run one bidirectional probing round over a shared channel realization.
-
-    A's preamble reaches G through the forward taps, G's preamble reaches A
-    through the reverse taps, and the eavesdropper overhears G's transmission
-    through its own taps.  Both legitimate directions share one realization
-    (block fading within a probing round); each receiver estimates the CFR
-    from its received frame.
-    """
+    """Run one bidirectional probing round; each receiver estimates the CFR
+    from its received frame."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    s_real, s_g, s_a, s_e = ss.spawn(4)
-    realization = sample_channel(model, s_real)
-    tx = gen_preamble(params)
-    rx_g = apply_channel(tx, realization.forward_taps, model.snr_db, s_g)
-    rx_a = apply_channel(tx, realization.reverse_taps, model.snr_db, s_a)
-    rx_e = apply_channel(tx, realization.eve_taps, model.snr_db, s_e)
+    rx_g, rx_a, rx_e = receive(gen_preamble(params), model, ss.spawn(4))
     return ProbeResult(
         cfr_a=estimate_from_frame(rx_a, params, bin_policy),
         cfr_g=estimate_from_frame(rx_g, params, bin_policy),

@@ -12,7 +12,7 @@ import configparser
 from dataclasses import dataclass, field, replace
 
 from .cfr import BIN_POLICIES
-from .channel import ChannelModel, exponential_profile
+from .channel import ChannelModel
 from .errors import ParameterError
 from .quantizer import QuantizerConfig
 from .reconciliation import CascadeConfig
@@ -56,6 +56,8 @@ class ExperimentConfig:
                 raise ParameterError("sweep_values must be non-empty when sweeping")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}")
+        if not (0.0 < self.qber_sample_fraction <= 0.5):
+            raise ParameterError("qber_sample_fraction must lie in (0, 0.5]")
 
 
 def _parse_bool(text: str) -> bool:
@@ -75,7 +77,7 @@ def _parse_qber(text: str):
 
 # every [section] key a config file may set -> how its text parses, in CLI
 # flag order; each sets its section dataclass's field of that name, except
-# [channel] decay_db (shapes power_delay_profile) and [quantizer] shuffle
+# [quantizer] shuffle, which sets shuffle_enabled
 KEYS = {
     ("lora", "sf"): int,
     ("lora", "bw"): float,
@@ -125,7 +127,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    """The defaults with every ``KEYS`` entry the parser holds written over them."""
+    """The defaults with every ``KEYS`` entry the parser holds written over them.
+
+    A ``[section] key`` that is not in ``KEYS`` is an error, so a misspelt
+    one cannot leave its default in force unnoticed.
+    """
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if (section, key) not in KEYS:
+                raise ParameterError(f"[{section}] {key}: not a config key")
     given = {section: {} for section, _ in KEYS}
     for (section, key), parse in KEYS.items():
         if parser.has_option(section, key):
@@ -134,16 +144,12 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
                 given[section][key] = parse(raw)
             except ValueError:
                 raise ParameterError(f"[{section}] {key}: invalid value {raw!r}") from None
-    channel, quantizer = given["channel"], given["quantizer"]
-    if "decay_db" in channel:
-        channel["power_delay_profile"] = exponential_profile(
-            channel.get("num_taps", ChannelModel.num_taps), channel.pop("decay_db")
-        )
+    quantizer = given["quantizer"]
     if "shuffle" in quantizer:
         quantizer["shuffle_enabled"] = quantizer.pop("shuffle")
     return ExperimentConfig(
         lora=LoRaParams(**given["lora"]),
-        channel=ChannelModel(**channel),
+        channel=ChannelModel(**given["channel"]),
         quantizer=QuantizerConfig(**quantizer),
         cascade=CascadeConfig(**given["cascade"]),
         **given["experiment"],

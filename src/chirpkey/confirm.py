@@ -2,9 +2,11 @@
 
 A key is serialized canonically (64-bit big-endian bit-length header, then
 bits packed MSB-first into zero-padded octets) and hashed.  If the two
-digests match, the keys were equal with overwhelming probability and the
-digest itself becomes the 256-bit final key, which also compresses away the
-parity bits disclosed during reconciliation.
+digests match, the keys were equal with overwhelming probability.  The
+digests are public, so the 256-bit final key is a separate hash of the
+reconciled key under a fixed domain label, equal to no exchanged message.
+It is not privacy-amplified: nothing removes what the disclosed parity
+bits tell a listener.
 """
 from __future__ import annotations
 
@@ -16,6 +18,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .quantizer import BitKey
+
+
+# prefixed to the serialized key before hashing it into the final key
+FINAL_KEY_LABEL = b"chirpkey final key\x00"
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,15 @@ def digest(key: BitKey) -> KeyDigest:
     return KeyDigest(hashlib.sha256(serialize_key(key)).digest())
 
 
+def derive_final_key(key: BitKey) -> BitKey:
+    """SHA-256 over ``FINAL_KEY_LABEL`` then the canonical serialization."""
+    derived = hashlib.sha256(FINAL_KEY_LABEL + serialize_key(key)).digest()
+    return BitKey(np.unpackbits(np.frombuffer(derived, dtype=np.uint8)), "final")
+
+
 def confirm(key_a: BitKey, key_g: BitKey) -> ConfirmationResult:
-    """Exchange digests; on a match the digest doubles as the final key."""
+    """Exchange digests; on a match derive the final key from A's key."""
     da = digest(key_a)
     dg = digest(key_g)
     matched = da.digest == dg.digest
-    final = None
-    if matched:
-        final = BitKey(np.unpackbits(np.frombuffer(da.digest, dtype=np.uint8)), "final")
-    return ConfirmationResult(matched, da, dg, final)
+    return ConfirmationResult(matched, da, dg, derive_final_key(key_a) if matched else None)

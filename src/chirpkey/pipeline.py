@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .captures import ingest_capture, write_capture
+from .captures import CAPTURE_DTYPE, ingest_capture, write_capture
 from .cfr import estimate_from_frame
-from .channel import sample_channel, apply_channel
+from .channel import receive
 from .config import ExperimentConfig, with_sweep_value
 from .confirm import ConfirmationResult, confirm
 from .errors import ParameterError, PreambleNotFoundError
@@ -97,10 +97,6 @@ def aligned_frame(capture: IqSamples, params) -> IqSamples:
     """
     offset = detect_preamble(capture, params)
     n = params.preamble_len * params.samples_per_symbol
-    if offset + n > len(capture.samples):
-        raise ParameterError(
-            f"detected preamble at {offset} runs past the capture end"
-        )
     return IqSamples(capture.samples[offset : offset + n], capture.fs)
 
 
@@ -110,22 +106,17 @@ def simulate_probe_frames(
     """Received frames at G, A, and the eavesdropper for one probing round.
 
     Each frame is followed by one symbol of silence, room for the aligner's
-    slice, and is rounded to capture depth (complex64), exactly what
-    export_probe_captures serializes.
+    slice, and is held at capture depth (``CAPTURE_DTYPE``): the samples
+    export_probe_captures serializes, which ingest_capture reads back.
     """
-    model = config.channel
-    realization = sample_channel(model, trial_seeds.channel)
     tx = gen_preamble(config.lora)
-    n = len(tx.samples)
+    n = len(tx)
+    s = trial_seeds
     frames = []
-    for taps, noise_seed in (
-        (realization.forward_taps, trial_seeds.noise_g),
-        (realization.reverse_taps, trial_seeds.noise_a),
-        (realization.eve_taps, trial_seeds.noise_e),
-    ):
-        frame = np.zeros(n + config.lora.samples_per_symbol, dtype=np.complex64)
-        frame[:n] = apply_channel(tx, taps, model.snr_db, noise_seed).samples
-        frames.append(IqSamples(frame.astype(np.complex128), tx.fs))
+    for rx in receive(tx, config.channel, (s.channel, s.noise_g, s.noise_a, s.noise_e)):
+        frame = np.zeros(n + config.lora.samples_per_symbol, dtype=CAPTURE_DTYPE)
+        frame[:n] = rx.samples
+        frames.append(IqSamples(frame, tx.fs))
     return tuple(frames)
 
 

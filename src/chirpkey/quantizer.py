@@ -37,8 +37,8 @@ class QuantizerConfig:
     spread: str = "std-dev"
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ParameterError("alpha must be >= 0")
+        if not (0.0 <= self.alpha < np.inf):
+            raise ParameterError("alpha must be finite and >= 0")
         if self.block_size < 2:
             raise ParameterError("block_size must be >= 2")
         if self.encoding not in ENCODINGS:

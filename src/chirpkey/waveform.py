@@ -5,6 +5,7 @@ t = 0, so sample 0 always has phase 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,6 +34,8 @@ class LoRaParams:
     def __post_init__(self) -> None:
         if not (5 <= self.sf <= 12):
             raise ParameterError(f"sf must be in [5, 12], got {self.sf}")
+        if not (math.isfinite(self.bw) and math.isfinite(self.fs)):
+            raise ParameterError(f"bw and fs must be finite, got bw={self.bw}, fs={self.fs}")
         if self.bw <= 0 or self.fs < self.bw:
             raise ParameterError(f"need fs >= bw > 0, got bw={self.bw}, fs={self.fs}")
         if self.preamble_len < 1:
@@ -107,11 +110,7 @@ def _matched_filter_spectrum(params: LoRaParams, nfft: int) -> np.ndarray:
     return spectrum
 
 
-def detect_preamble(
-    capture: IqSamples,
-    params: LoRaParams,
-    threshold: float = DETECTION_THRESHOLD,
-) -> int:
+def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     """Locate the preamble start in a capture by normalized cross-correlation.
 
     The full K-symbol preamble is used as the reference template: a single
@@ -128,7 +127,8 @@ def detect_preamble(
     normalized |correlation|, argmax, threshold.
 
     Returns the sample offset of the best peak.  Raises
-    PreambleNotFoundError if the peak correlation is below ``threshold``.
+    PreambleNotFoundError if the peak correlation is below
+    ``DETECTION_THRESHOLD``.
     """
     chirp = gen_upchirp(params).samples
     n_sym, k = len(chirp), params.preamble_len
@@ -152,8 +152,8 @@ def detect_preamble(
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.where(den > 0, num / den, 0.0)
     offset = int(np.argmax(corr))
-    if corr[offset] < threshold:
+    if corr[offset] < DETECTION_THRESHOLD:
         raise PreambleNotFoundError(
-            f"best correlation {corr[offset]:.3f} below threshold {threshold}"
+            f"best correlation {corr[offset]:.3f} below threshold {DETECTION_THRESHOLD}"
         )
     return offset

@@ -16,6 +16,7 @@ from chirpkey import (
 
 def test_exponential_profile_shape():
     p = exponential_profile(4, decay_db=3.0)
+    assert not p.flags.writeable  # cached and shared by every model
     assert p.sum() == pytest.approx(1.0)
     ratios = p[:-1] / p[1:]
     np.testing.assert_allclose(ratios, 10 ** 0.3, rtol=1e-12)
@@ -27,8 +28,9 @@ def test_exponential_profile_shape():
         dict(num_taps=0),
         dict(reciprocity_rho=1.5),
         dict(reciprocity_rho=-0.1),
-        dict(num_taps=3, power_delay_profile=np.array([0.5, 0.5])),
-        dict(num_taps=2, power_delay_profile=np.array([0.9, 0.2])),
+        dict(decay_db=np.nan),
+        dict(decay_db=np.inf),
+        dict(decay_db=-1100.0),  # finite, but 10**330 overflows the profile
     ],
 )
 def test_invalid_model_rejected(kwargs):

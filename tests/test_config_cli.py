@@ -44,6 +44,15 @@ def test_empty_config_file_runs_defaults(tmp_path):
     assert (cfg.trials, cfg.master_seed, cfg.mode) == (base.trials, base.master_seed, base.mode)
 
 
+def test_configs_compare_and_hash(tmp_path):
+    # every config field holds a plain value, so configs compare and hash
+    assert ExperimentConfig() == ExperimentConfig()
+    assert hash(ExperimentConfig()) == hash(ExperimentConfig())
+    path = tmp_path / "decay.cfg"
+    path.write_text("[channel]\ndecay_db = 3\n")
+    assert load_config(path) == ExperimentConfig()
+
+
 def test_config_file_sections(tmp_path):
     path = tmp_path / "custom.cfg"
     path.write_text(
@@ -267,6 +276,33 @@ def test_cli_bad_config_value_is_single_line_error(tmp_path, capsys):
     path = _write_config(tmp_path / "policy.cfg", {("experiment", "bin_policy"): "sideband"})
     assert main(["simulate", "--config", path]) == 1
     assert "bin_policy" in _single_error_line(capsys)
+
+
+# values each section dataclass rejects; the file-only key goes through a file
+BAD_VALUES = [("alpha", "nan"), ("bw", "nan"), ("fs", "inf"), ("snr_db", "nan"),
+              ("decay_db", "nan"), ("qber_sample_fraction", "0.9")]
+
+
+@pytest.mark.parametrize("key, text", BAD_VALUES, ids=[k for k, _ in BAD_VALUES])
+def test_cli_non_finite_or_out_of_range_value_is_single_line_error(key, text, tmp_path,
+                                                                  capsys):
+    if key in FLAG_KEYS:
+        args = ["--" + key.replace("_", "-"), text]
+    else:
+        args = ["--config", _write_config(tmp_path / "bad.cfg", {("experiment", key): text})]
+    assert main(["simulate", "--trials", "1"] + args) == 1
+    assert key in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[quantizer]\nalhpa = 0.9\n", "[quantizer] alhpa"),
+    ("[qauntizer]\nalpha = 0.9\n", "[qauntizer] alpha"),
+], ids=["misspelt-key", "misspelt-section"])
+def test_cli_unknown_config_key_is_single_line_error(text, named, tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert named in _single_error_line(capsys)
 
 
 @pytest.mark.parametrize("text", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpkey import BitKey, confirm, digest, serialize_key
+from chirpkey.confirm import FINAL_KEY_LABEL
 
 
 def _oracle_sha256(message: bytes) -> bytes:
@@ -60,9 +61,10 @@ def test_confirm_matched_and_final_key():
         assert result.final_key is not None
         assert len(result.final_key) == 256
         assert result.final_key.stage == "final"
-        # final key is the digest itself
+        # no published digest is the key; it is the labelled hash of the key
         packed = np.packbits(result.final_key.bits).tobytes()
-        assert packed == result.digest_a.digest
+        assert packed not in (result.digest_a.digest, result.digest_g.digest)
+        assert packed == _oracle_sha256(FINAL_KEY_LABEL + serialize_key(BitKey(bits)))
 
 
 def test_confirm_detects_single_bit_flips():
