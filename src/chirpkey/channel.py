@@ -149,9 +149,9 @@ def probe(
     bin_policy: str = "all-bins",
 ) -> ProbeResult:
     """Run one bidirectional probing round; each receiver estimates the CFR
-    from its received frame."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rx_g, rx_a, rx_e = receive(gen_preamble(params), model, ss.spawn(4))
+    from its received frame.  The same int ``seed`` gives the same round."""
+    seeds = np.random.SeedSequence(seed).spawn(4)
+    rx_g, rx_a, rx_e = receive(gen_preamble(params), model, seeds)
     return ProbeResult(
         cfr_a=estimate_from_frame(rx_a, params, bin_policy),
         cfr_g=estimate_from_frame(rx_g, params, bin_policy),

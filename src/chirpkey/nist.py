@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincc
-from scipy.stats import norm
+from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import ParameterError
 from .metrics import longest_runs
@@ -131,8 +130,8 @@ def cumulative_sums_test(bits) -> TestResult:
     lo2 = int(np.floor((-n / z - 3) / 4))
     ks1 = np.arange(lo1, hi + 1)
     ks2 = np.arange(lo2, hi + 1)
-    term1 = np.sum(norm.cdf((4 * ks1 + 1) * z / sn) - norm.cdf((4 * ks1 - 1) * z / sn))
-    term2 = np.sum(norm.cdf((4 * ks2 + 3) * z / sn) - norm.cdf((4 * ks2 + 1) * z / sn))
+    term1 = np.sum(ndtr((4 * ks1 + 1) * z / sn) - ndtr((4 * ks1 - 1) * z / sn))
+    term2 = np.sum(ndtr((4 * ks2 + 3) * z / sn) - ndtr((4 * ks2 + 1) * z / sn))
     p = float(1.0 - term1 + term2)
     return TestResult("cumulative_sums", float(np.clip(p, 0.0, 1.0)), True)
 

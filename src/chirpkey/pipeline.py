@@ -1,10 +1,12 @@
 """End-to-end key generation runs, sweeps, and capture replay.
 
-One trial: probe the channel, quantize both parties' CFR amplitudes into
-initial keys, score them, estimate the disagreement rate (consuming the
-sampled bits), cascade-reconcile, and confirm by digest exchange.  The
-eavesdropper runs the identical public pipeline (shared shuffle rule, its
-own thresholds, the overheard retained-index list) against its own CFR.
+One trial is one observation and one distillation.  ``observe`` probes the
+channel and estimates the parties' CFR amplitudes; ``distill`` quantizes
+both parties' amplitudes into initial keys, scores them, estimates the
+disagreement rate (consuming the sampled bits), cascade-reconciles, and
+confirms by digest exchange.  The eavesdropper runs the identical public
+pipeline (shared shuffle rule, its own thresholds, the overheard
+retained-index list) against its own amplitudes.
 
 Simulated received frames are rounded to capture depth (complex64), the
 cf32 layout SDR file sinks write, before estimation.  Every stage reads
@@ -19,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .captures import CAPTURE_DTYPE, ingest_capture, write_capture
-from .cfr import estimate_from_frame
+from .cfr import CfrAmplitudes, estimate_from_frame
 from .channel import receive
 from .config import ExperimentConfig, with_sweep_value
 from .confirm import ConfirmationResult, confirm
@@ -120,27 +122,43 @@ def simulate_probe_frames(
     return tuple(frames)
 
 
-def _pipeline_from_frames(
-    rx_g: IqSamples,
-    rx_a: IqSamples,
-    rx_e: IqSamples | None,
-    config: ExperimentConfig,
-    seeds: TrialSeeds,
-) -> PipelineResult:
-    """Distill keys from preamble-aligned received frames."""
-    amps_g = estimate_from_frame(rx_g, config.lora, config.bin_policy).amplitudes()
-    amps_a = estimate_from_frame(rx_a, config.lora, config.bin_policy).amplitudes()
+@dataclass(frozen=True)
+class Observation:
+    """One probing round at the CFR: the trial's seeds and the read-only CFR
+    amplitudes of G, A and the eavesdropper (None without its capture)."""
 
+    seeds: TrialSeeds
+    amps_g: CfrAmplitudes
+    amps_a: CfrAmplitudes
+    amps_e: CfrAmplitudes | None
+
+
+def _amplitudes(frame: IqSamples, config: ExperimentConfig) -> CfrAmplitudes:
+    amps = estimate_from_frame(frame, config.lora, config.bin_policy).amplitudes()
+    amps.values.setflags(write=False)  # shared by every arm that distills it
+    return amps
+
+
+def observe(config: ExperimentConfig, trial_seed: int) -> Observation:
+    """Simulate one probing round, align each frame and estimate its CFR."""
+    seeds = derive_trial_seeds(config.master_seed, trial_seed)
+    aligned = [aligned_frame(rx, config.lora) for rx in simulate_probe_frames(config, seeds)]
+    return Observation(seeds, *(_amplitudes(frame, config) for frame in aligned))
+
+
+def distill(observation: Observation, config: ExperimentConfig) -> PipelineResult:
+    """Distill keys from one observation under the config's quantizer and cascade."""
+    seeds = observation.seeds
     qcfg = replace(config.quantizer, shuffle_seed=seeds.shuffle)
-    key_a, key_g, retained = quantize_pipeline(amps_a, amps_g, qcfg)
+    key_a, key_g, retained = quantize_pipeline(observation.amps_a, observation.amps_g, qcfg)
     if len(key_g) == 0:
         raise ParameterError("quantization censored every position; lower alpha")
 
     scores = metrics_report(key_a, key_g, probes=1)
 
     eve_skdr = None
-    if rx_e is not None:
-        amps_e = estimate_from_frame(rx_e, config.lora, config.bin_policy).amplitudes()
+    if observation.amps_e is not None:
+        amps_e = observation.amps_e
         if qcfg.shuffle_enabled:
             amps_e = shuffle(amps_e, qcfg.shuffle_seed)
         th_e = block_thresholds(amps_e, qcfg)
@@ -180,15 +198,7 @@ def _pipeline_from_frames(
 
 def run_pipeline_once(config: ExperimentConfig, trial_seed: int) -> PipelineResult:
     """One simulated probing-and-distillation round."""
-    seeds = derive_trial_seeds(config.master_seed, trial_seed)
-    rx_g, rx_a, rx_e = simulate_probe_frames(config, seeds)
-    return _pipeline_from_frames(
-        aligned_frame(rx_g, config.lora),
-        aligned_frame(rx_a, config.lora),
-        aligned_frame(rx_e, config.lora),
-        config,
-        seeds,
-    )
+    return distill(observe(config, trial_seed), config)
 
 
 def run_captures(config: ExperimentConfig, trial_seed: int = 0) -> PipelineResult:
@@ -196,24 +206,24 @@ def run_captures(config: ExperimentConfig, trial_seed: int = 0) -> PipelineResul
 
     Requires capture paths for the A->G and G->A receptions (and optionally
     the eavesdropper's).  Preambles are located by correlation before
-    estimation; everything downstream is the simulate-mode pipeline.
+    estimation; the observation is then distilled as in simulate mode.
     """
     if not config.capture_a2g or not config.capture_g2a:
         raise ParameterError("captures mode needs capture_a2g and capture_g2a paths")
     seeds = derive_trial_seeds(config.master_seed, trial_seed)
 
-    def frame_from(path) -> IqSamples:
+    def amplitudes_from(path) -> CfrAmplitudes:
         cap = ingest_capture(path, config.lora)
         try:
-            return aligned_frame(cap, config.lora)
+            frame = aligned_frame(cap, config.lora)
         except (PreambleNotFoundError, ParameterError) as exc:
             # a capture too short for the configured preamble cannot contain it
             raise PreambleNotFoundError(f"{path}: {exc}") from exc
+        return _amplitudes(frame, config)
 
-    rx_g = frame_from(config.capture_a2g)
-    rx_a = frame_from(config.capture_g2a)
-    rx_e = frame_from(config.capture_eve) if config.capture_eve else None
-    return _pipeline_from_frames(rx_g, rx_a, rx_e, config, seeds)
+    amps = [amplitudes_from(path) if path else None
+            for path in (config.capture_a2g, config.capture_g2a, config.capture_eve)]
+    return distill(Observation(seeds, *amps), config)
 
 
 def export_probe_captures(config: ExperimentConfig, trial_seed: int, directory) -> dict:
@@ -270,20 +280,30 @@ def run_trials(config: ExperimentConfig) -> list[PipelineResult]:
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRow]:
     """Paired shuffle-on/off trials for every sweep value.
 
-    Both arms of a sweep point consume identical channel realizations and
-    noise (the trial seeds do not depend on the shuffle flag), so row
-    differences are attributable to the preprocessing alone.
+    Each trial is observed once per channel, lazily and in trial order, and
+    distilled for every arm that shares the channel: both shuffle arms, and
+    every value of an alpha or block_size sweep, see identical CFRs, so row
+    differences are attributable to the distillation alone.
     """
     if config.sweep_axis is None:
         raise ParameterError("config has no sweep axis")
     rows = []
+    observed_on, observations = None, []
     for value in config.sweep_values:
         pinned = with_sweep_value(config, config.sweep_axis, value)
+        # everything observe reads besides the trial index
+        channel = (pinned.lora, pinned.channel, pinned.bin_policy, pinned.master_seed)
+        if channel != observed_on:
+            observed_on, observations = channel, []
         for shuffle_on in (True, False):
             arm = replace(
                 pinned, quantizer=replace(pinned.quantizer, shuffle_enabled=shuffle_on)
             )
-            results = run_trials(arm)
+            results = []
+            for t in range(arm.trials):
+                if t == len(observations):
+                    observations.append(observe(arm, t))
+                results.append(distill(observations[t], arm))
             rows.append(
                 aggregate(results, config.sweep_axis, value, shuffle_on,
                           config.master_seed)

@@ -163,6 +163,13 @@ def test_probe_deterministic(default_params):
     np.testing.assert_array_equal(r1.cfr_e.bins, r2.cfr_e.bins)
 
 
+def test_probe_rejects_seed_sequence(default_params):
+    # spawning from a caller's SeedSequence would advance it, so a second
+    # call with the same object would see another channel
+    with pytest.raises(TypeError):
+        probe(default_params, ChannelModel(), np.random.SeedSequence(11))
+
+
 def test_reciprocity_monotone_in_rho(default_params):
     means = []
     for rho in (0.0, 0.5, 0.9, 0.99, 1.0):

@@ -5,6 +5,10 @@ documentation; digit streams of pi and e (integer part included) reproduce
 them to the documented precision.
 """
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,3 +393,17 @@ def test_linear_complexities_equal_per_block_reference(kind, m):
 def test_longest_runs_equal_per_row_loop(rows, cols, p, value, seed):
     grid = (np.random.default_rng(seed).random((rows, cols)) < p).astype(np.uint8)
     assert longest_runs(grid, value).tolist() == [_longest_run(row, value) for row in grid]
+
+
+def test_import_does_not_load_scipy_stats():
+    # importing scipy.stats takes over a second; the battery needs only
+    # scipy.special
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, chirpkey; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -13,8 +13,15 @@ from chirpkey import (
     run_pipeline_once,
     run_sweep,
 )
+from chirpkey import pipeline
 from chirpkey.config import with_sweep_value
-from chirpkey.pipeline import rows_to_csv, simulate_probe_frames
+from chirpkey.pipeline import (
+    aggregate,
+    observe,
+    rows_to_csv,
+    run_trials,
+    simulate_probe_frames,
+)
 from chirpkey.pipeline_seeds import derive_trial_seeds
 from chirpkey.waveform import LoRaParams
 
@@ -147,6 +154,63 @@ def test_sweep_rows_structure():
 def test_sweep_deterministic_csv():
     cfg = ExperimentConfig(trials=3, sweep_axis="alpha", sweep_values=(0.5,))
     assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(run_sweep(cfg))
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("alpha", (0.3, 0.7)), ("block_size", (32, 128)), ("snr", (10.0, 30.0))])
+def test_sweep_equals_per_arm_trials(axis, values):
+    # the reference re-observes every trial of every arm
+    cfg = ExperimentConfig(trials=3, sweep_axis=axis, sweep_values=values)
+    rows = []
+    for value in values:
+        pinned = with_sweep_value(cfg, axis, value)
+        for shuffle_on in (True, False):
+            arm = replace(pinned, quantizer=replace(pinned.quantizer, shuffle_enabled=shuffle_on))
+            rows.append(aggregate(run_trials(arm), axis, value, shuffle_on, cfg.master_seed))
+    assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("axis, values, observed", [
+    ("alpha", (0.3, 0.7), [0, 1, 2]), ("snr", (10.0, 30.0), [0, 1, 2, 0, 1, 2])])
+def test_sweep_observes_each_channel_and_trial_once(monkeypatch, axis, values, observed):
+    calls = []
+
+    def counting_observe(config, trial_seed):
+        calls.append(trial_seed)
+        return observe(config, trial_seed)
+
+    monkeypatch.setattr(pipeline, "observe", counting_observe)
+    run_sweep(ExperimentConfig(trials=3, sweep_axis=axis, sweep_values=values))
+    assert calls == observed
+
+
+def test_observation_amplitudes_are_read_only():
+    obs = observe(ExperimentConfig(), 0)
+    for amps in (obs.amps_g, obs.amps_a, obs.amps_e):
+        assert not amps.values.flags.writeable
+
+
+def test_capture_observation_equals_simulated(tmp_path, monkeypatch):
+    # replay is compared at the CFR, where a 1e-8 change in the frames
+    # shows; the digests downstream do not see one
+    replayed = []
+    real_distill = pipeline.distill
+
+    def recording_distill(observation, config):
+        replayed.append(observation)
+        return real_distill(observation, config)
+
+    monkeypatch.setattr(pipeline, "distill", recording_distill)
+    cfg = ExperimentConfig()
+    for t in range(10):
+        paths = export_probe_captures(cfg, t, tmp_path)
+        run_captures(replace(cfg, mode="captures", capture_a2g=paths["a2g"],
+                             capture_g2a=paths["g2a"], capture_eve=paths["eve"]), t)
+        sim = observe(cfg, t)
+        for party in ("amps_g", "amps_a", "amps_e"):
+            got = getattr(replayed[-1], party).values
+            assert got.tobytes() == getattr(sim, party).values.tobytes(), (t, party)
+        assert replayed[-1].seeds.shuffle == sim.seeds.shuffle
 
 
 def test_with_sweep_value_axes():
