@@ -6,7 +6,7 @@ which needs far more bits than a single round yields.
 """
 import argparse
 
-from chirpkey import ExperimentConfig, run_pipeline_once
+from chirpkey import ExperimentConfig, rounds
 
 
 def main() -> None:
@@ -17,16 +17,15 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = ExperimentConfig(master_seed=args.master_seed)
-    total = 0
-    trial = 0
+    keys = (result.reconciliation.corrected_key for (result,) in rounds(cfg))
+    total = used = 0
     with open(args.out, "w") as fh:
         while total < args.min_bits:
-            result = run_pipeline_once(cfg, trial)
-            key = result.reconciliation.corrected_key
+            key = next(keys)
             fh.write(str(key) + "\n")
             total += len(key)
-            trial += 1
-    print(f"wrote {total} bits from {trial} rounds to {args.out}")
+            used += 1
+    print(f"wrote {total} bits from {used} rounds to {args.out}")
 
 
 if __name__ == "__main__":

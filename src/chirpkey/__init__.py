@@ -30,6 +30,7 @@ from .pipeline import (
     ExperimentRow,
     PipelineResult,
     export_probe_captures,
+    rounds,
     run_captures,
     run_pipeline_once,
     run_sweep,

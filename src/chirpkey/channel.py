@@ -33,6 +33,21 @@ def exponential_profile(num_taps: int, decay_db: float = 3.0) -> np.ndarray:
     return p
 
 
+def _snr_ratio(snr_db: float) -> float | None:
+    """Power ratio ``10**(snr_db/10)``, None at +inf dB (noiseless); any other
+    value must give a positive finite ratio, which -inf, NaN and |dB| > ~3083 do not."""
+    if snr_db == math.inf:
+        return None
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ParameterError(
+            f"snr_db must be +inf or give a positive finite power ratio, got {snr_db}")
+    return ratio
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     num_taps: int = 4
@@ -45,8 +60,7 @@ class ChannelModel:
         exponential_profile(self.num_taps, self.decay_db)  # checks both
         if not (0.0 <= self.reciprocity_rho <= 1.0):
             raise ParameterError("reciprocity_rho must be in [0, 1]")
-        if math.isnan(self.snr_db):  # +inf is legal: noiseless
-            raise ParameterError("snr_db must not be NaN")
+        _snr_ratio(self.snr_db)  # checks it
 
     @property
     def power_delay_profile(self) -> np.ndarray:
@@ -113,10 +127,11 @@ def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db, seed) -> IqSamples:
     y = taps[0] * x
     for lag in range(1, min(taps.size, n)):
         y[lag:] += taps[lag] * x[:-lag]
-    if snr_db is not None and not np.isinf(snr_db):
+    ratio = None if snr_db is None else _snr_ratio(snr_db)
+    if ratio is not None:
         rng = np.random.default_rng(seed)
         p_rx = np.mean(np.abs(y) ** 2)
-        noise_var = p_rx / 10.0 ** (snr_db / 10.0)
+        noise_var = p_rx / ratio
         noise = np.empty(n, dtype=np.complex128)
         noise.real = rng.standard_normal(n)
         noise.imag = rng.standard_normal(n)

@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ParameterError(f"mode must be one of {MODES}")
         if not (0.0 < self.qber_sample_fraction <= 0.5):
             raise ParameterError("qber_sample_fraction must lie in (0, 0.5]")
+        if self.master_seed < 0:
+            raise ParameterError("master_seed must be >= 0")
 
 
 def _parse_bool(text: str) -> bool:

@@ -16,7 +16,9 @@ bit-for-bit.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -90,18 +92,6 @@ class ExperimentRow:
 CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
-def aligned_frame(capture: IqSamples, params) -> IqSamples:
-    """Locate the preamble and slice exactly K symbols from its start.
-
-    Both simulate and capture-replay modes align through this one helper, so
-    a serialized round reproduces a simulated one sample-for-sample even
-    when multipath skews the correlation peak off the first tap.
-    """
-    offset = detect_preamble(capture, params)
-    n = params.preamble_len * params.samples_per_symbol
-    return IqSamples(capture.samples[offset : offset + n], capture.fs)
-
-
 def simulate_probe_frames(
     config: ExperimentConfig, trial_seeds: TrialSeeds
 ) -> tuple[IqSamples, IqSamples, IqSamples]:
@@ -133,17 +123,22 @@ class Observation:
     amps_e: CfrAmplitudes | None
 
 
-def _amplitudes(frame: IqSamples, config: ExperimentConfig) -> CfrAmplitudes:
+def _amplitudes(capture: IqSamples, config: ExperimentConfig) -> CfrAmplitudes:
+    """One party's front end, for simulate and replay alike: locate the
+    preamble, slice K symbols from it, estimate their CFR amplitudes."""
+    offset = detect_preamble(capture, config.lora)
+    n = config.lora.preamble_len * config.lora.samples_per_symbol
+    frame = IqSamples(capture.samples[offset : offset + n], capture.fs)
     amps = estimate_from_frame(frame, config.lora, config.bin_policy).amplitudes()
     amps.values.setflags(write=False)  # shared by every arm that distills it
     return amps
 
 
 def observe(config: ExperimentConfig, trial_seed: int) -> Observation:
-    """Simulate one probing round, align each frame and estimate its CFR."""
+    """Simulate one probing round and run each party's front end on its frame."""
     seeds = derive_trial_seeds(config.master_seed, trial_seed)
-    aligned = [aligned_frame(rx, config.lora) for rx in simulate_probe_frames(config, seeds)]
-    return Observation(seeds, *(_amplitudes(frame, config) for frame in aligned))
+    frames = simulate_probe_frames(config, seeds)
+    return Observation(seeds, *(_amplitudes(rx, config) for rx in frames))
 
 
 def distill(observation: Observation, config: ExperimentConfig) -> PipelineResult:
@@ -215,11 +210,10 @@ def run_captures(config: ExperimentConfig, trial_seed: int = 0) -> PipelineResul
     def amplitudes_from(path) -> CfrAmplitudes:
         cap = ingest_capture(path, config.lora)
         try:
-            frame = aligned_frame(cap, config.lora)
+            return _amplitudes(cap, config)
         except (PreambleNotFoundError, ParameterError) as exc:
             # a capture too short for the configured preamble cannot contain it
             raise PreambleNotFoundError(f"{path}: {exc}") from exc
-        return _amplitudes(frame, config)
 
     amps = [amplitudes_from(path) if path else None
             for path in (config.capture_a2g, config.capture_g2a, config.capture_eve)]
@@ -272,43 +266,47 @@ def aggregate(
     )
 
 
+def rounds(*arms: ExperimentConfig) -> Iterator[tuple[PipelineResult, ...]]:
+    """Trials 0, 1, 2, ... without end: per trial, one result per arm, in arm order.
+
+    Within a trial, arms that agree on everything ``observe`` reads besides
+    the trial index share one observation; only that trial's are held.
+    """
+    channels = [(arm.lora, arm.channel, arm.bin_policy, arm.master_seed) for arm in arms]
+    for t in count():
+        observed, results = {}, []
+        for arm, channel in zip(arms, channels):
+            if channel not in observed:
+                observed[channel] = observe(arm, t)
+            results.append(distill(observed[channel], arm))
+        yield tuple(results)
+
+
 def run_trials(config: ExperimentConfig) -> list[PipelineResult]:
     """``config.trials`` independent seeded rounds."""
-    return [run_pipeline_once(config, t) for t in range(config.trials)]
+    return [result for (result,) in islice(rounds(config), config.trials)]
 
 
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRow]:
     """Paired shuffle-on/off trials for every sweep value.
 
-    Each trial is observed once per channel, lazily and in trial order, and
-    distilled for every arm that shares the channel: both shuffle arms, and
-    every value of an alpha or block_size sweep, see identical CFRs, so row
-    differences are attributable to the distillation alone.
+    Every arm is built before the first trial, then all arms run trial by
+    trial: both shuffle arms, and every value of an alpha or block_size
+    sweep, see identical CFRs, so row differences are attributable to the
+    distillation alone.
     """
     if config.sweep_axis is None:
         raise ParameterError("config has no sweep axis")
-    rows = []
-    observed_on, observations = None, []
+    labels, arms = [], []
     for value in config.sweep_values:
         pinned = with_sweep_value(config, config.sweep_axis, value)
-        # everything observe reads besides the trial index
-        channel = (pinned.lora, pinned.channel, pinned.bin_policy, pinned.master_seed)
-        if channel != observed_on:
-            observed_on, observations = channel, []
         for shuffle_on in (True, False):
-            arm = replace(
-                pinned, quantizer=replace(pinned.quantizer, shuffle_enabled=shuffle_on)
-            )
-            results = []
-            for t in range(arm.trials):
-                if t == len(observations):
-                    observations.append(observe(arm, t))
-                results.append(distill(observations[t], arm))
-            rows.append(
-                aggregate(results, config.sweep_axis, value, shuffle_on,
-                          config.master_seed)
-            )
-    return rows
+            labels.append((value, shuffle_on))
+            arms.append(replace(
+                pinned, quantizer=replace(pinned.quantizer, shuffle_enabled=shuffle_on)))
+    columns = zip(*islice(rounds(*arms), config.trials))
+    return [aggregate(list(results), config.sweep_axis, value, shuffle_on, config.master_seed)
+            for (value, shuffle_on), results in zip(labels, columns)]
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 @dataclass(frozen=True)
 class TrialSeeds:
@@ -23,6 +25,8 @@ class TrialSeeds:
 
 
 def derive_trial_seeds(master_seed: int, trial_index: int) -> TrialSeeds:
+    if trial_index < 0:
+        raise ParameterError(f"trial index must be >= 0, got {trial_index}")
     root = np.random.SeedSequence((master_seed, trial_index))
     channel, noise_g, noise_a, noise_e, rest = root.spawn(5)
     shuffle_s, qber_s, cascade_s = (int(s.generate_state(1)[0]) for s in rest.spawn(3))

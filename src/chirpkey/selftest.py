@@ -13,7 +13,7 @@ from .confirm import digest
 from .errors import ParameterError
 from .metrics import max_run_lengths, skdr
 from .nist import run_suite
-from .pipeline import run_pipeline_once
+from .pipeline import run_trials
 from .quantizer import BitKey, QuantizerConfig, block_thresholds, quantize_pipeline
 from .reconciliation import CascadeConfig, LocalParityOracle, cascade
 from .waveform import IqSamples, LoRaParams, gen_preamble, gen_upchirp
@@ -86,7 +86,7 @@ def _check_digest_vector() -> bool:
 
 
 def _check_pipeline_defaults() -> bool:
-    results = [run_pipeline_once(ExperimentConfig(), t) for t in range(5)]
+    results = run_trials(ExperimentConfig(trials=5))
     eve = np.mean([r.eve_skdr for r in results])
     return (
         all(r.metrics.skdr <= 0.05 for r in results)

@@ -5,6 +5,7 @@ live).  Statistical criteria are fully seeded, so outcomes are reproducible.
 """
 import time
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from chirpkey import (
     estimate_from_frame,
     export_probe_captures,
     gen_upchirp,
+    rounds,
     run_captures,
     run_pipeline_once,
     run_sweep,
@@ -103,6 +105,7 @@ def test_criterion_02_ls_oracle_equivalence():
     gate.finish(worst < 1e-9, f"worst relative error {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_03_averaging_gain():
     gate = _Gate(3, "K=8 averaging gives 1/8 error variance", 60.0)
     params = LoRaParams()
@@ -189,9 +192,8 @@ def test_criterion_06_shuffle_headline_ratio():
     skdr_on = []
     wins = 0
     trials = 200
-    for t in range(trials):
-        r_on = run_pipeline_once(base, t)
-        r_off = run_pipeline_once(off_cfg, t)  # same trial seeds: paired realizations
+    # both arms distill each trial's one observation: paired realizations
+    for r_on, r_off in islice(rounds(base, off_cfg), trials):
         key_bits.append(r_on.metrics.key_bits)
         skdr_on.append(r_on.metrics.skdr)
         wins += r_off.metrics.skdr > r_on.metrics.skdr
@@ -204,6 +206,7 @@ def test_criterion_06_shuffle_headline_ratio():
     )
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("length", [512, 2048])
 def test_criterion_07_cascade_correctness(length):
     gate = _Gate(7, f"cascade corrects n={length} at three error rates", 300.0)
@@ -261,23 +264,20 @@ def test_criterion_09a_pipeline_keys_pass_randomness_gate():
     # family detects at this sample size with p-values near zero.  The
     # criterion is asserted as stated rather than weakened.
     gate = _Gate(9, "concatenated reconciled keys pass the suite", 120.0)
-    cfg = ExperimentConfig()
-    chunks = []
-    total = 0
-    trial = 0
+    keys = (result.reconciliation.corrected_key.bits for (result,) in rounds(ExperimentConfig()))
+    chunks, total = [], 0
     while total < 100_000:
-        result = run_pipeline_once(cfg, trial)
-        chunks.append(result.reconciliation.corrected_key.bits)
+        chunks.append(next(keys))
         total += len(chunks[-1])
-        trial += 1
     report = run_suite(np.concatenate(chunks))
     failing = [r.name for r in report.results if r.applicable and not r.passed]
     gate.finish(
         report.overall_pass,
-        f"{total} bits from {trial} rounds; failing: {failing or 'none'}",
+        f"{total} bits from {len(chunks)} rounds; failing: {failing or 'none'}",
     )
 
 
+@pytest.mark.slow
 def test_criterion_09b_reference_worked_examples():
     gate = _Gate(9, "reference worked examples within 1e-4", 120.0)
     pi100 = constant_bits("pi", 100)
@@ -318,8 +318,7 @@ def test_criterion_09c_all_ones_fails_gate():
 
 def test_criterion_10_eavesdropper_disagreement():
     gate = _Gate(10, "eavesdropper SKDR near one half", 120.0)
-    cfg = ExperimentConfig()
-    eves = [run_pipeline_once(cfg, t).eve_skdr for t in range(100)]
+    eves = [result.eve_skdr for (result,) in islice(rounds(ExperimentConfig()), 100)]
     mean_eve = float(np.mean(eves))
     gate.finish(0.4 <= mean_eve <= 0.6, f"mean eavesdropper SKDR {mean_eve:.3f}")
 

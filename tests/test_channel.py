@@ -31,6 +31,9 @@ def test_exponential_profile_shape():
         dict(decay_db=np.nan),
         dict(decay_db=np.inf),
         dict(decay_db=-1100.0),  # finite, but 10**330 overflows the profile
+        dict(snr_db=-np.inf),  # a zero power ratio, not a noiseless channel
+        dict(snr_db=3100.0),  # 10**310 overflows the power ratio
+        dict(snr_db=-3300.0),  # 10**-330 underflows it to zero
     ],
 )
 def test_invalid_model_rejected(kwargs):
@@ -53,6 +56,7 @@ def test_sample_channel_deterministic():
     np.testing.assert_array_equal(a.eve_taps, b.eve_taps)
 
 
+@pytest.mark.slow
 def test_zero_rho_decorrelates_directions():
     model = ChannelModel(reciprocity_rho=0.0)
     n = 100_000
@@ -65,6 +69,7 @@ def test_zero_rho_decorrelates_directions():
     assert corr < 0.02
 
 
+@pytest.mark.slow
 def test_per_tap_power_matches_profile():
     model = ChannelModel()
     n = 100_000

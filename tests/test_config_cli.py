@@ -3,7 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
-from chirpkey import ExperimentConfig, load_config
+from chirpkey import ExperimentConfig, ParameterError, load_config
 from chirpkey.channel import exponential_profile
 from chirpkey.cli import FLAG_KEYS, build_parser, main
 from chirpkey.pipeline import export_probe_captures
@@ -292,6 +292,26 @@ def test_cli_non_finite_or_out_of_range_value_is_single_line_error(key, text, tm
         args = ["--config", _write_config(tmp_path / "bad.cfg", {("experiment", key): text})]
     assert main(["simulate", "--trials", "1"] + args) == 1
     assert key in _single_error_line(capsys)
+
+
+# the --flag=value form, since argparse reads a bare -inf as a flag
+@pytest.mark.parametrize("args", [
+    ["simulate", "--snr-db=-inf"], ["simulate", "--snr-db=3100"], ["simulate", "--snr-db=-3300"],
+    ["sweep", "--sweep-axis", "snr", "--sweep-values=-inf,10"],
+], ids=["minus-inf", "overflow", "underflow", "sweep-minus-inf"])
+def test_cli_snr_without_positive_finite_ratio_is_single_line_error(args, capsys):
+    assert main(args + ["--trials", "1"]) == 1
+    assert "snr_db" in _single_error_line(capsys)
+
+
+def test_negative_seeds_are_single_line_errors(capsys):
+    with pytest.raises(ParameterError, match="master_seed"):
+        ExperimentConfig(master_seed=-1)
+    assert main(["simulate", "--trials", "1", "--master-seed", "-1"]) == 1
+    assert "master_seed" in _single_error_line(capsys)
+    # the trial index is checked before the capture files are read
+    assert main(["captures", "--a2g", "a.cf32", "--g2a", "g.cf32", "--trial-seed", "-1"]) == 1
+    assert "trial index" in _single_error_line(capsys)
 
 
 @pytest.mark.parametrize("text, named", [

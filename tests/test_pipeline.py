@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from itertools import islice
 
 from chirpkey import (
     ChannelModel,
@@ -73,6 +74,11 @@ def test_trial_seeds_are_independent():
     r0 = run_pipeline_once(cfg, trial_seed=0)
     r1 = run_pipeline_once(cfg, trial_seed=1)
     assert not np.array_equal(r0.key_g.bits, r1.key_g.bits)
+
+
+def test_negative_trial_index_rejected():
+    with pytest.raises(ParameterError, match="trial index"):
+        derive_trial_seeds(1, -1)
 
 
 def test_capture_replay_matches_simulation(tmp_path):
@@ -170,18 +176,31 @@ def test_sweep_equals_per_arm_trials(axis, values):
     assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(rows)
 
 
-@pytest.mark.parametrize("axis, values, observed", [
-    ("alpha", (0.3, 0.7), [0, 1, 2]), ("snr", (10.0, 30.0), [0, 1, 2, 0, 1, 2])])
-def test_sweep_observes_each_channel_and_trial_once(monkeypatch, axis, values, observed):
+def _count_observe(monkeypatch) -> list:
     calls = []
 
     def counting_observe(config, trial_seed):
-        calls.append(trial_seed)
+        calls.append((config.channel.snr_db, trial_seed))
         return observe(config, trial_seed)
 
     monkeypatch.setattr(pipeline, "observe", counting_observe)
+    return calls
+
+
+@pytest.mark.parametrize("axis, values, observed", [
+    ("alpha", (0.3, 0.7), (50.0,)), ("snr", (10.0, 30.0), (10.0, 30.0))])
+def test_sweep_observes_each_channel_and_trial_once(monkeypatch, axis, values, observed):
+    # each (channel SNR, trial) exactly once, in whatever order
+    calls = _count_observe(monkeypatch)
     run_sweep(ExperimentConfig(trials=3, sweep_axis=axis, sweep_values=values))
-    assert calls == observed
+    assert sorted(calls) == [(snr, t) for snr in observed for t in range(3)]
+
+
+def test_sweep_rejects_bad_later_value_before_any_trial(monkeypatch):
+    calls = _count_observe(monkeypatch)
+    with pytest.raises(ParameterError):
+        run_sweep(ExperimentConfig(trials=3, sweep_axis="alpha", sweep_values=(0.5, -1.0)))
+    assert calls == []
 
 
 def test_observation_amplitudes_are_read_only():
@@ -259,18 +278,18 @@ def test_confirmation_match_implies_equal_reconciled_keys():
     assert checked > 0
 
 
-def test_sweep_arms_share_channel_realizations():
-    # with a single global block and alpha 0, nothing is censored, so the
-    # bit multiset is shuffle-invariant; equality across arms pins the
-    # realization as shared
-    base = ExperimentConfig(
-        quantizer=QuantizerConfig(alpha=0.0, block_size=512, shuffle_enabled=True)
-    )
+def test_sweep_arms_share_channel_realizations(monkeypatch):
+    # one observation per trial, and each arm's result is its own round's
+    base = ExperimentConfig()
     off = replace(base, quantizer=replace(base.quantizer, shuffle_enabled=False))
-    for t in range(5):
-        r_on = run_pipeline_once(base, t)
-        r_off = run_pipeline_once(off, t)
-        assert sorted(r_on.key_g.bits.tolist()) == sorted(r_off.key_g.bits.tolist())
+    calls = _count_observe(monkeypatch)
+    paired = list(islice(pipeline.rounds(base, off), 5))
+    assert calls == [(base.channel.snr_db, t) for t in range(5)]
+    for t, results in enumerate(paired):
+        for arm, result in zip((base, off), results):
+            alone = run_pipeline_once(arm, t).confirmation
+            assert result.confirmation.digest_a == alone.digest_a
+            assert result.confirmation.digest_g == alone.digest_g
 
 
 def _reference_frames(config, seeds):
