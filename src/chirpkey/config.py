@@ -9,8 +9,12 @@ the standard setup.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
+from .captures import CAPTURE_DTYPE
 from .cfr import BIN_POLICIES
 from .channel import ChannelModel
 from .errors import ParameterError
@@ -25,6 +29,10 @@ SWEEP_AXES = {
     "snr": ("channel", "snr_db"),
 }
 MODES = ("simulate", "captures")
+# the lowest snr_db whose noise, at unit received power, stays 60 dB under
+# the capture depth (the largest float32 an I/Q part holds): room for a
+# strong realization and the Gaussian tails, so no sample overflows the cast
+MIN_SNR_DB = 60.0 - 20.0 * math.log10(float(np.finfo(CAPTURE_DTYPE).max))
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,10 @@ class ExperimentConfig:
             raise ParameterError("qber_sample_fraction must lie in (0, 0.5]")
         if self.master_seed < 0:
             raise ParameterError("master_seed must be >= 0")
+        if self.channel.snr_db < MIN_SNR_DB:
+            raise ParameterError(
+                f"snr_db must be >= {MIN_SNR_DB:.1f}, or its noise overflows the "
+                f"{CAPTURE_DTYPE.name} capture depth, got {self.channel.snr_db}")
 
 
 def _parse_bool(text: str) -> bool:

@@ -8,7 +8,11 @@ indexed by a global block id, and a position's block in any pass is found
 from that pass's inverse permutation.  Odd blocks are binary-searched for
 one error, smallest block first; every flip toggles the parity of the
 position's block in each pass seen so far, which may make earlier blocks odd
-again, until no odd block remains.  Parity answers are counted as leaked bits.
+again, until no odd block remains.  The first pass (pass 0 in the code and
+the transcript) is simpler: its blocks are disjoint runs of the natural
+order and a flip there touches only the block it corrects, so one prefix
+sum of the key, taken as the pass starts, gives the local parity of every
+half searched in it.  Parity answers are counted as leaked bits.
 """
 from __future__ import annotations
 
@@ -102,30 +106,42 @@ def pass_block_sizes(k1: int, key_len: int, num_passes: int) -> list[int]:
     return sizes
 
 
+def _search(seg, sums: list[int], offset: int, parity_g: Callable) -> int:
+    """Window index of one differing position inside the odd block ``seg``.
+
+    The local parity of ``seg[i:j]`` is ``(sums[offset + j] - sums[offset +
+    i]) & 1``: ``sums`` is a prefix sum of the correcting party's bits, over
+    the block itself (offset 0) or over a longer run that holds it.  The
+    block is odd by assumption, so the search keeps a window ``[lo, hi)``
+    and asks ``parity_g`` only for the left half ``seg[lo:mid]``; the right
+    half's parity follows from the parent's, so it spends at most
+    ceil(log2(len)) queries.
+    """
+    lo, hi = 0, len(seg)
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2
+        if (sums[offset + mid] - sums[offset + lo]) & 1 != parity_g(seg[lo:mid]):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def binary_search_error(positions, local_bits, parity_g: Callable) -> int:
     """Locate one genuinely differing position inside an odd block.
 
     ``positions`` is the block's index sequence (in the pass's permuted
     order) and ``local_bits`` the correcting party's own bits at those
-    positions; ``parity_g`` queries the far side.  The block is odd by
-    assumption, so the search keeps a window ``[lo, hi)`` into it and asks
-    only for the parity of its left half, ``positions[lo:mid]``: the right
-    half's parity follows from the parent's, so it spends at most
-    ceil(log2(len)) queries.  Every local left-half parity is a difference
-    of one prefix sum of ``local_bits``.
+    positions; ``parity_g`` queries the far side with a view of
+    ``positions``.  Spends at most ceil(log2(len)) queries, each on a left
+    half, with every local parity read from one prefix sum of
+    ``local_bits``.
     """
     seg = np.asarray(positions, dtype=np.intp)
     if seg.size == 0:
         raise ParameterError("block must be non-empty")
     sums = [0, *np.cumsum(local_bits).tolist()]
-    lo, hi = 0, len(seg)
-    while hi - lo > 1:
-        mid = lo + (hi - lo + 1) // 2
-        if (sums[mid] - sums[lo]) & 1 != parity_g(seg[lo:mid]):
-            hi = mid
-        else:
-            lo = mid
-    return int(seg[lo])
+    return int(seg[_search(seg, sums, 0, parity_g)])
 
 
 def _indices_digest(indices: np.ndarray) -> str:
@@ -143,15 +159,23 @@ def cascade(
     """Reconcile ``key_a`` against the key behind the parity oracle.
 
     Every block of every pass has a global id in one block table: its start
-    in the flattened pass orders, its length and both parities.  Position i
-    lies in block ``first[p] + inverse[p][i] // sizes[p]`` of pass p, so a
-    flip toggles the local parity of its block in every pass seen so far at
-    once.  The inverse permutations are one scatter of ``arange(n)``.  Odd
-    blocks wait in a heap and the smallest (then lowest id) is
-    binary-searched first, which spends the fewest queries per correction;
-    the search gets the block as a view into the flattened orders and the
-    local bits at it as one gather, so it pays one prefix sum per block and
-    one oracle call per halving.
+    in the flattened pass orders, its length and both parities, held as
+    Python lists that each pass extends once.  Position i lies in block
+    ``first[p] + inverse[p][i] // sizes[p]`` of pass p, so a flip toggles
+    the local parity of its block in every pass seen so far; the inverse
+    permutations are one scatter of ``arange(n)``.
+
+    Pass 0 is searched from one prefix sum of the whole key, taken as the
+    pass starts.  Its blocks are disjoint runs of the natural order and a
+    pass-0 flip toggles only the block it corrects, which that flip makes
+    even, so no pass-0 block is searched twice and no bit outside the
+    searched block changes: the prefix sum stays exact for every block
+    still to be searched, and the odd blocks are simply walked in heap
+    order.  From pass 1 on, a flip can make any earlier block odd again and
+    blocks are permuted, so odd blocks wait in a heap, the smallest (then
+    lowest id) is searched first, which spends the fewest queries per
+    correction, and each search takes one prefix sum of the block's own
+    bits.  Either way a search pays one oracle call per halving.
 
     ``config.qber_estimate`` must be numeric here; "auto" is resolved by the
     pipeline via estimate_qber before cascading.  If ``transcript`` is a
@@ -175,19 +199,16 @@ def cascade(
     k1 = initial_block_size(float(config.qber_estimate), n)
     rng = np.random.default_rng(config.rng_seed)
     sizes = np.array(pass_block_sizes(k1, n, config.num_passes))
-    orders = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in sizes[1:]])
+    orders = np.array([np.arange(n), *(rng.permutation(n) for _ in sizes[1:])])
     flat = orders.reshape(-1)
     inverse = np.empty_like(orders)
     inverse[np.arange(len(sizes))[:, None], orders] = np.arange(n)
     first = np.concatenate(([0], np.cumsum(-(-n // sizes))))
-    start = np.concatenate([p * n + np.arange(0, n, k) for p, k in enumerate(sizes)])
-    length = np.diff(start, append=orders.size)
-    parity_a = np.zeros(first[-1], dtype=np.uint8)
-    parity_g = np.zeros(first[-1], dtype=np.uint8)
+    start: list[int] = []
+    length: list[int] = []
+    parity_a: list[int] = []
+    parity_g: list[int] = []
     queries = flips = 0
-
-    def local_parity(idx) -> int:
-        return int(bits[idx].sum() & 1)
 
     def log_query(pass_idx: int, block_id: int, idx, pa: int, pg: int) -> None:
         transcript.append(f"{pass_idx},{block_id},{_indices_digest(idx)},{pa},{pg}")
@@ -197,55 +218,71 @@ def cascade(
         queries += 1
         pg = oracle_g.parity(idx)
         if transcript is not None:
-            log_query(pass_idx, block_id, idx, local_parity(idx), pg)
+            log_query(pass_idx, block_id, idx, int(bits[idx].sum() & 1), pg)
         return pg
 
-    for p, k in enumerate(sizes):
-        ids = np.arange(first[p], first[p + 1])
-        heads = np.arange(0, n, k)
-        parity_g[ids] = oracle_g.parities(orders[p], heads)
+    def flip(pos: int) -> None:
+        nonlocal flips
+        flips += 1
+        if flips > n:
+            raise ReconciliationError(
+                f"{flips} flips on a {n}-bit key: every consistent flip "
+                "removes one disagreement, so the parity answers contradict "
+                "each other"
+            )
+        bits[pos] ^= 1
+        if on_flip is not None:
+            on_flip(pos)
+
+    for p, k in enumerate(sizes.tolist()):
+        offsets = np.arange(0, n, k)
+        pg = oracle_g.parities(orders[p], offsets).tolist()
         # uint8 sums wrap modulo 256, which keeps their parity
-        parity_a[ids] = np.add.reduceat(bits[orders[p]], heads) & 1
+        pa = (np.add.reduceat(bits[orders[p]], offsets) & 1).tolist()
+        base = len(start)  # this pass's first block id
+        start += range(p * n, (p + 1) * n, k)
+        length += [k] * (len(pa) - 1) + [n - (len(pa) - 1) * k]
+        parity_g += pg
+        parity_a += pa
         if transcript is not None:
-            for bid, seg in zip(ids.tolist(), np.split(orders[p], heads[1:])):
+            for bid, seg in enumerate(np.split(orders[p], offsets[1:]), base):
                 log_query(p, bid, seg, parity_a[bid], parity_g[bid])
-        odd = ids[parity_a[ids] != parity_g[ids]]
-        heap = list(zip(length[odd].tolist(), odd.tolist()))
+        heap = [(length[b], b) for b, (x, y) in enumerate(zip(pa, pg), base) if x != y]
+        if p == 0:
+            cum = [0, *np.cumsum(bits).tolist()]
+            for _, bid in sorted(heap):  # heap order: nothing is pushed in pass 0
+                lo = start[bid]
+                seg = orders[0][lo : lo + length[bid]]
+                flip(lo + _search(seg, cum, lo, lambda idx: ask(0, bid, idx)))
+            parity_a = parity_g.copy()  # each flip made its odd block even
+            continue
         heapq.heapify(heap)
+        firsts, ks, inv = first[: p + 1], sizes[: p + 1], inverse[: p + 1]
         while heap:
             bid = heapq.heappop(heap)[1]
             if parity_a[bid] == parity_g[bid]:
                 continue  # made even by a later flip
             seg = flat[start[bid] : start[bid] + length[bid]]
-            pos = binary_search_error(seg, bits[seg], lambda idx: ask(p, bid, idx))
-            flips += 1
-            if flips > n:
-                raise ReconciliationError(
-                    f"{flips} flips on a {n}-bit key: every consistent flip "
-                    "removes one disagreement, so the parity answers contradict "
-                    "each other"
-                )
-            bits[pos] ^= 1
-            if on_flip is not None:
-                on_flip(pos)
-            hit = first[: p + 1] + inverse[: p + 1, pos] // sizes[: p + 1]
-            parity_a[hit] ^= 1
-            hit = hit[parity_a[hit] != parity_g[hit]]
-            for entry in zip(length[hit].tolist(), hit.tolist()):
-                heapq.heappush(heap, entry)
+            sums = [0, *np.cumsum(bits[seg]).tolist()]
+            pos = int(seg[_search(seg, sums, 0, lambda idx: ask(p, bid, idx))])
+            flip(pos)
+            for hit in (firsts + inv[:, pos] // ks).tolist():
+                parity_a[hit] ^= 1
+                if parity_a[hit] != parity_g[hit]:
+                    heapq.heappush(heap, (length[hit], hit))
 
     # final full-key parity comparison (a necessary, not sufficient, check)
     full = np.arange(n)
     pg_full = oracle_g.parity(full)
-    converged = local_parity(full) == pg_full
+    pa_full = int(bits.sum() & 1)
     if transcript is not None:
-        log_query(config.num_passes, -1, full, local_parity(full), pg_full)
+        log_query(config.num_passes, -1, full, pa_full, pg_full)
 
     return ReconciliationOutcome(
         corrected_key=BitKey(bits, "reconciled"),
-        parity_bits_leaked=int(first[-1]) + queries + 1,
+        parity_bits_leaked=len(start) + queries + 1,
         parity_messages=config.num_passes + queries + 1,
-        converged=converged,
+        converged=pa_full == pg_full,
     )
 
 

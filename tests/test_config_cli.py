@@ -1,12 +1,15 @@
 import argparse
+import warnings
 
 import numpy as np
 import pytest
 
 from chirpkey import ExperimentConfig, ParameterError, load_config
-from chirpkey.channel import exponential_profile
+from chirpkey.channel import ChannelModel, exponential_profile
 from chirpkey.cli import FLAG_KEYS, build_parser, main
-from chirpkey.pipeline import export_probe_captures
+from chirpkey.config import MIN_SNR_DB
+from chirpkey.pipeline import export_probe_captures, simulate_probe_frames
+from chirpkey.pipeline_seeds import derive_trial_seeds
 
 # the sweep CSV header, byte for byte
 CSV_HEADER = (
@@ -298,10 +301,24 @@ def test_cli_non_finite_or_out_of_range_value_is_single_line_error(key, text, tm
 @pytest.mark.parametrize("args", [
     ["simulate", "--snr-db=-inf"], ["simulate", "--snr-db=3100"], ["simulate", "--snr-db=-3300"],
     ["sweep", "--sweep-axis", "snr", "--sweep-values=-inf,10"],
-], ids=["minus-inf", "overflow", "underflow", "sweep-minus-inf"])
+    ["simulate", "--snr-db=-1000"], ["sweep", "--sweep-axis", "snr", "--sweep-values=10,-1000"],
+], ids=["minus-inf", "overflow", "underflow", "sweep-minus-inf",
+        "beyond-capture-depth", "sweep-beyond-capture-depth"])
 def test_cli_snr_without_positive_finite_ratio_is_single_line_error(args, capsys):
-    assert main(args + ["--trials", "1"]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow-in-cast warning came first
+        assert main(args + ["--trials", "1"]) == 1
     assert "snr_db" in _single_error_line(capsys)
+
+
+def test_lowest_snr_fits_capture_depth():
+    cfg = ExperimentConfig(channel=ChannelModel(snr_db=MIN_SNR_DB))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frames = simulate_probe_frames(cfg, derive_trial_seeds(cfg.master_seed, 0))
+    assert all(np.isfinite(f.samples).all() for f in frames)
+    with pytest.raises(ParameterError, match="snr_db .* complex64 capture depth"):
+        ExperimentConfig(channel=ChannelModel(snr_db=np.nextafter(MIN_SNR_DB, -np.inf)))
 
 
 def test_negative_seeds_are_single_line_errors(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 import re
 import time
@@ -19,6 +20,7 @@ from chirpkey import (
     estimate_qber,
 )
 from chirpkey.reconciliation import (
+    _indices_digest,
     consume_positions,
     initial_block_size,
     pass_block_sizes,
@@ -374,3 +376,148 @@ def test_cascade_matches_pinned_transcripts(n):
             h.update(repr((out.parity_bits_leaked, out.parity_messages,
                            out.converged, flips, transcript)).encode())
     assert h.hexdigest() == PINNED_CASCADE[n]
+
+
+def _cascade_reference(key_a, oracle_g, config, transcript=None, on_flip=None):
+    """Reference cascade: one numpy block table for all passes, every odd
+    block (pass 0 too) searched from a heap on a prefix sum of its own bits,
+    and each flip's block ids gathered and toggled as arrays."""
+    n = len(oracle_g)
+    bits = key_a.bits.copy()
+    k1 = initial_block_size(float(config.qber_estimate), n)
+    rng = np.random.default_rng(config.rng_seed)
+    sizes = np.array(pass_block_sizes(k1, n, config.num_passes))
+    orders = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in sizes[1:]])
+    flat = orders.reshape(-1)
+    inverse = np.empty_like(orders)
+    inverse[np.arange(len(sizes))[:, None], orders] = np.arange(n)
+    first = np.concatenate(([0], np.cumsum(-(-n // sizes))))
+    start = np.concatenate([p * n + np.arange(0, n, k) for p, k in enumerate(sizes)])
+    length = np.diff(start, append=orders.size)
+    parity_a = np.zeros(first[-1], dtype=np.uint8)
+    parity_g = np.zeros(first[-1], dtype=np.uint8)
+    queries = flips = 0
+
+    def local_parity(idx) -> int:
+        return int(bits[idx].sum() & 1)
+
+    def log_query(pass_idx, block_id, idx, pa, pg) -> None:
+        transcript.append(f"{pass_idx},{block_id},{_indices_digest(idx)},{pa},{pg}")
+
+    def ask(pass_idx, block_id, idx) -> int:
+        nonlocal queries
+        queries += 1
+        pg = oracle_g.parity(idx)
+        if transcript is not None:
+            log_query(pass_idx, block_id, idx, local_parity(idx), pg)
+        return pg
+
+    for p, k in enumerate(sizes):
+        ids = np.arange(first[p], first[p + 1])
+        heads = np.arange(0, n, k)
+        parity_g[ids] = oracle_g.parities(orders[p], heads)
+        parity_a[ids] = np.add.reduceat(bits[orders[p]], heads) & 1
+        if transcript is not None:
+            for bid, seg in zip(ids.tolist(), np.split(orders[p], heads[1:])):
+                log_query(p, bid, seg, parity_a[bid], parity_g[bid])
+        odd = ids[parity_a[ids] != parity_g[ids]]
+        heap = list(zip(length[odd].tolist(), odd.tolist()))
+        heapq.heapify(heap)
+        while heap:
+            bid = heapq.heappop(heap)[1]
+            if parity_a[bid] == parity_g[bid]:
+                continue
+            seg = flat[start[bid] : start[bid] + length[bid]]
+            pos = binary_search_error(seg, bits[seg], lambda idx: ask(p, bid, idx))
+            flips += 1
+            if flips > n:
+                raise ReconciliationError(
+                    f"{flips} flips on a {n}-bit key: every consistent flip "
+                    "removes one disagreement, so the parity answers contradict "
+                    "each other"
+                )
+            bits[pos] ^= 1
+            if on_flip is not None:
+                on_flip(pos)
+            hit = first[: p + 1] + inverse[: p + 1, pos] // sizes[: p + 1]
+            parity_a[hit] ^= 1
+            hit = hit[parity_a[hit] != parity_g[hit]]
+            for entry in zip(length[hit].tolist(), hit.tolist()):
+                heapq.heappush(heap, entry)
+
+    full = np.arange(n)
+    pg_full = oracle_g.parity(full)
+    converged = local_parity(full) == pg_full
+    if transcript is not None:
+        log_query(config.num_passes, -1, full, local_parity(full), pg_full)
+    return (bits, int(first[-1]) + queries + 1, config.num_passes + queries + 1, converged)
+
+
+def _run_both(key_a, oracle, cfg, with_transcript):
+    """(outcome or error text, transcript, flips) of cascade and of the reference."""
+    runs = []
+    for fn in (cascade, _cascade_reference):
+        transcript = [] if with_transcript else None
+        flips: list[int] = []
+        try:
+            out = fn(key_a, oracle, cfg, transcript=transcript, on_flip=flips.append)
+        except ReconciliationError as err:
+            out = str(err)
+        else:
+            if fn is cascade:
+                out = (out.corrected_key.bits, out.parity_bits_leaked,
+                       out.parity_messages, out.converged)
+            out = (out[0].tobytes(), *out[1:])
+        runs.append((out, transcript, flips))
+    return runs
+
+
+@pytest.mark.parametrize("n", [1, 3, 31, 280, 2048])
+def test_cascade_equals_reference(n):
+    rng = np.random.default_rng([n, 18])
+    for passes in (1, 3, 14):
+        for scale in (0.25, 4.0):  # under- and over-estimated QBER
+            for with_transcript in (False, True):
+                q_true = float(rng.uniform(0.0, 0.15))
+                q_est = float(np.clip(q_true * scale, 0.002, 0.45))
+                truth = rng.integers(0, 2, n).astype(np.uint8)
+                noisy = truth.copy()
+                noisy[rng.random(n) < q_true] ^= 1
+                cfg = CascadeConfig(num_passes=passes, qber_estimate=q_est,
+                                    rng_seed=int(rng.integers(2**31)))
+                got, want = _run_both(BitKey(noisy), LocalParityOracle(truth), cfg,
+                                      with_transcript)
+                assert got == want, (n, passes, scale, with_transcript)
+                if not with_transcript:  # same error text after the same flips
+                    got, want = _run_both(BitKey(noisy), _LiarOracle(truth), cfg, False)
+                    assert got == want, (n, passes, scale, "liar")
+
+
+class _CountingOracle(LocalParityOracle):
+    """Far side that tallies every parity bit it answers."""
+
+    answers = 0
+
+    def parity(self, indices) -> int:
+        self.answers += 1
+        return super().parity(indices)
+
+    def parities(self, order, heads):
+        self.answers += len(heads)
+        return super().parities(order, heads)
+
+
+def test_leak_counts_every_parity_answer():
+    rng = np.random.default_rng(1818)
+    for _ in range(40):
+        n = int(rng.integers(1, 1500))
+        q_true = float(rng.uniform(0.0, 0.15))
+        truth = rng.integers(0, 2, n).astype(np.uint8)
+        noisy = truth.copy()
+        noisy[rng.random(n) < q_true] ^= 1
+        oracle = _CountingOracle(truth)
+        cfg = CascadeConfig(num_passes=int(rng.integers(1, 15)),
+                            qber_estimate=float(rng.uniform(0.005, 0.3)),
+                            rng_seed=int(rng.integers(2**31)))
+        outcome = cascade(BitKey(noisy), oracle, cfg)
+        assert oracle.answers == outcome.parity_bits_leaked
