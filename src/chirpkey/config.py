@@ -106,7 +106,6 @@ KEYS = {
     ("quantizer", "block_size"): int,
     ("quantizer", "shuffle"): _parse_bool,
     ("quantizer", "encoding"): str,
-    ("quantizer", "spread"): str,
     ("experiment", "bin_policy"): str,
     ("cascade", "qber_estimate"): _parse_qber,
     ("cascade", "num_passes"): int,

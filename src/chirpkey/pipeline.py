@@ -5,8 +5,8 @@ channel and estimates the parties' CFR amplitudes; ``distill`` quantizes
 both parties' amplitudes into initial keys, scores them, estimates the
 disagreement rate (consuming the sampled bits), cascade-reconciles, and
 confirms by digest exchange.  The eavesdropper runs the identical public
-pipeline (shared shuffle rule, its own thresholds, the overheard
-retained-index list) against its own amplitudes.
+steps against its own amplitudes (``quantizer.listener_key``: shared
+shuffle rule, its own thresholds, the overheard retained-index list).
 
 Simulated received frames are rounded to capture depth (complex64), the
 cf32 layout SDR file sinks write, before estimation.  Every stage reads
@@ -16,6 +16,7 @@ bit-for-bit.
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from itertools import count, islice
@@ -32,15 +33,8 @@ from .metrics import MetricsReport
 from .metrics import report as metrics_report
 from .metrics import skdr as skdr_of
 from .pipeline_seeds import TrialSeeds, derive_trial_seeds
-from .quantizer import (
-    BitKey,
-    block_thresholds,
-    quantize,
-    quantize_pipeline,
-    shuffle,
-)
+from .quantizer import BitKey, listener_key, quantize_pipeline
 from .reconciliation import (
-    CascadeConfig,
     LocalParityOracle,
     QberSample,
     ReconciliationOutcome,
@@ -153,12 +147,7 @@ def distill(observation: Observation, config: ExperimentConfig) -> PipelineResul
 
     eve_skdr = None
     if observation.amps_e is not None:
-        amps_e = observation.amps_e
-        if qcfg.shuffle_enabled:
-            amps_e = shuffle(amps_e, qcfg.shuffle_seed)
-        th_e = block_thresholds(amps_e, qcfg)
-        key_e = quantize(amps_e, retained, th_e, qcfg.encoding, qcfg.block_size)
-        eve_skdr = skdr_of(key_e, key_g)
+        eve_skdr = skdr_of(listener_key(observation.amps_e, retained, qcfg), key_g)
 
     # disagreement-rate estimation consumes its disclosed sample
     work_a, work_g = key_a, key_g
@@ -170,11 +159,7 @@ def distill(observation: Observation, config: ExperimentConfig) -> PipelineResul
         qber = sample.estimate
         work_a = consume_positions(key_a, sample.positions)
         work_g = consume_positions(key_g, sample.positions)
-    cascade_cfg = CascadeConfig(
-        num_passes=config.cascade.num_passes,
-        qber_estimate=float(qber),
-        rng_seed=seeds.cascade,
-    )
+    cascade_cfg = replace(config.cascade, qber_estimate=float(qber), rng_seed=seeds.cascade)
     outcome = cascade(work_a, LocalParityOracle(work_g), cascade_cfg)
     reconciled_g = replace(work_g, stage="reconciled")
     confirmation = confirm(outcome.corrected_key, reconciled_g)
@@ -222,19 +207,12 @@ def run_captures(config: ExperimentConfig, trial_seed: int = 0) -> PipelineResul
 
 def export_probe_captures(config: ExperimentConfig, trial_seed: int, directory) -> dict:
     """Simulate one round and serialize the three receptions as capture files."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     seeds = derive_trial_seeds(config.master_seed, trial_seed)
-    rx_g, rx_a, rx_e = simulate_probe_frames(config, seeds)
-    paths = {
-        "a2g": os.path.join(directory, f"trial{trial_seed}_a2g.cf32"),
-        "g2a": os.path.join(directory, f"trial{trial_seed}_g2a.cf32"),
-        "eve": os.path.join(directory, f"trial{trial_seed}_eve.cf32"),
-    }
-    write_capture(paths["a2g"], rx_g)
-    write_capture(paths["g2a"], rx_a)
-    write_capture(paths["eve"], rx_e)
+    paths = {}
+    for leg, rx in zip(("a2g", "g2a", "eve"), simulate_probe_frames(config, seeds)):
+        paths[leg] = os.path.join(directory, f"trial{trial_seed}_{leg}.cf32")
+        write_capture(paths[leg], rx)
     return paths
 
 

@@ -1,10 +1,13 @@
 """Shuffle-preprocessed adaptive dual-threshold quantization.
 
 Both parties partition their CFR amplitude vectors into blocks of length m,
-compute per-block thresholds mean +/- alpha*spread, censor values strictly
-between their own thresholds through a two-message index exchange, and
-quantize the surviving positions to bits.  An optional shared-seed shuffle
-decorrelates adjacent amplitudes before blocking.
+compute per-block thresholds mean +/- alpha * (population standard
+deviation), censor values strictly between their own thresholds through a
+two-message index exchange, and quantize the surviving positions to bits.
+An optional shared-seed shuffle decorrelates adjacent amplitudes before
+blocking.  An eavesdropper runs the same public steps on its own amplitudes
+(``listener_key``): the shared shuffle, its own thresholds, and the
+overheard retained-index list.
 """
 from __future__ import annotations
 
@@ -16,17 +19,16 @@ from .cfr import CfrAmplitudes
 from .errors import ParameterError
 
 ENCODINGS = ("plain", "d-gray")
-SPREADS = ("std-dev", "variance")
 
 
 @dataclass(frozen=True)
 class QuantizerConfig:
     """Quantization knobs.
 
-    ``spread`` picks the interpretation of the threshold width term:
-    population standard deviation (default) or variance.  Values exactly
-    equal to a threshold are kept and quantized by the non-strict
-    comparisons; only values strictly inside the gap are censored.
+    Each block's thresholds are its mean +/- ``alpha`` times its population
+    standard deviation.  Values exactly equal to a threshold are kept and
+    quantized by the non-strict comparisons; only values strictly inside
+    the gap are censored.
     """
 
     alpha: float = 0.5
@@ -34,7 +36,6 @@ class QuantizerConfig:
     shuffle_enabled: bool = True
     shuffle_seed: int = 0
     encoding: str = "plain"
-    spread: str = "std-dev"
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha < np.inf):
@@ -43,8 +44,6 @@ class QuantizerConfig:
             raise ParameterError("block_size must be >= 2")
         if self.encoding not in ENCODINGS:
             raise ParameterError(f"encoding must be one of {ENCODINGS}")
-        if self.spread not in SPREADS:
-            raise ParameterError(f"spread must be one of {SPREADS}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,10 @@ def shuffle(amps: CfrAmplitudes, seed: int) -> CfrAmplitudes:
     return CfrAmplitudes(amps.values[perm])
 
 
-def _row_thresholds(rows: np.ndarray, alpha: float, spread: str) -> np.ndarray:
-    """(2, len(rows)) array: q_plus and q_minus of each row, mean +/- alpha * spread."""
+def _row_thresholds(rows: np.ndarray, alpha: float) -> np.ndarray:
+    """(2, len(rows)) array: q_plus and q_minus of each row, mean +/- alpha * std."""
     center = rows.mean(axis=1)
-    width = rows.std(axis=1) if spread == "std-dev" else rows.var(axis=1)
+    width = rows.std(axis=1)
     # exactly zero spread: keep q+ == q- == c so nothing is censored
     constant = np.all(rows == rows[:, :1], axis=1)
     return np.where(constant, rows[:, 0], [center + alpha * width, center - alpha * width])
@@ -138,9 +137,7 @@ def block_thresholds(amps: CfrAmplitudes, config: QuantizerConfig) -> BlockThres
     rows = [v[:full].reshape(-1, m)]
     if full < len(v):
         rows.append(v[None, full:])
-    q_plus, q_minus = np.concatenate(
-        [_row_thresholds(r, config.alpha, config.spread) for r in rows], axis=1
-    )
+    q_plus, q_minus = np.concatenate([_row_thresholds(r, config.alpha) for r in rows], axis=1)
     return BlockThresholds(q_plus, q_minus)
 
 
@@ -215,6 +212,11 @@ def quantize(
     return BitKey(bits, "initial")
 
 
+def _shuffled(amps: CfrAmplitudes, config: QuantizerConfig) -> CfrAmplitudes:
+    """The amplitudes under the shared shuffle rule, if the config enables it."""
+    return shuffle(amps, config.shuffle_seed) if config.shuffle_enabled else amps
+
+
 def quantize_pipeline(
     amps_a: CfrAmplitudes,
     amps_g: CfrAmplitudes,
@@ -225,10 +227,16 @@ def quantize_pipeline(
     Returns both keys and the shared retained index list, which an
     eavesdropper overhears.
     """
-    if config.shuffle_enabled:
-        amps_a = shuffle(amps_a, config.shuffle_seed)
-        amps_g = shuffle(amps_g, config.shuffle_seed)
+    amps_a, amps_g = _shuffled(amps_a, config), _shuffled(amps_g, config)
     retained, th_a, th_g = censoring_exchange(amps_a, amps_g, config)
     key_a = quantize(amps_a, retained, th_a, config.encoding, config.block_size)
     key_g = quantize(amps_g, retained, th_g, config.encoding, config.block_size)
     return key_a, key_g, retained
+
+
+def listener_key(amps: CfrAmplitudes, retained: IndexList, config: QuantizerConfig) -> BitKey:
+    """The key a third party quantizes from its own amplitudes by the public steps:
+    the shared shuffle, its own thresholds, and the overheard retained list."""
+    amps = _shuffled(amps, config)
+    return quantize(amps, retained, block_thresholds(amps, config), config.encoding,
+                    config.block_size)

@@ -213,7 +213,6 @@ FLAG_CASES = {
     "block_size": ("quantizer", "block_size", "32"),
     "shuffle": ("quantizer", "shuffle", "off"),
     "encoding": ("quantizer", "encoding", "d-gray"),
-    "spread": ("quantizer", "spread", "variance"),
     "qber": ("cascade", "qber_estimate", "0.05"),
     "num_passes": ("cascade", "num_passes", "6"),
     "bin_policy": ("experiment", "bin_policy", "occupied-band"),
@@ -334,7 +333,8 @@ def test_negative_seeds_are_single_line_errors(capsys):
 @pytest.mark.parametrize("text, named", [
     ("[quantizer]\nalhpa = 0.9\n", "[quantizer] alhpa"),
     ("[qauntizer]\nalpha = 0.9\n", "[qauntizer] alpha"),
-], ids=["misspelt-key", "misspelt-section"])
+    ("[quantizer]\nspread = variance\n", "[quantizer] spread"),
+], ids=["misspelt-key", "misspelt-section", "removed-spread-key"])
 def test_cli_unknown_config_key_is_single_line_error(text, named, tmp_path, capsys):
     path = tmp_path / "typo.cfg"
     path.write_text(text)
@@ -377,7 +377,6 @@ COMMON_OPTIONS = [
     (["--shuffle"], "shuffle", False, None, "on"),
     (["--no-shuffle"], "shuffle", False, None, "off"),
     (["--encoding"], "encoding", False, None, None),
-    (["--spread"], "spread", False, None, None),
     (["--bin-policy"], "bin_policy", False, None, None),
     (["--qber"], "qber", False, "cascade QBER estimate or 'auto'", None),
     (["--num-passes"], "num_passes", False, None, None),
@@ -433,7 +432,6 @@ KEY_CASES = [
     ("quantizer", "block_size", "32", lambda c: c.quantizer.block_size, 32),
     ("quantizer", "shuffle", "off", lambda c: c.quantizer.shuffle_enabled, False),
     ("quantizer", "encoding", "d-gray", lambda c: c.quantizer.encoding, "d-gray"),
-    ("quantizer", "spread", "variance", lambda c: c.quantizer.spread, "variance"),
     ("cascade", "num_passes", "6", lambda c: c.cascade.num_passes, 6),
     ("cascade", "qber_estimate", "0.05", lambda c: c.cascade.qber_estimate, 0.05),
     ("experiment", "bin_policy", "occupied-band", lambda c: c.bin_policy, "occupied-band"),

@@ -16,7 +16,7 @@ from chirpkey import (
 )
 from chirpkey.metrics import max_run_lengths
 from chirpkey.reconciliation import LocalParityOracle
-from chirpkey.quantizer import SPREADS, BitKey, BlockThresholds, block_thresholds
+from chirpkey.quantizer import BitKey, BlockThresholds, block_thresholds, listener_key
 
 amplitude_arrays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -46,10 +46,10 @@ def test_shuffle_length_one_is_identity():
     np.testing.assert_array_equal(shuffle(amps, 99).values, amps.values)
 
 
-def _one_block(values, alpha: float, spread: str = "std-dev") -> tuple[float, float]:
+def _one_block(values, alpha: float) -> tuple[float, float]:
     """(q_plus, q_minus) of a vector that forms exactly one block."""
     th = block_thresholds(CfrAmplitudes(np.asarray(values, dtype=float)),
-                          QuantizerConfig(alpha=alpha, block_size=len(values), spread=spread))
+                          QuantizerConfig(alpha=alpha, block_size=len(values)))
     assert len(th) == 1
     return th.q_plus[0], th.q_minus[0]
 
@@ -71,26 +71,19 @@ def test_thresholds_alpha_zero_collapse():
     assert q_plus == q_minus == pytest.approx(5.0)
 
 
-def test_thresholds_variance_spread():
-    q_plus, _ = _one_block([1, 2, 3, 4, 5], alpha=0.5, spread="variance")
-    assert q_plus == pytest.approx(3 + 0.5 * 2.0)
-
-
 @given(
     st.integers(min_value=1, max_value=400),
     st.integers(min_value=2, max_value=130),
-    st.sampled_from(SPREADS),
     st.sampled_from([0.0, 0.5, 1.3]),
     st.booleans(),
     st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=200)
-def test_block_thresholds_equal_per_slice_numpy(n, m, spread, alpha, constant, seed):
+def test_block_thresholds_equal_per_slice_numpy(n, m, alpha, constant, seed):
     values = np.random.default_rng(seed).rayleigh(size=n)
     if constant:  # every block repeats one value, whose mean need not be exact
         values = np.repeat(values[::m], m)[:n]
-    th = block_thresholds(CfrAmplitudes(values), QuantizerConfig(alpha=alpha, block_size=m,
-                                                                 spread=spread))
+    th = block_thresholds(CfrAmplitudes(values), QuantizerConfig(alpha=alpha, block_size=m))
     want_plus, want_minus = [], []
     for start in range(0, n, m):
         block = values[start : start + m]
@@ -98,9 +91,8 @@ def test_block_thresholds_equal_per_slice_numpy(n, m, spread, alpha, constant, s
             want_plus.append(block[0])
             want_minus.append(block[0])
             continue
-        width = np.std(block) if spread == "std-dev" else np.var(block)
-        want_plus.append(np.mean(block) + alpha * width)
-        want_minus.append(np.mean(block) - alpha * width)
+        want_plus.append(np.mean(block) + alpha * np.std(block))
+        want_minus.append(np.mean(block) - alpha * np.std(block))
     assert th.q_plus.tolist() == want_plus
     assert th.q_minus.tolist() == want_minus
 
@@ -285,6 +277,18 @@ def test_pipeline_deterministic():
     np.testing.assert_array_equal(k1[1].bits, k2[1].bits)
 
 
+@pytest.mark.parametrize("shuffle_on", [True, False], ids=["shuffle", "no-shuffle"])
+@pytest.mark.parametrize("encoding", ["plain", "d-gray"])
+def test_listener_key_is_the_party_step(shuffle_on, encoding):
+    # G's amplitudes through the listener's public steps give G's own key
+    rng = np.random.default_rng(41)
+    amps_a = CfrAmplitudes(rng.rayleigh(size=300))
+    amps_g = CfrAmplitudes(np.abs(amps_a.values + 0.1 * rng.standard_normal(300)))
+    cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=9, encoding=encoding)
+    _, key_g, retained = quantize_pipeline(amps_a, amps_g, cfg)
+    np.testing.assert_array_equal(listener_key(amps_g, retained, cfg).bits, key_g.bits)
+
+
 def test_index_list_must_increase():
     with pytest.raises(ParameterError):
         IndexList(np.array([3, 3]))
@@ -318,5 +322,3 @@ def test_config_validation():
         QuantizerConfig(block_size=1)
     with pytest.raises(ParameterError):
         QuantizerConfig(encoding="gray-3")
-    with pytest.raises(ParameterError):
-        QuantizerConfig(spread="iqr")
