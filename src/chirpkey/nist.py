@@ -14,8 +14,13 @@ The Linear Complexity test runs one bit-sliced Berlekamp-Massey over all
 its blocks at once (``linear_complexities``): each uint64 word holds the
 same bit of 64 blocks, and the shifted polynomial b x^k is a view into a
 zeroed buffer whose start moves back one row per step, so multiplying by x
-copies nothing.  The complexities are integers, so the p-value equals the
-one-block-at-a-time reference exactly.
+copies nothing.  The complexities are kept as Python-int lane masks
+grouped by twice the complexity, so a step unpacks nothing, and a step
+touches only the polynomial rows that the least and greatest complexity
+allow to be nonzero.  The complexities are integers, so the p-value equals
+the one-block-at-a-time reference exactly.  The Approximate Entropy test
+takes its m-bit and (m+1)-bit pattern counts from one count of the
+(m+1)-bit patterns.
 """
 from __future__ import annotations
 
@@ -105,6 +110,8 @@ def frequency_test(bits) -> TestResult:
 
 
 def block_frequency_test(bits, block_len: int = 128) -> TestResult:
+    if block_len <= 0:
+        raise ParameterError(f"block_len must be positive, got {block_len}")
     b = as_bits(bits)
     n = len(b)
     if n < 100 or n < block_len:
@@ -179,6 +186,8 @@ def non_overlapping_template_test(
     template: str = "000000001",
     num_blocks: int = 8,
 ) -> TestResult:
+    if num_blocks <= 0:
+        raise ParameterError(f"num_blocks must be positive, got {num_blocks}")
     b = as_bits(bits)
     n = len(b)
     m = len(template)
@@ -208,6 +217,15 @@ def non_overlapping_template_test(
 
 
 def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
+    """ApEn(m) = phi(m) - phi(m + 1) over the wraparound m- and (m+1)-bit patterns.
+
+    One ``bincount`` of the (m+1)-bit codes serves both: the top m bits of
+    the (m+1)-bit window at i are the m-bit window at i, so the m-bit counts
+    are the sums of adjacent count pairs.  The integer counts are those of
+    two separate scans, so the p-value is too; phi(0) is 0.
+    """
+    if m_pattern < 0:
+        raise ParameterError(f"m_pattern must be >= 0, got {m_pattern}")
     b = as_bits(bits)
     n = len(b)
     need = max(100, 2 ** (m_pattern + 1))
@@ -215,20 +233,18 @@ def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
         return _inapplicable(
             "approximate_entropy", f"needs n >= max(100, 2^(m+1)) = {need}, got {n}"
         )
+    aug = np.concatenate([b, b[:m_pattern]])
+    codes = aug[:n].astype(np.uint8 if m_pattern < 8 else np.intp)
+    for j in range(1, m_pattern + 1):
+        codes <<= 1
+        codes |= aug[j : j + n]
+    counts = np.bincount(codes, minlength=2 ** (m_pattern + 1))
 
-    def phi(m: int) -> float:
-        if m == 0:
-            return 0.0
-        aug = np.concatenate([b, b[: m - 1]])
-        # encode every overlapping m-bit pattern as an integer
-        codes = np.zeros(n, dtype=np.int64)
-        for j in range(m):
-            codes = (codes << 1) | aug[j : j + n]
-        counts = np.bincount(codes, minlength=2**m).astype(np.float64)
+    def phi(counts: np.ndarray) -> float:
         freqs = counts[counts > 0] / n
         return float(np.sum(freqs * np.log(freqs)))
 
-    apen = phi(m_pattern) - phi(m_pattern + 1)
+    apen = phi(counts.reshape(-1, 2).sum(axis=1)) - phi(counts)
     chi2 = 2.0 * n * (np.log(2.0) - apen)
     p = float(gammaincc(2.0 ** (m_pattern - 1), chi2 / 2.0))
     return TestResult("approximate_entropy", p, True)
@@ -240,41 +256,86 @@ def linear_complexities(blocks) -> np.ndarray:
     One Berlekamp-Massey run serves all rows, bit-sliced: rows are lanes,
     64 to a uint64 word, so every polynomial is an (m + 1, g) word array,
     g = ceil(num / 64), whose row j holds coefficient j of every lane.  Per
-    step the discrepancy is the xor over rows of ``c & s`` reversed, and
-    lanes whose complexity grows swap the old ``c`` into ``b``.  ``b`` is
-    kept already multiplied by x^(idx - last change) as a view into one
-    zeroed buffer; moving the view's start back one row each step
-    multiplies every lane by x, so nothing is copied.  At step idx every
-    polynomial has degree <= idx + 1, so each step touches idx + 2 rows.
+    step the discrepancy d is the xor over rows of ``c & s`` reversed; lanes
+    with d set add ``b`` to ``c``, and those eligible to grow (2 L <= idx)
+    also take the old ``c`` into ``b``.  Since d is 1 on growing lanes, the
+    old ``c`` is the new ``c ^ b``, so the update is ``c ^= b & d`` then
+    ``b ^= c & grow``.  ``b`` is kept already multiplied by x^(idx - last
+    change) as a view into one zeroed buffer whose start moves back one row
+    per step, so multiplying by x copies nothing.
+
+    The complexities live as Python-int lane masks grouped by T = 2 L, the
+    step from which a lane may grow: ``ready`` holds the groups with T <=
+    idx, ``pending`` the rest, and a pending group joins ``ready`` at step
+    T.  A lane that grows at step idx moves from group T to 2 idx + 2 - T,
+    as L becomes idx + 1 - L.  With lo and hi the least and greatest L, c
+    has degree <= hi and the shifted b degree <= idx + 1 - lo, so the
+    discrepancy reads rows <= hi and the update rows <= max(hi, idx + 1 -
+    lo); every row past them is zero in every lane, so skipping them
+    changes no bit.  All of this is integer arithmetic, so the result
+    equals the one-block-at-a-time reference exactly.
     """
     blocks = np.asarray(blocks, dtype=np.uint8)
     num, m = blocks.shape
     g = -(-num // 64)
+    nbytes = 8 * g
     lanes = np.zeros((m, 64 * g), dtype=np.uint8)
-    lanes[:, :num] = blocks.T
-    # s[i] is bit i of every lane; lane k of word w is row 64 w + k
-    s = np.packbits(lanes, axis=1, bitorder="little").view("<u8")
-    ones = ~np.uint64(0)
+    lanes[:, :num] = blocks.T[::-1]
+    # s_rev[m - 1 - i] is bit i of every lane; lane k of word w is row 64 w + k
+    s_rev = np.packbits(lanes, axis=1, bitorder="little").view("<u8")
+    real = (1 << num) - 1  # the padding lanes stay zero throughout
     c = np.zeros((m + 1, g), dtype="<u8")
-    c[0] = ones
+    c[0] = np.frombuffer(real.to_bytes(nbytes, "little"), dtype="<u8")
     # b = 1 with its last change at -1, so b x^(idx + 1) at step idx
     b_buf = np.zeros((m + 2, g), dtype="<u8")
-    b_buf[m + 1] = ones
-    complexity = np.zeros(64 * g, dtype=np.int64)
+    b_buf[m + 1] = c[0]
+    scratch = np.empty((m + 1, g), dtype="<u8")
+    ready, pending = {0: real}, {}
+    eligible = real
+    lo = hi = 0
     for idx in range(m):
-        d = np.bitwise_xor.reduce(c[: idx + 1] & s[idx::-1], axis=0)
-        grow = np.unpackbits(d.view(np.uint8), bitorder="little").view(bool)
-        grow &= 2 * complexity <= idx
-        np.subtract(idx + 1, complexity, out=complexity, where=grow)
-        upd = np.packbits(grow, bitorder="little").view("<u8")
-        bs, cs = b_buf[m - idx :], c[: idx + 2]
-        swap = (bs ^ cs) & upd
-        cs ^= bs & d
-        bs ^= swap
+        woke = pending.pop(idx, 0)
+        if woke:
+            ready[idx] = woke
+            eligible |= woke
+        rows = hi + 1
+        t = np.bitwise_and(c[:rows], s_rev[m - 1 - idx : m - idx + hi], out=scratch[:rows])
+        d = np.bitwise_xor.reduce(t, axis=0).tobytes()
+        d_int = int.from_bytes(d, "little")
+        if not d_int:
+            continue
+        rows = max(hi, idx + 1 - lo) + 1
+        cs, bs, t = c[:rows], b_buf[m - idx : m - idx + rows], scratch[:rows]
+        # lane masks enter as whole (rows, g) tiles: a broadcast (g,) operand
+        # costs numpy one inner loop per row
+        cs ^= np.bitwise_and(bs, np.ndarray((rows, g), "<u8", d * rows), out=t)
+        grow = d_int & eligible
+        if not grow:
+            continue
+        grow_words = np.ndarray((rows, g), "<u8", grow.to_bytes(nbytes, "little") * rows)
+        bs ^= np.bitwise_and(cs, grow_words, out=t)
+        eligible ^= grow
+        for twice_l, mask in list(ready.items()):
+            moved = mask & grow
+            if moved:
+                if moved == mask:
+                    del ready[twice_l]
+                else:
+                    ready[twice_l] = mask ^ moved
+                grown = 2 * idx + 2 - twice_l
+                pending[grown] = pending.get(grown, 0) | moved
+        lo = min(ready or pending) // 2
+        hi = max(pending or ready) // 2
+    complexity = np.zeros(64 * g, dtype=np.int64)
+    for twice_l, mask in (*ready.items(), *pending.items()):
+        lanes_in = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
+        complexity[np.unpackbits(lanes_in, bitorder="little").view(bool)] = twice_l // 2
     return complexity[:num]
 
 
 def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
+    if block_len <= 0:
+        raise ParameterError(f"block_len must be positive, got {block_len}")
     b = as_bits(bits)
     n = len(b)
     num = n // block_len

@@ -110,6 +110,17 @@ def _matched_filter_spectrum(params: LoRaParams, nfft: int) -> np.ndarray:
     return spectrum
 
 
+def _energy_prefix_sum(cap: np.ndarray) -> np.ndarray:
+    """[0, |cap[0]|^2, |cap[0]|^2 + |cap[1]|^2, ...] in float64, through two
+    capture-length buffers: |cap|, squared in place, and the sum itself."""
+    energy = np.abs(cap)
+    np.square(energy, out=energy)
+    cs = np.empty(len(cap) + 1)
+    cs[0] = 0.0
+    np.cumsum(energy, out=cs[1:])
+    return cs
+
+
 def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     """Locate the preamble start in a capture by normalized cross-correlation.
 
@@ -146,7 +157,7 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     nfft = sp_fft.next_fast_len(len(folded) + n_sym - 1)
     spectrum = sp_fft.fft(folded, nfft) * _matched_filter_spectrum(params, nfft)
     num = np.abs(sp_fft.ifft(spectrum)[n_sym - 1 : n_sym - 1 + lags])
-    cs = np.concatenate(([0.0], np.cumsum(np.abs(cap) ** 2)))
+    cs = _energy_prefix_sum(cap)
     window_energy = np.maximum(cs[n:] - cs[:lags], 0.0)
     den = np.sqrt(window_energy * (k * np.vdot(chirp, chirp).real))
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -293,6 +293,55 @@ def berlekamp_massey(block) -> int:
     return complexity
 
 
+def _linear_complexities_reference(blocks):
+    """Bit-sliced Berlekamp-Massey over a per-lane complexity array: the
+    discrepancy is unpacked to test 2 L <= idx and packed again at every
+    step, and every step touches all idx + 2 rows."""
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    num, m = blocks.shape
+    g = -(-num // 64)
+    lanes = np.zeros((m, 64 * g), dtype=np.uint8)
+    lanes[:, :num] = blocks.T
+    s = np.packbits(lanes, axis=1, bitorder="little").view("<u8")
+    ones = ~np.uint64(0)
+    c = np.zeros((m + 1, g), dtype="<u8")
+    c[0] = ones
+    b_buf = np.zeros((m + 2, g), dtype="<u8")
+    b_buf[m + 1] = ones
+    complexity = np.zeros(64 * g, dtype=np.int64)
+    for idx in range(m):
+        d = np.bitwise_xor.reduce(c[: idx + 1] & s[idx::-1], axis=0)
+        grow = np.unpackbits(d.view(np.uint8), bitorder="little").view(bool)
+        grow &= 2 * complexity <= idx
+        np.subtract(idx + 1, complexity, out=complexity, where=grow)
+        upd = np.packbits(grow, bitorder="little").view("<u8")
+        bs, cs = b_buf[m - idx :], c[: idx + 2]
+        swap = (bs ^ cs) & upd
+        cs ^= bs & d
+        bs ^= swap
+    return complexity[:num]
+
+
+def _reference_approximate_entropy(b, m_pattern):
+    """phi(m) - phi(m + 1), each from its own scan of the wraparound patterns."""
+    n = len(b)
+
+    def phi(m):
+        if m == 0:
+            return 0.0
+        aug = np.concatenate([b, b[: m - 1]])
+        codes = np.zeros(n, dtype=np.int64)
+        for j in range(m):
+            codes = (codes << 1) | aug[j : j + n]
+        counts = np.bincount(codes, minlength=2**m).astype(np.float64)
+        freqs = counts[counts > 0] / n
+        return float(np.sum(freqs * np.log(freqs)))
+
+    apen = phi(m_pattern) - phi(m_pattern + 1)
+    chi2 = 2.0 * n * (np.log(2.0) - apen)
+    return float(gammaincc(2.0 ** (m_pattern - 1), chi2 / 2.0))
+
+
 def _reference_linear_complexity(b, m_blk):
     mu = (m_blk / 2.0 + (9.0 + (-1.0) ** (m_blk + 1)) / 36.0
           - (m_blk / 3.0 + 2.0 / 9.0) / 2.0**m_blk)
@@ -341,6 +390,16 @@ def test_block_tests_equal_per_bit_reference(bits, template, num_blocks, lc_bloc
         assert result.p_value == _reference_linear_complexity(bits, lc_block)
 
 
+@given(streams, st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_approximate_entropy_equals_two_scan_reference(bits, m_pattern):
+    n = len(bits)
+    result = approximate_entropy_test(bits, m_pattern=m_pattern)
+    assert result.applicable == (n >= max(100, 2 ** (m_pattern + 1)))
+    if result.applicable:
+        assert result.p_value == _reference_approximate_entropy(bits, m_pattern)
+
+
 def _periodic_rows(rng, rows, m):
     return np.array([np.resize(rng.integers(0, 2, rng.integers(1, 33)), m)
                      for _ in range(rows)], dtype=np.uint8)
@@ -386,6 +445,50 @@ def test_linear_complexities_equal_per_block_reference(kind, m):
         got = linear_complexities(blocks[:num])
         assert got.dtype == np.int64 and got.shape == (num,)
         assert got.tolist() == want[:num], num
+
+
+@given(st.integers(1, 260), st.integers(1, 700),
+       st.lists(st.sampled_from(sorted(BM_ROWS)), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_linear_complexities_equal_bit_sliced_reference(num, m, kinds, seed):
+    # row i is of kind i mod len(kinds), so the lanes of one word sit at
+    # very different complexities
+    rng = np.random.default_rng(seed)
+    blocks = np.empty((num, m), dtype=np.uint8)
+    for j, kind in enumerate(kinds[:num]):
+        blocks[j :: len(kinds)] = BM_ROWS[kind](rng, len(range(j, num, len(kinds))), m)
+    got = linear_complexities(blocks)
+    assert got.dtype == np.int64 and got.shape == (num,)
+    assert got.tolist() == _linear_complexities_reference(blocks).tolist()
+
+
+@pytest.mark.parametrize("kind", ["random", "mixed"])
+def test_linear_complexities_at_million_bit_shape(kind):
+    # 2000 blocks of 500: the shape of linear_complexity_test on 10^6 bits
+    blocks = BM_ROWS[kind](np.random.default_rng(2000), 2000, 500)
+    assert (linear_complexities(blocks).tolist()
+            == _linear_complexities_reference(blocks).tolist())
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda b: block_frequency_test(b, block_len=0), "block_len"),
+    (lambda b: block_frequency_test(b, block_len=-5), "block_len"),
+    (lambda b: linear_complexity_test(b, block_len=0), "block_len"),
+    (lambda b: linear_complexity_test(b, block_len=-500), "block_len"),
+    (lambda b: non_overlapping_template_test(b, num_blocks=0), "num_blocks"),
+    (lambda b: non_overlapping_template_test(b, num_blocks=-8), "num_blocks"),
+    (lambda b: approximate_entropy_test(b, m_pattern=-1), "m_pattern"),
+])
+def test_bad_test_parameters_raise_parameter_error(call, name):
+    with pytest.raises(ParameterError, match=name):
+        call(np.random.default_rng(0).integers(0, 2, 1000, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("block_len", [1, 2, 3])
+def test_linear_complexity_short_blocks_inapplicable(block_len):
+    bits = np.random.default_rng(0).integers(0, 2, 1000, dtype=np.uint8)
+    assert not linear_complexity_test(bits, block_len=block_len).applicable
 
 
 @given(st.integers(1, 6), st.integers(1, 40), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
