@@ -51,7 +51,6 @@ from .reconciliation import (
     CascadeConfig,
     LocalParityOracle,
     ReconciliationOutcome,
-    binary_search_error,
     cascade,
     estimate_qber,
 )

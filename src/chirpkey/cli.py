@@ -2,9 +2,8 @@
 
 Verbs: ``simulate`` (seeded trials, aggregate CSV), ``sweep`` (paired
 shuffle-on/off parameter sweep), ``captures`` (replay recorded IQ files),
-``nist`` (randomness suite over an ASCII bit file), ``selftest`` (quick
-end-to-end battery).  Each flag overrides the config-file key ``FLAG_KEYS``
-names for it.
+``nist`` (randomness suite over an ASCII bit file).  Each flag overrides
+the config-file key ``FLAG_KEYS`` names for it.
 """
 from __future__ import annotations
 
@@ -124,12 +123,6 @@ def _cmd_nist(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-
-    return run_selftest()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chirpkey",
@@ -159,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nist.add_argument("--bits", required=True, help="file of 0/1 characters")
     p_nist.add_argument("--out")
     p_nist.set_defaults(func=_cmd_nist)
-
-    p_self = sub.add_parser("selftest", help="quick end-to-end acceptance battery")
-    p_self.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -127,23 +127,6 @@ def _search(seg, sums: list[int], offset: int, parity_g: Callable) -> int:
     return lo
 
 
-def binary_search_error(positions, local_bits, parity_g: Callable) -> int:
-    """Locate one genuinely differing position inside an odd block.
-
-    ``positions`` is the block's index sequence (in the pass's permuted
-    order) and ``local_bits`` the correcting party's own bits at those
-    positions; ``parity_g`` queries the far side with a view of
-    ``positions``.  Spends at most ceil(log2(len)) queries, each on a left
-    half, with every local parity read from one prefix sum of
-    ``local_bits``.
-    """
-    seg = np.asarray(positions, dtype=np.intp)
-    if seg.size == 0:
-        raise ParameterError("block must be non-empty")
-    sums = [0, *np.cumsum(local_bits).tolist()]
-    return int(seg[_search(seg, sums, 0, parity_g)])
-
-
 def _indices_digest(indices: np.ndarray) -> str:
     text = ",".join(str(int(i)) for i in indices)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]

@@ -1,5 +1,7 @@
 import argparse
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from chirpkey.cli import FLAG_KEYS, build_parser, main
 from chirpkey.config import MIN_SNR_DB
 from chirpkey.pipeline import export_probe_captures, simulate_probe_frames
 from chirpkey.pipeline_seeds import derive_trial_seeds
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # the sweep CSV header, byte for byte
 CSV_HEADER = (
@@ -176,13 +180,6 @@ def test_cli_nist_bad_bit_file_is_single_line_error(tmp_path, capsys, content):
     assert main(["nist", "--bits", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_cli_selftest(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 8
 
 
 def _write_config(path, keys: dict) -> str:
@@ -400,18 +397,37 @@ VERB_OPTIONS = {
         (["--bits"], "bits", True, "file of 0/1 characters", None),
         (["--out"], "out", False, None, None),
     ],
-    "selftest": [],
 }
 
 
+def _verbs():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_each_verb_takes_exactly_its_options():
-    verbs = next(a for a in build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)).choices
+    verbs = _verbs()
     assert list(verbs) == list(VERB_OPTIONS)
     for verb, want in VERB_OPTIONS.items():
         got = [(a.option_strings, a.dest, a.required, a.help, a.const)
                for a in verbs[verb]._actions if a.dest != "help"]
         assert got == want, verb
+
+
+def _readme_block(heading):
+    """The first fenced block under README's ``## heading``."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {heading}\n", 1)[1].split("```")[1]
+
+
+def test_readme_names_every_verb_and_module():
+    cli = re.findall(r"^chirpkey (\S+)", _readme_block("CLI"), re.M)
+    assert sorted(cli) == sorted(_verbs())
+    layout = _readme_block("Layout").split("\nsrc/chirpkey/\n", 1)[1]
+    listed = re.findall(r"^  (\w+\.py) ", layout, re.M)
+    modules = [p.name for p in (ROOT / "src" / "chirpkey").glob("*.py")
+               if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
 
 
 # every [section] key a config file may set, a non-default value for it, and

@@ -38,6 +38,9 @@ def test_zero_length_key_edge():
 def test_digest_matches_independent_oracle_on_worked_example():
     key = BitKey(np.array([0, 1, 0, 0, 0, 0, 0, 1], dtype=np.uint8))
     assert digest(key).digest == _oracle_sha256(serialize_key(key))
+    assert digest(key).hex == (
+        "7a6152bd5127b53d7ab3037f477dbb7f75067491904feca60c8bc8cc71385791"
+    )
 
 
 def test_digest_deterministic():

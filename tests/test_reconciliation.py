@@ -15,12 +15,12 @@ from chirpkey import (
     LocalParityOracle,
     ParameterError,
     ReconciliationError,
-    binary_search_error,
     cascade,
     estimate_qber,
 )
 from chirpkey.reconciliation import (
     _indices_digest,
+    _search,
     consume_positions,
     initial_block_size,
     pass_block_sizes,
@@ -194,6 +194,14 @@ def test_config_validation():
         CascadeConfig(qber_estimate="maybe")
 
 
+def _search_block(positions, local_bits, parity_g):
+    """Position of one differing bit in the odd block ``positions``, found by
+    cascade's search over a prefix sum of ``local_bits``."""
+    seg = np.asarray(positions, dtype=np.intp)
+    sums = [0, *np.cumsum(local_bits).tolist()]
+    return int(seg[_search(seg, sums, 0, parity_g)])
+
+
 def test_binary_search_single_error_all_offsets():
     truth = np.zeros(8, dtype=np.uint8)
     for err in range(8):
@@ -207,7 +215,7 @@ def test_binary_search_single_error_all_offsets():
             return int(truth[np.asarray(idx, dtype=np.intp)].sum() & 1)
 
         positions = np.arange(8)
-        pos = binary_search_error(positions, local[positions], parity_g)
+        pos = _search_block(positions, local[positions], parity_g)
         assert pos == err
         assert queries <= 3
 
@@ -223,7 +231,7 @@ def test_binary_search_block_of_one():
         return 1
 
     positions = np.array([0])
-    pos = binary_search_error(positions, local[positions], parity_g)
+    pos = _search_block(positions, local[positions], parity_g)
     assert pos == 0 and queries == 0
 
 
@@ -235,7 +243,7 @@ def test_binary_search_three_errors_returns_a_true_one():
         local = truth.copy()
         local[list(errs)] ^= 1
         positions = np.arange(8)
-        pos = binary_search_error(
+        pos = _search_block(
             positions,
             local[positions],
             lambda idx: int(truth[np.asarray(idx)].sum() & 1),
@@ -278,7 +286,7 @@ def test_binary_search_equals_reference(length):
         want = _binary_search_reference(
             positions, lambda idx: int(local[idx].sum() & 1), far("reference")
         )
-        got = binary_search_error(positions, local[positions], far("prefix"))
+        got = _search_block(positions, local[positions], far("prefix"))
         assert got == want
         assert asked["prefix"] == asked["reference"]
 
@@ -380,8 +388,9 @@ def test_cascade_matches_pinned_transcripts(n):
 
 def _cascade_reference(key_a, oracle_g, config, transcript=None, on_flip=None):
     """Reference cascade: one numpy block table for all passes, every odd
-    block (pass 0 too) searched from a heap on a prefix sum of its own bits,
-    and each flip's block ids gathered and toggled as arrays."""
+    block (pass 0 too) taken from a heap and searched by
+    ``_binary_search_reference`` with each half's local parity summed
+    directly, and each flip's block ids gathered and toggled as arrays."""
     n = len(oracle_g)
     bits = key_a.bits.copy()
     k1 = initial_block_size(float(config.qber_estimate), n)
@@ -428,7 +437,9 @@ def _cascade_reference(key_a, oracle_g, config, transcript=None, on_flip=None):
             if parity_a[bid] == parity_g[bid]:
                 continue
             seg = flat[start[bid] : start[bid] + length[bid]]
-            pos = binary_search_error(seg, bits[seg], lambda idx: ask(p, bid, idx))
+            pos = _binary_search_reference(
+                seg, local_parity, lambda idx: ask(p, bid, idx)
+            )
             flips += 1
             if flips > n:
                 raise ReconciliationError(
