@@ -2,8 +2,10 @@
 
 Verbs: ``simulate`` (seeded trials, aggregate CSV), ``sweep`` (paired
 shuffle-on/off parameter sweep), ``captures`` (replay recorded IQ files),
-``nist`` (randomness suite over an ASCII bit file).  Each flag overrides
-the config-file key ``FLAG_KEYS`` names for it.
+``export`` (write one simulated round's three IQ captures), ``keys`` (one
+reconciled key per trial as a 0/1 line), ``nist`` (randomness suite over
+an ASCII bit file).  Each flag overrides the config-file key
+``FLAG_KEYS`` names for it.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .errors import CaptureFormatError, ParameterError, PreambleNotFoundError
 from .nist import run_suite
 from .pipeline import (
     aggregate,
+    export_probe_captures,
     rows_to_csv,
     run_captures,
     run_sweep,
@@ -33,7 +36,7 @@ FLAG_NAMES = {
     "capture_a2g": "a2g",
     "capture_g2a": "g2a",
     "capture_eve": "eve",
-    **dict.fromkeys(("eavesdropper_independent", "qber_sample_fraction", "mode")),
+    **dict.fromkeys(("eavesdropper_independent", "qber_sample_fraction")),
 }
 # argparse dest -> the [section] key whose value that flag's text replaces
 FLAG_KEYS = {FLAG_NAMES.get(key, key): (section, key)
@@ -51,7 +54,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument("--no-shuffle", dest="shuffle", action="store_const", const="off")
         elif dest not in VERB_FLAGS:
             p.add_argument("--" + dest.replace("_", "-"), help=FLAG_HELP.get(dest))
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument("--out", help="write the output here instead of stdout")
 
 
 def _load(args) -> ExperimentConfig:
@@ -108,6 +111,18 @@ def _cmd_captures(args) -> int:
     return 0
 
 
+def _cmd_export(args) -> int:
+    paths = export_probe_captures(_load(args), args.trial_seed, args.dir)
+    _emit("".join(f"{leg}: {path}\n" for leg, path in paths.items()), args.out)
+    return 0
+
+
+def _cmd_keys(args) -> int:
+    results = run_trials(_load(args))
+    _emit("".join(f"{r.reconciliation.corrected_key}\n" for r in results), args.out)
+    return 0
+
+
 def _cmd_nist(args) -> int:
     with open(args.bits, "rb") as fh:
         raw = np.frombuffer(fh.read(), dtype=np.uint8)
@@ -147,6 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--eve", help="optional capture of G's frame at the eavesdropper")
     p_cap.add_argument("--trial-seed", type=int, default=0)
     p_cap.set_defaults(func=_cmd_captures)
+
+    p_exp = sub.add_parser("export", help="write one simulated round's IQ captures")
+    _add_common_flags(p_exp)
+    p_exp.add_argument("--dir", default=".", help="output directory")
+    p_exp.add_argument("--trial-seed", type=int, default=0)
+    p_exp.set_defaults(func=_cmd_export)
+
+    p_keys = sub.add_parser("keys", help="one reconciled key per trial, as 0/1 lines")
+    _add_common_flags(p_keys)
+    p_keys.set_defaults(func=_cmd_keys)
 
     p_nist = sub.add_parser("nist", help="randomness suite over an ASCII bit file")
     p_nist.add_argument("--bits", required=True, help="file of 0/1 characters")

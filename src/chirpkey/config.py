@@ -114,7 +114,6 @@ KEYS = {
     ("experiment", "master_seed"): int,
     ("experiment", "sweep_axis"): str,
     ("experiment", "sweep_values"): _parse_floats,
-    ("experiment", "mode"): str,
     ("experiment", "capture_a2g"): str,
     ("experiment", "capture_g2a"): str,
     ("experiment", "capture_eve"): str,

@@ -65,12 +65,15 @@ _LC_PROBS = np.array([0.01047, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833])
 class TestResult:
     name: str
     p_value: float | None
-    applicable: bool
     note: str = ""
 
     @property
+    def applicable(self) -> bool:
+        return self.p_value is not None
+
+    @property
     def passed(self) -> bool:
-        return self.applicable and self.p_value is not None and self.p_value >= PASS_LEVEL
+        return self.applicable and self.p_value >= PASS_LEVEL
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class NistReport:
 
 
 def _inapplicable(name: str, note: str) -> TestResult:
-    return TestResult(name, None, False, note)
+    return TestResult(name, None, note)
 
 
 def frequency_test(bits) -> TestResult:
@@ -106,7 +109,7 @@ def frequency_test(bits) -> TestResult:
         return _inapplicable("frequency", f"needs n >= 100, got {n}")
     s = int(np.sum(2 * b.astype(np.int64) - 1))
     p = float(erfc(abs(s) / np.sqrt(2.0 * n)))
-    return TestResult("frequency", p, True)
+    return TestResult("frequency", p)
 
 
 def block_frequency_test(bits, block_len: int = 128) -> TestResult:
@@ -120,7 +123,7 @@ def block_frequency_test(bits, block_len: int = 128) -> TestResult:
     props = b[: num * block_len].reshape(num, block_len).mean(axis=1)
     chi2 = 4.0 * block_len * float(np.sum((props - 0.5) ** 2))
     p = float(gammaincc(num / 2.0, chi2 / 2.0))
-    return TestResult("block_frequency", p, True)
+    return TestResult("block_frequency", p)
 
 
 def cumulative_sums_test(bits) -> TestResult:
@@ -140,7 +143,7 @@ def cumulative_sums_test(bits) -> TestResult:
     term1 = np.sum(ndtr((4 * ks1 + 1) * z / sn) - ndtr((4 * ks1 - 1) * z / sn))
     term2 = np.sum(ndtr((4 * ks2 + 3) * z / sn) - ndtr((4 * ks2 + 1) * z / sn))
     p = float(1.0 - term1 + term2)
-    return TestResult("cumulative_sums", float(np.clip(p, 0.0, 1.0)), True)
+    return TestResult("cumulative_sums", float(np.clip(p, 0.0, 1.0)))
 
 
 def longest_run_test(bits) -> TestResult:
@@ -158,7 +161,7 @@ def longest_run_test(bits) -> TestResult:
     expected = num * np.asarray(probs)
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     p = float(gammaincc(k / 2.0, chi2 / 2.0))
-    return TestResult("longest_run", p, True)
+    return TestResult("longest_run", p)
 
 
 def spectral_fft_test(bits) -> TestResult:
@@ -178,7 +181,7 @@ def spectral_fft_test(bits) -> TestResult:
     n1 = int(np.sum(mags < threshold))
     d = (n1 - n0) / np.sqrt(n * 0.95 * 0.05 / 4.0)
     p = float(erfc(abs(d) / np.sqrt(2.0)))
-    return TestResult("spectral_fft", p, True)
+    return TestResult("spectral_fft", p)
 
 
 def non_overlapping_template_test(
@@ -213,7 +216,7 @@ def non_overlapping_template_test(
     var = block_len * (1.0 / 2.0**m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
     chi2 = float(np.sum((counts - mean) ** 2 / var))
     p = float(gammaincc(num_blocks / 2.0, chi2 / 2.0))
-    return TestResult("non_overlapping_template", p, True)
+    return TestResult("non_overlapping_template", p)
 
 
 def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
@@ -247,7 +250,7 @@ def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
     apen = phi(counts.reshape(-1, 2).sum(axis=1)) - phi(counts)
     chi2 = 2.0 * n * (np.log(2.0) - apen)
     p = float(gammaincc(2.0 ** (m_pattern - 1), chi2 / 2.0))
-    return TestResult("approximate_entropy", p, True)
+    return TestResult("approximate_entropy", p)
 
 
 def linear_complexities(blocks) -> np.ndarray:
@@ -356,7 +359,7 @@ def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
     expected = num * _LC_PROBS
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     p = float(gammaincc(3.0, chi2 / 2.0))
-    return TestResult("linear_complexity", p, True)
+    return TestResult("linear_complexity", p)
 
 
 def run_suite(bits) -> NistReport:

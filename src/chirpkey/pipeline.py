@@ -207,8 +207,8 @@ def run_captures(config: ExperimentConfig, trial_seed: int = 0) -> PipelineResul
 
 def export_probe_captures(config: ExperimentConfig, trial_seed: int, directory) -> dict:
     """Simulate one round and serialize the three receptions as capture files."""
-    os.makedirs(directory, exist_ok=True)
     seeds = derive_trial_seeds(config.master_seed, trial_seed)
+    os.makedirs(directory, exist_ok=True)
     paths = {}
     for leg, rx in zip(("a2g", "g2a", "eve"), simulate_probe_frames(config, seeds)):
         paths[leg] = os.path.join(directory, f"trial{trial_seed}_{leg}.cf32")

@@ -10,7 +10,7 @@ from chirpkey import ExperimentConfig, ParameterError, load_config
 from chirpkey.channel import ChannelModel, exponential_profile
 from chirpkey.cli import FLAG_KEYS, build_parser, main
 from chirpkey.config import MIN_SNR_DB
-from chirpkey.pipeline import export_probe_captures, simulate_probe_frames
+from chirpkey.pipeline import export_probe_captures, run_trials, simulate_probe_frames
 from chirpkey.pipeline_seeds import derive_trial_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -144,6 +144,31 @@ def test_cli_captures_roundtrip(tmp_path, capsys):
     assert "eve_skdr=" in out
     digests = [ln for ln in out.splitlines() if ln.startswith("digest_")]
     assert len(digests) == 2 and all(len(d.split("=")[1]) == 64 for d in digests)
+
+
+def test_cli_export_writes_the_captures_that_replay(tmp_path, capsys):
+    want = export_probe_captures(ExperimentConfig(), 0, tmp_path / "lib")
+    assert main(["export", "--dir", str(tmp_path / "cli")]) == 0
+    paths = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert list(paths) == list(want) == ["a2g", "g2a", "eve"]
+    for leg, path in paths.items():
+        assert Path(path).read_bytes() == Path(want[leg]).read_bytes()
+    assert main(["captures", "--a2g", paths["a2g"], "--g2a", paths["g2a"],
+                 "--eve", paths["eve"]]) == 0
+    assert "confirmed=true" in capsys.readouterr().out.splitlines()
+
+
+def test_cli_export_into_a_file_is_single_line_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["export", "--dir", str(tmp_path / "file" / "caps")]) == 1
+    _single_error_line(capsys)
+
+
+def test_cli_keys_prints_each_trial_key(capsys):
+    assert main(["keys", "--trials", "3"]) == 0
+    want = [str(r.reconciliation.corrected_key)
+            for r in run_trials(ExperimentConfig(trials=3))]
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_cli_captures_missing_file_is_single_line_error(capsys):
@@ -317,21 +342,26 @@ def test_lowest_snr_fits_capture_depth():
         ExperimentConfig(channel=ChannelModel(snr_db=np.nextafter(MIN_SNR_DB, -np.inf)))
 
 
-def test_negative_seeds_are_single_line_errors(capsys):
+def test_negative_seeds_are_single_line_errors(tmp_path, capsys):
     with pytest.raises(ParameterError, match="master_seed"):
         ExperimentConfig(master_seed=-1)
     assert main(["simulate", "--trials", "1", "--master-seed", "-1"]) == 1
     assert "master_seed" in _single_error_line(capsys)
-    # the trial index is checked before the capture files are read
+    assert main(["keys", "--trials", "1", "--master-seed", "-1"]) == 1
+    assert "master_seed" in _single_error_line(capsys)
+    # the trial index is checked before the capture files are read or written
     assert main(["captures", "--a2g", "a.cf32", "--g2a", "g.cf32", "--trial-seed", "-1"]) == 1
     assert "trial index" in _single_error_line(capsys)
+    assert main(["export", "--dir", str(tmp_path / "caps"), "--trial-seed", "-1"]) == 1
+    assert "trial index" in _single_error_line(capsys) and not (tmp_path / "caps").exists()
 
 
 @pytest.mark.parametrize("text, named", [
     ("[quantizer]\nalhpa = 0.9\n", "[quantizer] alhpa"),
     ("[qauntizer]\nalpha = 0.9\n", "[qauntizer] alpha"),
     ("[quantizer]\nspread = variance\n", "[quantizer] spread"),
-], ids=["misspelt-key", "misspelt-section", "removed-spread-key"])
+    ("[experiment]\nmode = captures\n", "[experiment] mode"),
+], ids=["misspelt-key", "misspelt-section", "removed-spread-key", "removed-mode-key"])
 def test_cli_unknown_config_key_is_single_line_error(text, named, tmp_path, capsys):
     path = tmp_path / "typo.cfg"
     path.write_text(text)
@@ -379,7 +409,7 @@ COMMON_OPTIONS = [
     (["--num-passes"], "num_passes", False, None, None),
     (["--trials"], "trials", False, None, None),
     (["--master-seed"], "master_seed", False, None, None),
-    (["--out"], "out", False, "write CSV here instead of stdout", None),
+    (["--out"], "out", False, "write the output here instead of stdout", None),
 ]
 VERB_OPTIONS = {
     "simulate": COMMON_OPTIONS,
@@ -393,6 +423,11 @@ VERB_OPTIONS = {
         (["--eve"], "eve", False, "optional capture of G's frame at the eavesdropper", None),
         (["--trial-seed"], "trial_seed", False, None, None),
     ],
+    "export": COMMON_OPTIONS + [
+        (["--dir"], "dir", False, "output directory", None),
+        (["--trial-seed"], "trial_seed", False, None, None),
+    ],
+    "keys": COMMON_OPTIONS,
     "nist": [
         (["--bits"], "bits", True, "file of 0/1 characters", None),
         (["--out"], "out", False, None, None),
@@ -456,7 +491,6 @@ KEY_CASES = [
     ("experiment", "master_seed", "99", lambda c: c.master_seed, 99),
     ("experiment", "sweep_axis", "snr", lambda c: c.sweep_axis, "snr"),
     ("experiment", "sweep_values", "1, 2.5", lambda c: c.sweep_values, (1.0, 2.5)),
-    ("experiment", "mode", "captures", lambda c: c.mode, "captures"),
     ("experiment", "capture_a2g", "a.cf32", lambda c: c.capture_a2g, "a.cf32"),
     ("experiment", "capture_g2a", "g.cf32", lambda c: c.capture_g2a, "g.cf32"),
     ("experiment", "capture_eve", "e.cf32", lambda c: c.capture_eve, "e.cf32"),

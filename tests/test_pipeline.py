@@ -49,8 +49,9 @@ def test_perfect_channel_round():
 
 def test_default_rounds_have_low_disagreement():
     cfg = ExperimentConfig()
-    skdrs = [run_pipeline_once(cfg, t).metrics.skdr for t in range(30)]
-    assert np.mean([s <= 0.05 for s in skdrs]) >= 0.9
+    results = [run_pipeline_once(cfg, t) for t in range(30)]
+    assert np.mean([r.metrics.skdr <= 0.05 for r in results]) >= 0.9
+    assert all(r.confirmation.matched for r in results)
 
 
 def test_eavesdropper_runs_public_pipeline():
