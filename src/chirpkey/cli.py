@@ -46,13 +46,16 @@ VERB_FLAGS = ("sweep_axis", "sweep_values", "a2g", "g2a", "eve")
 FLAG_HELP = {"rho": "reciprocity correlation", "qber": "cascade QBER estimate or 'auto'"}
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, reads=lambda section, key: True) -> None:
+    """--config, --out and the flag of each key the verb ``reads``; another flag exits 2."""
     p.add_argument("--config", help="INI-style config file")
-    for dest in FLAG_KEYS:
+    for dest, (section, key) in FLAG_KEYS.items():
+        if dest in VERB_FLAGS or not reads(section, key):
+            continue
         if dest == "shuffle":
             p.add_argument("--shuffle", dest="shuffle", action="store_const", const="on")
             p.add_argument("--no-shuffle", dest="shuffle", action="store_const", const="off")
-        elif dest not in VERB_FLAGS:
+        else:
             p.add_argument("--" + dest.replace("_", "-"), help=FLAG_HELP.get(dest))
     p.add_argument("--out", help="write the output here instead of stdout")
 
@@ -156,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cap = sub.add_parser("captures", help="replay recorded IQ captures")
-    _add_common_flags(p_cap)
+    # one recorded round: no channel to simulate and no trial count
+    _add_common_flags(p_cap, lambda section, key: section != "channel" and key != "trials")
     p_cap.add_argument("--a2g", required=True, help="capture of A's frame received at G")
     p_cap.add_argument("--g2a", required=True, help="capture of G's frame received at A")
     p_cap.add_argument("--eve", help="optional capture of G's frame at the eavesdropper")
@@ -164,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.set_defaults(func=_cmd_captures)
 
     p_exp = sub.add_parser("export", help="write one simulated round's IQ captures")
-    _add_common_flags(p_exp)
+    # the receptions alone: the waveform, the channel and the seed
+    _add_common_flags(p_exp, lambda section, key: section in ("lora", "channel")
+                      or key == "master_seed")
     p_exp.add_argument("--dir", default=".", help="output directory")
     p_exp.add_argument("--trial-seed", type=int, default=0)
     p_exp.set_defaults(func=_cmd_export)

@@ -35,10 +35,13 @@ def skgr(key_bits: int, probes: int) -> float:
 
 def longest_runs(rows: np.ndarray, value: int) -> np.ndarray:
     """Longest run of ``value`` in each row of a 2-d bit array (0 if none)."""
-    cols = np.arange(rows.shape[1])
-    # column of the last other value at or before each column (-1 if none)
-    last_miss = np.maximum.accumulate(np.where(rows == value, -1, cols), axis=1)
-    return (cols - last_miss).max(axis=1)
+    width = rows.shape[1]
+    cols = np.arange(width, dtype=np.int32 if width < 2**31 else np.int64)
+    # column of the last other value at or before each column (-1 if none),
+    # then the run length ending at each column, in one table
+    last_miss = np.where(rows == value, -1, cols)
+    np.maximum.accumulate(last_miss, axis=1, out=last_miss)
+    return np.subtract(cols, last_miss, out=last_miss).max(axis=1)
 
 
 def max_run_lengths(bits) -> tuple[int, int]:

@@ -24,6 +24,7 @@ takes its m-bit and (m+1)-bit pattern counts from one count of the
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +103,12 @@ def _inapplicable(name: str, note: str) -> TestResult:
 
 
 def frequency_test(bits) -> TestResult:
-    """Monobit balance: p = erfc(|S_n| / sqrt(2 n)) with S_n = sum(2 b - 1)."""
+    """Monobit balance: p = erfc(|S_n| / sqrt(2 n)) with S_n = sum(2 b - 1) = 2 ones - n."""
     b = as_bits(bits)
     n = len(b)
     if n < 100:
         return _inapplicable("frequency", f"needs n >= 100, got {n}")
-    s = int(np.sum(2 * b.astype(np.int64) - 1))
+    s = 2 * int(np.count_nonzero(b)) - n
     p = float(erfc(abs(s) / np.sqrt(2.0 * n)))
     return TestResult("frequency", p)
 
@@ -132,8 +133,12 @@ def cumulative_sums_test(bits) -> TestResult:
     n = len(b)
     if n < 100:
         return _inapplicable("cumulative_sums", f"needs n >= 100, got {n}")
-    walk = np.cumsum(2 * b.astype(np.int64) - 1)
-    z = int(np.max(np.abs(walk)))  # >= 1 for any non-empty sequence
+    # one walk buffer, in place; |walk| <= n, so int32 is exact below 2^31
+    walk = b.astype(np.int32 if n < 2**31 else np.int64)
+    walk <<= 1
+    walk -= 1
+    np.cumsum(walk, out=walk)
+    z = max(int(walk.max()), -int(walk.min()))  # >= 1 for any non-empty sequence
     sn = np.sqrt(n)
     lo1 = int(np.floor((-n / z + 1) / 4))
     hi = int(np.floor((n / z - 1) / 4))
@@ -350,7 +355,7 @@ def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
     mu = (
         m_blk / 2.0
         + (9.0 + (-1.0) ** (m_blk + 1)) / 36.0
-        - (m_blk / 3.0 + 2.0 / 9.0) / 2.0**m_blk
+        - math.ldexp(m_blk / 3.0 + 2.0 / 9.0, -m_blk)  # 2.0**M overflows from M = 1024
     )
     blocks = b[: num * m_blk].reshape(num, m_blk)
     complexity = linear_complexities(blocks)

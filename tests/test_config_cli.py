@@ -164,6 +164,23 @@ def test_cli_export_into_a_file_is_single_line_error(tmp_path, capsys):
     _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "--alpha", "0.9"],
+    ["export", "--trials", "7"],
+    ["export", "--qber", "0.3"],
+    ["export", "--no-shuffle"],
+    ["captures", "--a2g", "a.cf32", "--g2a", "g.cf32", "--trials", "999"],
+    ["captures", "--a2g", "a.cf32", "--g2a", "g.cf32", "--snr-db", "20"],
+])
+def test_cli_flag_the_verb_does_not_read_is_usage_error(argv, capsys):
+    # export simulates receptions only and captures replays one recorded
+    # round, so these flags could change nothing they print
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_keys_prints_each_trial_key(capsys):
     assert main(["keys", "--trials", "3"]) == 0
     want = [str(r.reconciliation.corrected_key)
@@ -417,13 +434,18 @@ VERB_OPTIONS = {
         (["--sweep-axis"], "sweep_axis", False, None, None),
         (["--sweep-values"], "sweep_values", False, "comma-separated values", None),
     ],
-    "captures": COMMON_OPTIONS + [
+    # captures replays one round and export simulates its receptions, so
+    # each takes only the flags of the keys its path reads
+    "captures": [opt for opt in COMMON_OPTIONS if opt[1] not in (
+        "num_taps", "decay_db", "rho", "snr_db", "trials")] + [
         (["--a2g"], "a2g", True, "capture of A's frame received at G", None),
         (["--g2a"], "g2a", True, "capture of G's frame received at A", None),
         (["--eve"], "eve", False, "optional capture of G's frame at the eavesdropper", None),
         (["--trial-seed"], "trial_seed", False, None, None),
     ],
-    "export": COMMON_OPTIONS + [
+    "export": [opt for opt in COMMON_OPTIONS if opt[1] in (
+        "config", "sf", "bw", "fs", "preamble_len", "num_taps", "decay_db", "rho", "snr_db",
+        "master_seed", "out")] + [
         (["--dir"], "dir", False, "output directory", None),
         (["--trial-seed"], "trial_seed", False, None, None),
     ],
