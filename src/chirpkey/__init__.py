@@ -24,7 +24,7 @@ from .errors import (
     PreambleNotFoundError,
     ReconciliationError,
 )
-from .metrics import MetricsReport, max_run_lengths, skdr, skgr
+from .metrics import MetricsReport, max_run_lengths, skdr
 from .nist import NistReport, run_suite
 from .pipeline import (
     ExperimentRow,

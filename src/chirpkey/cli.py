@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = sub.add_parser("captures", help="replay recorded IQ captures")
     # one recorded round: no channel to simulate and no trial count
     _add_common_flags(p_cap, lambda section, key: section != "channel" and key != "trials")
-    p_cap.add_argument("--a2g", required=True, help="capture of A's frame received at G")
-    p_cap.add_argument("--g2a", required=True, help="capture of G's frame received at A")
+    p_cap.add_argument("--a2g", help="capture of A's frame received at G")
+    p_cap.add_argument("--g2a", help="capture of G's frame received at A")
     p_cap.add_argument("--eve", help="optional capture of G's frame at the eavesdropper")
     p_cap.add_argument("--trial-seed", type=int, default=0)
     p_cap.set_defaults(func=_cmd_captures)

@@ -16,7 +16,6 @@ class MetricsReport:
     l0: int
     l1: int
     key_bits: int
-    probes: int
 
 
 def skdr(key_a: BitKey, key_g: BitKey) -> float:
@@ -24,13 +23,6 @@ def skdr(key_a: BitKey, key_g: BitKey) -> float:
     if len(key_a) == 0 or len(key_a) != len(key_g):
         raise ParameterError("keys must be non-empty and of equal length")
     return float(np.mean(key_a.bits != key_g.bits))
-
-
-def skgr(key_bits: int, probes: int) -> float:
-    """Secret key generation rate in bits per channel probing."""
-    if probes < 1:
-        raise ParameterError("probes must be >= 1")
-    return key_bits / probes
 
 
 def longest_runs(rows: np.ndarray, value: int) -> np.ndarray:
@@ -54,12 +46,13 @@ def max_run_lengths(bits) -> tuple[int, int]:
 
 def report(key_a: BitKey, key_g: BitKey, probes: int = 1) -> MetricsReport:
     """Metrics of one probing round, computed on the initial keys."""
+    if probes < 1:
+        raise ParameterError("probes must be >= 1")
     l0, l1 = max_run_lengths(key_g)
     return MetricsReport(
         skdr=skdr(key_a, key_g),
-        skgr_bits_per_probe=skgr(len(key_g), probes),
+        skgr_bits_per_probe=len(key_g) / probes,
         l0=l0,
         l1=l1,
         key_bits=len(key_g),
-        probes=probes,
     )

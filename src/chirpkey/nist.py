@@ -36,17 +36,6 @@ from .quantizer import as_bits
 
 PASS_LEVEL = 0.01
 
-TEST_NAMES = (
-    "frequency",
-    "block_frequency",
-    "cumulative_sums",
-    "longest_run",
-    "spectral_fft",
-    "non_overlapping_template",
-    "approximate_entropy",
-    "linear_complexity",
-)
-
 # longest-run parameterizations: (min n, block M, first class bound, class probs);
 # the classes are the consecutive run lengths from the first bound on, with
 # the first and last classes open-ended
@@ -98,16 +87,12 @@ class NistReport:
         return "\n".join(lines) + "\n"
 
 
-def _inapplicable(name: str, note: str) -> TestResult:
-    return TestResult(name, None, note)
-
-
 def frequency_test(bits) -> TestResult:
     """Monobit balance: p = erfc(|S_n| / sqrt(2 n)) with S_n = sum(2 b - 1) = 2 ones - n."""
     b = as_bits(bits)
     n = len(b)
     if n < 100:
-        return _inapplicable("frequency", f"needs n >= 100, got {n}")
+        return TestResult("frequency", None, f"needs n >= 100, got {n}")
     s = 2 * int(np.count_nonzero(b)) - n
     p = float(erfc(abs(s) / np.sqrt(2.0 * n)))
     return TestResult("frequency", p)
@@ -119,7 +104,7 @@ def block_frequency_test(bits, block_len: int = 128) -> TestResult:
     b = as_bits(bits)
     n = len(b)
     if n < 100 or n < block_len:
-        return _inapplicable("block_frequency", f"needs n >= max(100, M), got {n}")
+        return TestResult("block_frequency", None, f"needs n >= max(100, M), got {n}")
     num = n // block_len
     props = b[: num * block_len].reshape(num, block_len).mean(axis=1)
     chi2 = 4.0 * block_len * float(np.sum((props - 0.5) ** 2))
@@ -132,7 +117,7 @@ def cumulative_sums_test(bits) -> TestResult:
     b = as_bits(bits)
     n = len(b)
     if n < 100:
-        return _inapplicable("cumulative_sums", f"needs n >= 100, got {n}")
+        return TestResult("cumulative_sums", None, f"needs n >= 100, got {n}")
     # one walk buffer, in place; |walk| <= n, so int32 is exact below 2^31
     walk = b.astype(np.int32 if n < 2**31 else np.int64)
     walk <<= 1
@@ -155,7 +140,7 @@ def longest_run_test(bits) -> TestResult:
     b = as_bits(bits)
     n = len(b)
     if n < 128:
-        return _inapplicable("longest_run", f"needs n >= 128, got {n}")
+        return TestResult("longest_run", None, f"needs n >= 128, got {n}")
     for min_n, m_blk, lo, probs in _LONGEST_RUN_TABLE:
         if n >= min_n:
             break
@@ -178,7 +163,7 @@ def spectral_fft_test(bits) -> TestResult:
     b = as_bits(bits)
     n = len(b)
     if n < 100:
-        return _inapplicable("spectral_fft", f"needs n >= 100, got {n}")
+        return TestResult("spectral_fft", None, f"needs n >= 100, got {n}")
     x = 2.0 * b.astype(np.float64) - 1.0
     mags = np.abs(np.fft.rfft(x))[: n // 2]
     threshold = np.sqrt(np.log(1.0 / 0.05) * n)
@@ -205,8 +190,8 @@ def non_overlapping_template_test(
         raise ParameterError(f"template {template!r} overlaps itself; it must be aperiodic")
     block_len = n // num_blocks
     if block_len < m + 1:
-        return _inapplicable(
-            "non_overlapping_template",
+        return TestResult(
+            "non_overlapping_template", None,
             f"needs blocks longer than the template, got n={n}",
         )
     # occurrences of an aperiodic template never overlap, so the reference
@@ -238,8 +223,8 @@ def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
     n = len(b)
     need = max(100, 2 ** (m_pattern + 1))
     if n < need:
-        return _inapplicable(
-            "approximate_entropy", f"needs n >= max(100, 2^(m+1)) = {need}, got {n}"
+        return TestResult(
+            "approximate_entropy", None, f"needs n >= max(100, 2^(m+1)) = {need}, got {n}"
         )
     aug = np.concatenate([b, b[:m_pattern]])
     codes = aug[:n].astype(np.uint8 if m_pattern < 8 else np.intp)
@@ -348,8 +333,8 @@ def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
     n = len(b)
     num = n // block_len
     if block_len < 4 or num < 200:
-        return _inapplicable(
-            "linear_complexity", f"needs at least 200 blocks of {block_len}, got {n} bits"
+        return TestResult(
+            "linear_complexity", None, f"needs at least 200 blocks of {block_len}, got {n} bits"
         )
     m_blk = block_len
     mu = (
@@ -367,16 +352,20 @@ def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
     return TestResult("linear_complexity", p)
 
 
+TESTS = (
+    frequency_test,
+    block_frequency_test,
+    cumulative_sums_test,
+    longest_run_test,
+    spectral_fft_test,
+    non_overlapping_template_test,
+    approximate_entropy_test,
+    linear_complexity_test,
+)
+TEST_NAMES = tuple(t.__name__.removesuffix("_test") for t in TESTS)
+
+
 def run_suite(bits) -> NistReport:
     """All eight tests at their standard defaults, aggregated with the 0.01 gate."""
     b = as_bits(bits)
-    return NistReport((
-        frequency_test(b),
-        block_frequency_test(b),
-        cumulative_sums_test(b),
-        longest_run_test(b),
-        spectral_fft_test(b),
-        non_overlapping_template_test(b),
-        approximate_entropy_test(b),
-        linear_complexity_test(b),
-    ))
+    return NistReport(tuple(test(b) for test in TESTS))

@@ -143,7 +143,7 @@ def distill(observation: Observation, config: ExperimentConfig) -> PipelineResul
     if len(key_g) == 0:
         raise ParameterError("quantization censored every position; lower alpha")
 
-    scores = metrics_report(key_a, key_g, probes=1)
+    scores = metrics_report(key_a, key_g)
 
     eve_skdr = None
     if observation.amps_e is not None:

@@ -181,8 +181,8 @@ def quantize(
     amps: CfrAmplitudes,
     retained: IndexList,
     thresholds: BlockThresholds,
-    encoding: str = "plain",
-    block_size: int = 64,
+    encoding: str,
+    block_size: int,
 ) -> BitKey:
     """Quantize the retained amplitude values against per-block thresholds.
 

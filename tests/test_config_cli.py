@@ -158,6 +158,22 @@ def test_cli_export_writes_the_captures_that_replay(tmp_path, capsys):
     assert "confirmed=true" in capsys.readouterr().out.splitlines()
 
 
+def test_cli_captures_reads_its_paths_from_the_config_file(tmp_path, capsys):
+    paths = export_probe_captures(ExperimentConfig(), 0, tmp_path)
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text(f"[experiment]\ncapture_a2g = {paths['a2g']}\ncapture_g2a = {paths['g2a']}\n")
+    assert main(["captures", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "confirmed=true" in out
+    assert main(["captures", "--a2g", paths["a2g"], "--g2a", paths["g2a"]]) == 0
+    assert capsys.readouterr().out.splitlines() == out
+
+
+def test_cli_captures_without_paths_is_single_line_error(capsys):
+    assert main(["captures"]) == 1
+    assert "capture_a2g and capture_g2a" in _single_error_line(capsys)
+
+
 def test_cli_export_into_a_file_is_single_line_error(tmp_path, capsys):
     (tmp_path / "file").write_text("")
     assert main(["export", "--dir", str(tmp_path / "file" / "caps")]) == 1
@@ -438,8 +454,8 @@ VERB_OPTIONS = {
     # each takes only the flags of the keys its path reads
     "captures": [opt for opt in COMMON_OPTIONS if opt[1] not in (
         "num_taps", "decay_db", "rho", "snr_db", "trials")] + [
-        (["--a2g"], "a2g", True, "capture of A's frame received at G", None),
-        (["--g2a"], "g2a", True, "capture of G's frame received at A", None),
+        (["--a2g"], "a2g", False, "capture of A's frame received at G", None),
+        (["--g2a"], "g2a", False, "capture of G's frame received at A", None),
         (["--eve"], "eve", False, "optional capture of G's frame at the eavesdropper", None),
         (["--trial-seed"], "trial_seed", False, None, None),
     ],

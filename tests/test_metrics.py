@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chirpkey import BitKey, ParameterError, max_run_lengths, skdr, skgr
+from chirpkey import BitKey, ParameterError, max_run_lengths, skdr
+from chirpkey.metrics import report
 
 from conftest import bits_from
 
@@ -52,11 +53,11 @@ def test_skdr_equals_bruteforce_hamming(a_bits, g_bits):
 
 
 def test_skgr_bits_per_probe():
-    assert skgr(367, 1) == 367
-    assert skgr(189, 1) == 189
-    assert skgr(0, 5) == 0.0
+    key = BitKey(np.resize([0, 1, 1], 367))
+    assert report(key, key).skgr_bits_per_probe == 367
+    assert report(key, key, probes=5).skgr_bits_per_probe == 367 / 5
     with pytest.raises(ParameterError):
-        skgr(100, 0)
+        report(key, key, probes=0)
 
 
 def test_max_run_lengths_examples():

@@ -18,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, gammaincc, ndtr
 
-from chirpkey import ParameterError
+from chirpkey import ParameterError, nist
 from chirpkey.metrics import longest_runs
 from chirpkey.nist import (
     _LC_PROBS,
     _LONGEST_RUN_TABLE,
     PASS_LEVEL,
+    TEST_NAMES,
+    TESTS,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -210,6 +212,19 @@ def test_report_csv_shape():
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == "test_name,p_value,applicable,pass"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("n", [50, 100_000])
+def test_suite_runs_its_tests_under_their_names_in_order(n):
+    bits = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+    assert tuple(r.name for r in run_suite(bits).results) == TEST_NAMES
+    assert TEST_NAMES == (
+        "frequency", "block_frequency", "cumulative_sums", "longest_run",
+        "spectral_fft", "non_overlapping_template", "approximate_entropy",
+        "linear_complexity",
+    )
+    for i, name in enumerate(TEST_NAMES):
+        assert getattr(nist, f"{name}_test") is TESTS[i]
 
 
 @pytest.mark.slow

@@ -131,8 +131,8 @@ def test_retained_sets_identical_for_adversarial_inputs(m, seed):
     amps_g = CfrAmplitudes(rng.rayleigh(size=n))  # unrelated on purpose
     cfg = QuantizerConfig(alpha=0.5, block_size=m)
     retained, th_a, th_g = censoring_exchange(amps_a, amps_g, cfg)
-    key_a = quantize(amps_a, retained, th_a, block_size=m)
-    key_g = quantize(amps_g, retained, th_g, block_size=m)
+    key_a = quantize(amps_a, retained, th_a, "plain", block_size=m)
+    key_g = quantize(amps_g, retained, th_g, "plain", block_size=m)
     assert len(key_a) == len(key_g) == len(retained)
 
 
@@ -157,7 +157,7 @@ def test_quantize_gap_values_map_to_nearest_threshold():
     th = BlockThresholds([6.0], [4.0])
     retained = IndexList(np.arange(3))
     amps = CfrAmplitudes(np.array([4.5, 5.0, 5.5]))
-    bits = quantize(amps, retained, th, block_size=3)
+    bits = quantize(amps, retained, th, "plain", block_size=3)
     # 4.5 is nearer the lower threshold; the exact midpoint 5.0 ties to 1
     np.testing.assert_array_equal(bits.bits, [0, 1, 1])
 
@@ -165,8 +165,23 @@ def test_quantize_gap_values_map_to_nearest_threshold():
 def test_quantize_zero_spread_block():
     th = BlockThresholds([5.0], [5.0])
     retained = IndexList(np.arange(2))
-    bits = quantize(CfrAmplitudes(np.array([5.0, 4.99])), retained, th, block_size=2)
+    bits = quantize(CfrAmplitudes(np.array([5.0, 4.99])), retained, th, "plain", block_size=2)
     np.testing.assert_array_equal(bits.bits, [1, 0])
+
+
+def test_quantize_takes_the_block_size_of_its_thresholds():
+    # 100 values in blocks of 50 give 2 threshold pairs, as ceil(100 / 64)
+    # does, so the pair count alone cannot tell m = 50 from m = 64; the
+    # second block sits higher, so at m = 64 values 50..63 are cut at the
+    # first block's thresholds and all read 1
+    rng = np.random.default_rng(24)
+    amps = CfrAmplitudes(np.concatenate([rng.rayleigh(size=50), 10 + rng.rayleigh(size=50)]))
+    retained, th, _ = censoring_exchange(amps, amps, QuantizerConfig(block_size=50))
+    assert len(th) == 2 == -(-100 // 64)
+    with pytest.raises(TypeError):
+        quantize(amps, retained, th, "plain")
+    at_50 = quantize(amps, retained, th, "plain", 50).bits
+    assert (at_50 != quantize(amps, retained, th, "plain", 64).bits).any()
 
 
 @given(st.integers(min_value=0, max_value=2**31))

@@ -11,7 +11,7 @@ from chirpkey import (
     gen_preamble,
     gen_upchirp,
 )
-from chirpkey.waveform import DETECTION_THRESHOLD, _energy_prefix_sum
+from chirpkey.waveform import DETECTION_THRESHOLD
 
 
 def test_default_params_sample_counts(default_params):
@@ -189,14 +189,3 @@ def test_iq_samples_validation():
         IqSamples(np.array([], dtype=complex), 1e6)
     with pytest.raises(ParameterError):
         IqSamples(np.array([1.0, np.nan], dtype=complex), 1e6)
-
-
-def test_energy_prefix_sum_equals_concatenated_cumsum():
-    rng = np.random.default_rng(16)
-    for _ in range(100):
-        n = int(rng.integers(1, 20000))
-        scale = 10.0 ** rng.uniform(-3, 3)
-        cap = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        want = np.concatenate(([0.0], np.cumsum(np.abs(cap) ** 2)))
-        got = _energy_prefix_sum(IqSamples(cap, 1e6).samples)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
