@@ -20,7 +20,7 @@ from .waveform import IqSamples, LoRaParams, gen_preamble
 
 
 @lru_cache(maxsize=16)
-def exponential_profile(num_taps: int, decay_db: float = 3.0) -> np.ndarray:
+def exponential_profile(num_taps: int, decay_db: float) -> np.ndarray:
     """Per-tap power decaying by ``decay_db`` dB per tap, normalized to 1; cached, read-only."""
     if num_taps < 1:
         raise ParameterError("num_taps must be >= 1")
@@ -62,35 +62,15 @@ class ChannelModel:
             raise ParameterError("reciprocity_rho must be in [0, 1]")
         _snr_ratio(self.snr_db)  # checks it
 
-    @property
-    def power_delay_profile(self) -> np.ndarray:
-        """Per-tap average power, summing to 1: ``exponential_profile(num_taps, decay_db)``."""
-        return exponential_profile(self.num_taps, self.decay_db)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    forward_taps: np.ndarray
-    reverse_taps: np.ndarray
-    eve_taps: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """CFR estimates from one bidirectional probing round (plus the listener)."""
-
-    cfr_a: Cfr
-    cfr_g: Cfr
-    cfr_e: Cfr
-
 
 def _cn_taps(rng: np.random.Generator, pdp: np.ndarray) -> np.ndarray:
     scale = np.sqrt(pdp / 2.0)
     return scale * (rng.standard_normal(len(pdp)) + 1j * rng.standard_normal(len(pdp)))
 
 
-def sample_channel(model: ChannelModel, seed) -> ChannelRealization:
-    """Draw one realization: forward/reverse jointly Gaussian with correlation rho.
+def sample_channel(model: ChannelModel, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one realization's (forward, reverse, eve) taps: forward and reverse
+    jointly Gaussian with correlation rho.
 
     Per tap l: forward = g1, reverse = rho*g1 + sqrt(1-rho^2)*g2 with g1, g2
     i.i.d. CN(0, pdp[l]), so both directions keep the profile's per-tap power
@@ -99,25 +79,23 @@ def sample_channel(model: ChannelModel, seed) -> ChannelRealization:
     the reverse taps (listener co-located with the far end).
     """
     rng = np.random.default_rng(seed)
-    pdp = model.power_delay_profile
+    pdp = exponential_profile(model.num_taps, model.decay_db)
     g1 = _cn_taps(rng, pdp)
     g2 = _cn_taps(rng, pdp)
     ge = _cn_taps(rng, pdp)
     rho = model.reciprocity_rho
-    forward = g1
     reverse = rho * g1 + np.sqrt(max(0.0, 1.0 - rho * rho)) * g2
-    eve = ge if model.eavesdropper_independent else reverse.copy()
-    return ChannelRealization(forward, reverse, eve)
+    return g1, reverse, (ge if model.eavesdropper_independent else reverse.copy())
 
 
-def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db, seed) -> IqSamples:
+def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db: float, seed) -> IqSamples:
     """Pass the signal through the taps and add receiver noise at the given SNR.
 
     The received signal is the sum of shifted, scaled copies of the input,
     one per tap, truncated to the input length: the linear convolution,
     summed tap by tap.  Noise is circularly-symmetric complex Gaussian
     scaled so that mean received signal power / noise power =
-    10**(snr_db/10); pass None or +inf to disable it.
+    10**(snr_db/10); +inf disables it.
     """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.size == 0:
@@ -127,7 +105,7 @@ def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db, seed) -> IqSamples:
     y = taps[0] * x
     for lag in range(1, min(taps.size, n)):
         y[lag:] += taps[lag] * x[:-lag]
-    ratio = None if snr_db is None else _snr_ratio(snr_db)
+    ratio = _snr_ratio(snr_db)
     if ratio is not None:
         rng = np.random.default_rng(seed)
         p_rx = np.mean(np.abs(y) ** 2)
@@ -148,13 +126,9 @@ def receive(tx: IqSamples, model: ChannelModel, seeds) -> tuple[IqSamples, IqSam
     (block fading within a round), and the eavesdropper overhears G through
     its own taps.
     """
-    s_real, s_g, s_a, s_e = seeds
-    realization = sample_channel(model, s_real)
-    return (
-        apply_channel(tx, realization.forward_taps, model.snr_db, s_g),
-        apply_channel(tx, realization.reverse_taps, model.snr_db, s_a),
-        apply_channel(tx, realization.eve_taps, model.snr_db, s_e),
-    )
+    s_real, *noise_seeds = seeds
+    return tuple(apply_channel(tx, taps, model.snr_db, s)
+                 for taps, s in zip(sample_channel(model, s_real), noise_seeds, strict=True))
 
 
 def probe(
@@ -162,13 +136,10 @@ def probe(
     model: ChannelModel,
     seed,
     bin_policy: str = "all-bins",
-) -> ProbeResult:
+) -> tuple[Cfr, Cfr, Cfr]:
     """Run one bidirectional probing round; each receiver estimates the CFR
-    from its received frame.  The same int ``seed`` gives the same round."""
+    from its received frame, returned as (G, A, E) like ``receive``.  The
+    same int ``seed`` gives the same round."""
     seeds = np.random.SeedSequence(seed).spawn(4)
-    rx_g, rx_a, rx_e = receive(gen_preamble(params), model, seeds)
-    return ProbeResult(
-        cfr_a=estimate_from_frame(rx_a, params, bin_policy),
-        cfr_g=estimate_from_frame(rx_g, params, bin_policy),
-        cfr_e=estimate_from_frame(rx_e, params, bin_policy),
-    )
+    return tuple(estimate_from_frame(rx, params, bin_policy)
+                 for rx in receive(gen_preamble(params), model, seeds))

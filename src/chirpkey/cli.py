@@ -102,7 +102,6 @@ def _cmd_captures(args) -> int:
         f"l0={result.metrics.l0}",
         f"l1={result.metrics.l1}",
         f"qber_estimate={result.qber_estimate:.6f}",
-        f"cascade_converged={str(result.reconciliation.converged).lower()}",
         f"parity_bits_leaked={result.reconciliation.parity_bits_leaked}",
         f"confirmed={str(result.confirmation.matched).lower()}",
         f"digest_a={result.confirmation.digest_a.hex}",

@@ -119,10 +119,9 @@ class Observation:
 
 def _amplitudes(capture: IqSamples, config: ExperimentConfig) -> CfrAmplitudes:
     """One party's front end, for simulate and replay alike: locate the
-    preamble, slice K symbols from it, estimate their CFR amplitudes."""
+    preamble and estimate the CFR amplitudes of the K symbols from there on."""
     offset = detect_preamble(capture, config.lora)
-    n = config.lora.preamble_len * config.lora.samples_per_symbol
-    frame = IqSamples(capture.samples[offset : offset + n], capture.fs)
+    frame = IqSamples(capture.samples[offset:], capture.fs)
     amps = estimate_from_frame(frame, config.lora, config.bin_policy).amplitudes()
     amps.values.setflags(write=False)  # shared by every arm that distills it
     return amps

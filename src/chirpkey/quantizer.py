@@ -186,11 +186,12 @@ def quantize(
 ) -> BitKey:
     """Quantize the retained amplitude values against per-block thresholds.
 
-    ``block_size`` must be the m the thresholds were computed with.  A
-    value >= q_plus maps to 1 and <= q_minus maps to 0.  A retained value
-    can still fall inside this party's gap (the retained set is shared but
-    thresholds are not): it maps to the nearer threshold, ties to 1.  With
-    d-gray encoding every 0 becomes 01 and every 1 becomes 10.
+    ``block_size`` must be the m the thresholds were computed with.  Each
+    value maps to the nearer threshold, q_plus to 1 and q_minus to 0, ties
+    to 1.  A value at or past a threshold is nearer to it, so this also
+    covers a retained value inside this party's gap (the retained set is
+    shared but thresholds are not).  With d-gray encoding every 0 becomes
+    01 and every 1 becomes 10.
     """
     if encoding not in ENCODINGS:
         raise ParameterError(f"encoding must be one of {ENCODINGS}")
@@ -203,10 +204,8 @@ def quantize(
         raise ParameterError("retained index out of bounds")
     v = amps.values[retained.indices]
     block_of = retained.indices // block_size
-    qp = thresholds.q_plus[block_of]
-    qm = thresholds.q_minus[block_of]
-    gap_to_one = (qp - v) <= (v - qm)
-    bits = np.where(v >= qp, 1, np.where(v <= qm, 0, gap_to_one)).astype(np.uint8)
+    qp, qm = thresholds.q_plus[block_of], thresholds.q_minus[block_of]
+    bits = ((qp - v) <= (v - qm)).astype(np.uint8)
     if encoding == "d-gray":
         bits = np.stack([bits, 1 - bits], axis=1).reshape(-1)
     return BitKey(bits, "initial")

@@ -40,7 +40,7 @@ class LoRaParams:
             raise ParameterError(f"need fs >= bw > 0, got bw={self.bw}, fs={self.fs}")
         if self.preamble_len < 1:
             raise ParameterError(f"preamble_len must be >= 1, got {self.preamble_len}")
-        n = (2**self.sf / self.bw) * self.fs
+        n = self.symbol_duration * self.fs
         if abs(n - round(n)) > 1e-9:
             raise ParameterError(
                 f"samples per symbol (2^sf/bw)*fs = {n} is not an integer"
@@ -56,7 +56,7 @@ class LoRaParams:
 
     @property
     def samples_per_symbol(self) -> int:
-        return round((2**self.sf / self.bw) * self.fs)
+        return round(self.symbol_duration * self.fs)
 
 
 @dataclass(frozen=True)

@@ -43,17 +43,17 @@ def test_invalid_model_rejected(kwargs):
 
 def test_perfect_reciprocity_is_exact():
     model = ChannelModel(reciprocity_rho=1.0)
-    real = sample_channel(model, seed=42)
-    np.testing.assert_array_equal(real.forward_taps, real.reverse_taps)
+    forward, reverse, _ = sample_channel(model, seed=42)
+    np.testing.assert_array_equal(forward, reverse)
 
 
 def test_sample_channel_deterministic():
     model = ChannelModel()
     a = sample_channel(model, seed=7)
     b = sample_channel(model, seed=7)
-    np.testing.assert_array_equal(a.forward_taps, b.forward_taps)
-    np.testing.assert_array_equal(a.reverse_taps, b.reverse_taps)
-    np.testing.assert_array_equal(a.eve_taps, b.eve_taps)
+    assert len(a) == len(b) == 3
+    for taps_a, taps_b in zip(a, b):
+        np.testing.assert_array_equal(taps_a, taps_b)
 
 
 @pytest.mark.slow
@@ -63,8 +63,8 @@ def test_zero_rho_decorrelates_directions():
     fwd = np.empty(n, dtype=complex)
     rev = np.empty(n, dtype=complex)
     for i in range(n):
-        real = sample_channel(model, seed=i)
-        fwd[i], rev[i] = real.forward_taps[0], real.reverse_taps[0]
+        forward, reverse, _ = sample_channel(model, seed=i)
+        fwd[i], rev[i] = forward[0], reverse[0]
     corr = np.abs(np.mean(fwd * np.conj(rev))) / (np.std(fwd) * np.std(rev))
     assert corr < 0.02
 
@@ -75,14 +75,15 @@ def test_per_tap_power_matches_profile():
     n = 100_000
     powers = np.zeros(model.num_taps)
     for i in range(n):
-        powers += np.abs(sample_channel(model, seed=i).forward_taps) ** 2
+        powers += np.abs(sample_channel(model, seed=i)[0]) ** 2
     powers /= n
-    np.testing.assert_allclose(powers, model.power_delay_profile, rtol=0.03)
+    np.testing.assert_allclose(powers, exponential_profile(model.num_taps, model.decay_db),
+                               rtol=0.03)
 
 
 def test_identity_channel_passthrough(default_params):
     tx = gen_preamble(default_params)
-    rx = apply_channel(tx, np.array([1.0]), snr_db=None, seed=0)
+    rx = apply_channel(tx, np.array([1.0]), snr_db=np.inf, seed=0)
     np.testing.assert_array_equal(rx.samples, tx.samples)
     rx = apply_channel(tx, np.array([0.5]), snr_db=np.inf, seed=0)
     np.testing.assert_allclose(rx.samples, 0.5 * tx.samples, rtol=1e-15)
@@ -95,7 +96,7 @@ def test_noiseless_channel_matches_linear_convolution(num_taps):
     for n in (1, 2, num_taps, 37, 4096):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         taps = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
-        rx = apply_channel(IqSamples(x, 1e6), taps, snr_db=None, seed=0)
+        rx = apply_channel(IqSamples(x, 1e6), taps, snr_db=np.inf, seed=0)
         want = np.convolve(x, taps)[:n]
         assert rx.samples.shape == want.shape
         assert np.max(np.abs(rx.samples - want)) <= 1e-13 * np.max(np.abs(want))
@@ -112,7 +113,7 @@ def test_noise_power_calibration(default_params):
 def test_empty_taps_rejected(default_params):
     tx = gen_preamble(default_params)
     with pytest.raises(ParameterError):
-        apply_channel(tx, np.array([]), snr_db=None, seed=0)
+        apply_channel(tx, np.array([]), snr_db=np.inf, seed=0)
 
 
 def test_energy_preserved_on_average(default_params):
@@ -121,26 +122,26 @@ def test_energy_preserved_on_average(default_params):
     total = 0.0
     trials = 10_000
     for i in range(trials):
-        taps = sample_channel(model, seed=i).forward_taps
-        rx = apply_channel(tx, taps, snr_db=None, seed=0)
+        taps = sample_channel(model, seed=i)[0]
+        rx = apply_channel(tx, taps, snr_db=np.inf, seed=0)
         total += np.mean(np.abs(rx.samples) ** 2)
     assert total / trials == pytest.approx(1.0, rel=0.05)
 
 
 def test_probe_perfect_channel_matches_bin_for_bin(default_params):
     model = ChannelModel(reciprocity_rho=1.0, snr_db=np.inf)
-    result = probe(default_params, model, seed=5)
-    assert len(result.cfr_a) == len(result.cfr_g) == len(result.cfr_e)
-    np.testing.assert_allclose(result.cfr_a.bins, result.cfr_g.bins, atol=1e-9)
+    cfr_g, cfr_a, cfr_e = probe(default_params, model, seed=5)
+    assert len(cfr_a) == len(cfr_g) == len(cfr_e)
+    np.testing.assert_allclose(cfr_a.bins, cfr_g.bins, atol=1e-9)
 
 
 def test_probe_amplitude_correlation_at_30db(default_params):
     model = ChannelModel(reciprocity_rho=0.99, snr_db=30.0)
     corrs = []
     for seed in range(100):
-        r = probe(default_params, model, seed, bin_policy="occupied-band")
-        a = np.abs(r.cfr_a.bins)
-        g = np.abs(r.cfr_g.bins)
+        cfr_g, cfr_a, _ = probe(default_params, model, seed, bin_policy="occupied-band")
+        a = np.abs(cfr_a.bins)
+        g = np.abs(cfr_g.bins)
         corrs.append(np.corrcoef(a, g)[0, 1])
     assert np.mean(corrs) >= 0.95
 
@@ -149,23 +150,24 @@ def test_probe_eavesdropper_decorrelated(default_params):
     model = ChannelModel(eavesdropper_independent=True)
     corrs = []
     for seed in range(100):
-        r = probe(default_params, model, seed)
-        corrs.append(np.corrcoef(np.abs(r.cfr_e.bins), np.abs(r.cfr_g.bins))[0, 1])
+        cfr_g, _, cfr_e = probe(default_params, model, seed)
+        corrs.append(np.corrcoef(np.abs(cfr_e.bins), np.abs(cfr_g.bins))[0, 1])
     assert abs(np.mean(corrs)) < 0.2
 
 
 def test_probe_dependent_eavesdropper_tracks_far_end():
     model = ChannelModel(eavesdropper_independent=False)
-    real = sample_channel(model, seed=9)
-    np.testing.assert_array_equal(real.eve_taps, real.reverse_taps)
+    _, reverse, eve = sample_channel(model, seed=9)
+    np.testing.assert_array_equal(eve, reverse)
 
 
 def test_probe_deterministic(default_params):
     model = ChannelModel()
     r1 = probe(default_params, model, seed=11)
     r2 = probe(default_params, model, seed=11)
-    np.testing.assert_array_equal(r1.cfr_a.bins, r2.cfr_a.bins)
-    np.testing.assert_array_equal(r1.cfr_e.bins, r2.cfr_e.bins)
+    assert len(r1) == len(r2) == 3
+    for cfr1, cfr2 in zip(r1, r2):
+        np.testing.assert_array_equal(cfr1.bins, cfr2.bins)
 
 
 def test_probe_rejects_seed_sequence(default_params):
@@ -181,9 +183,7 @@ def test_reciprocity_monotone_in_rho(default_params):
         model = ChannelModel(reciprocity_rho=rho, snr_db=np.inf)
         corrs = []
         for seed in range(200):
-            r = probe(default_params, model, seed)
-            corrs.append(
-                np.corrcoef(np.abs(r.cfr_a.bins), np.abs(r.cfr_g.bins))[0, 1]
-            )
+            cfr_g, cfr_a, _ = probe(default_params, model, seed)
+            corrs.append(np.corrcoef(np.abs(cfr_a.bins), np.abs(cfr_g.bins))[0, 1])
         means.append(np.mean(corrs))
     assert all(b >= a for a, b in zip(means, means[1:]))

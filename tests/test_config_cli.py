@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from chirpkey import ExperimentConfig, ParameterError, load_config
-from chirpkey.channel import ChannelModel, exponential_profile
+from chirpkey.channel import ChannelModel
 from chirpkey.cli import FLAG_KEYS, build_parser, main
 from chirpkey.config import MIN_SNR_DB
-from chirpkey.pipeline import export_probe_captures, run_trials, simulate_probe_frames
+from chirpkey.pipeline import (
+    export_probe_captures,
+    run_pipeline_once,
+    run_trials,
+    simulate_probe_frames,
+)
 from chirpkey.pipeline_seeds import derive_trial_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,9 +50,7 @@ def test_empty_config_file_runs_defaults(tmp_path):
     assert cfg.cascade == base.cascade
     assert cfg.channel.num_taps == base.channel.num_taps
     assert cfg.channel.snr_db == base.channel.snr_db
-    np.testing.assert_array_equal(
-        cfg.channel.power_delay_profile, base.channel.power_delay_profile
-    )
+    assert cfg.channel.decay_db == base.channel.decay_db
     assert (cfg.trials, cfg.master_seed, cfg.mode) == (base.trials, base.master_seed, base.mode)
 
 
@@ -97,9 +100,7 @@ sweep_values = 0.1, 0.5, 0.9
     assert cfg.lora.sf == 8 and cfg.lora.bw == 125000
     assert cfg.channel.num_taps == 6
     assert cfg.channel.reciprocity_rho == 0.9
-    assert cfg.channel.power_delay_profile[0] / cfg.channel.power_delay_profile[1] == (
-        pytest.approx(10**0.2)
-    )
+    assert cfg.channel.decay_db == 2.0
     assert not cfg.quantizer.shuffle_enabled
     assert cfg.quantizer.encoding == "d-gray"
     assert cfg.cascade.num_passes == 6
@@ -144,6 +145,22 @@ def test_cli_captures_roundtrip(tmp_path, capsys):
     assert "eve_skdr=" in out
     digests = [ln for ln in out.splitlines() if ln.startswith("digest_")]
     assert len(digests) == 2 and all(len(d.split("=")[1]) == 64 for d in digests)
+
+
+def test_cli_captures_prints_its_keys_in_order(tmp_path, capsys):
+    paths = export_probe_captures(ExperimentConfig(), 0, tmp_path)
+    assert main(["captures", "--a2g", paths["a2g"], "--g2a", paths["g2a"],
+                 "--eve", paths["eve"]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=", 1)[0] for line in lines] == [
+        "key_bits", "skdr", "l0", "l1", "qber_estimate", "parity_bits_leaked",
+        "confirmed", "digest_a", "digest_g", "eve_skdr",
+    ]
+    values = dict(line.split("=", 1) for line in lines)
+    want = run_pipeline_once(ExperimentConfig(), 0)  # replay equals simulate
+    assert values["key_bits"] == str(want.metrics.key_bits)
+    assert values["parity_bits_leaked"] == str(want.reconciliation.parity_bits_leaked)
+    assert values["digest_g"] == want.confirmation.digest_g.hex
 
 
 def test_cli_export_writes_the_captures_that_replay(tmp_path, capsys):
@@ -511,8 +528,7 @@ KEY_CASES = [
     ("lora", "fs", "2000000", lambda c: c.lora.fs, 2e6),
     ("lora", "preamble_len", "6", lambda c: c.lora.preamble_len, 6),
     ("channel", "num_taps", "6", lambda c: c.channel.num_taps, 6),
-    ("channel", "decay_db", "6", lambda c: c.channel.power_delay_profile.tolist(),
-     exponential_profile(4, 6.0).tolist()),
+    ("channel", "decay_db", "6", lambda c: c.channel.decay_db, 6.0),
     ("channel", "reciprocity_rho", "0.9", lambda c: c.channel.reciprocity_rho, 0.9),
     ("channel", "snr_db", "20", lambda c: c.channel.snr_db, 20.0),
     ("channel", "eavesdropper_independent", "no",

@@ -300,14 +300,10 @@ def _reference_frames(config, seeds):
     from chirpkey import gen_preamble, sample_channel
 
     model = config.channel
-    real = sample_channel(model, seeds.channel)
     tx = gen_preamble(config.lora).samples
     frames = []
-    for taps, noise_seed in (
-        (real.forward_taps, seeds.noise_g),
-        (real.reverse_taps, seeds.noise_a),
-        (real.eve_taps, seeds.noise_e),
-    ):
+    for taps, noise_seed in zip(sample_channel(model, seeds.channel),
+                                (seeds.noise_g, seeds.noise_a, seeds.noise_e)):
         y = np.convolve(tx, taps)[: len(tx)]
         rng = np.random.default_rng(noise_seed)
         noise_var = np.mean(np.abs(y) ** 2) / 10.0 ** (model.snr_db / 10.0)

@@ -169,6 +169,35 @@ def test_quantize_zero_spread_block():
     np.testing.assert_array_equal(bits.bits, [1, 0])
 
 
+def _three_way_bits(v, qp, qm):
+    """The rule spelled per region: 1 at or past q_plus, 0 at or past
+    q_minus, the nearer threshold (ties to 1) in between."""
+    return np.where(v >= qp, 1, np.where(v <= qm, 0, (qp - v) <= (v - qm))).astype(np.uint8)
+
+
+non_negative = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@given(st.lists(st.tuples(non_negative, non_negative, non_negative,
+                          st.sampled_from(["free", "at q_plus", "at q_minus", "no gap"])),
+                min_size=1, max_size=50))
+@settings(max_examples=300)
+def test_quantize_nearer_threshold_equals_three_way_rule(cases):
+    # one value per block, each case with its own thresholds
+    values, q_plus, q_minus = [], [], []
+    for x, y, v, kind in cases:
+        qm, qp = sorted((x, y))
+        if kind == "no gap":
+            qm = qp
+        values.append({"at q_plus": qp, "at q_minus": qm}.get(kind, v))
+        q_plus.append(qp)
+        q_minus.append(qm)
+    v, qp, qm = np.array(values), np.array(q_plus), np.array(q_minus)
+    bits = quantize(CfrAmplitudes(v), IndexList(np.arange(len(v))),
+                    BlockThresholds(qp, qm), "plain", block_size=1).bits
+    assert (bits == _three_way_bits(v, qp, qm)).all()
+
+
 def test_quantize_takes_the_block_size_of_its_thresholds():
     # 100 values in blocks of 50 give 2 threshold pairs, as ceil(100 / 64)
     # does, so the pair count alone cannot tell m = 50 from m = 64; the
