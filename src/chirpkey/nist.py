@@ -12,12 +12,13 @@ such as "11" or "0101" raises ParameterError.
 
 The Linear Complexity test runs one bit-sliced Berlekamp-Massey over all
 its blocks at once (``linear_complexities``): each uint64 word holds the
-same bit of 64 blocks, and the shifted polynomial b x^k is a view into a
-zeroed buffer whose start moves back one row per step, so multiplying by x
-copies nothing.  The complexities are kept as Python-int lane masks
-grouped by twice the complexity, so a step unpacks nothing, and a step
-touches only the polynomial rows that the least and greatest complexity
-allow to be nonzero.  The complexities are integers, so the p-value equals
+same bit of 64 blocks.  It keeps the residuals C S and B S of the stream
+in place of the polynomials C and B: the discrepancy at step n is
+coefficient n of C S, so a step reads it from one residual row, with no
+reduce over rows, and the shifted B S that later steps read sits in one
+fixed array, so multiplying by x copies nothing.  The complexities are kept
+as Python-int lane masks grouped by twice the complexity, so a step
+unpacks nothing.  The complexities are integers, so the p-value equals
 the one-block-at-a-time reference exactly.  The Approximate Entropy test
 takes its m-bit and (m+1)-bit pattern counts from one count of the
 (m+1)-bit patterns.
@@ -247,58 +248,54 @@ def linear_complexities(blocks) -> np.ndarray:
     """Linear complexity of every row of a (num, m) 0/1 array, as int64.
 
     One Berlekamp-Massey run serves all rows, bit-sliced: rows are lanes,
-    64 to a uint64 word, so every polynomial is an (m + 1, g) word array,
-    g = ceil(num / 64), whose row j holds coefficient j of every lane.  Per
-    step the discrepancy d is the xor over rows of ``c & s`` reversed; lanes
-    with d set add ``b`` to ``c``, and those eligible to grow (2 L <= idx)
-    also take the old ``c`` into ``b``.  Since d is 1 on growing lanes, the
-    old ``c`` is the new ``c ^ b``, so the update is ``c ^= b & d`` then
-    ``b ^= c & grow``.  ``b`` is kept already multiplied by x^(idx - last
-    change) as a view into one zeroed buffer whose start moves back one row
-    per step, so multiplying by x copies nothing.
+    64 to a uint64 word, so a length-m series is an (m, g) word array,
+    g = ceil(num / 64), whose row j holds coefficient j of every lane.  The
+    run keeps the residuals R_C = C S and R_B = (x^(idx - last change) B) S
+    of the stream S in place of the polynomials C and B, which it never
+    needs.  The discrepancy at step idx is sum_i c_i s_(idx - i), which is
+    coefficient idx of C S, so it is one row, ``rc[idx]``: no AND and no
+    reduce over rows.  Lanes with d set add R_B to R_C; those eligible to
+    grow (2 L <= idx) also take the old R_C into R_B.  Since d is 1 on
+    growing lanes, the old R_C is the new ``rc ^ rb``, so the update is
+    ``rc ^= rb & d`` then ``rb ^= rc & grow``, both on coefficients past
+    idx, the only ones later steps read.  R_B is multiplied by x once per
+    step, so coefficient idx + 1 + j of R_B at step idx is coefficient
+    idx + 2 + j at step idx + 1: row j of one fixed array ``rb`` holds it
+    at every step, its frame moving with idx, and no view has to move.
+    B = 1 with its last change at -1 gives R_B = x S, so ``rb`` starts as
+    the stream itself, as does ``rc`` (C = 1).
 
     The complexities live as Python-int lane masks grouped by T = 2 L, the
     step from which a lane may grow: ``ready`` holds the groups with T <=
     idx, ``pending`` the rest, and a pending group joins ``ready`` at step
     T.  A lane that grows at step idx moves from group T to 2 idx + 2 - T,
-    as L becomes idx + 1 - L.  With lo and hi the least and greatest L, c
-    has degree <= hi and the shifted b degree <= idx + 1 - lo, so the
-    discrepancy reads rows <= hi and the update rows <= max(hi, idx + 1 -
-    lo); every row past them is zero in every lane, so skipping them
-    changes no bit.  All of this is integer arithmetic, so the result
-    equals the one-block-at-a-time reference exactly.
+    as L becomes idx + 1 - L.  All of this is integer arithmetic, so the
+    result equals the one-block-at-a-time reference exactly.
     """
     blocks = np.asarray(blocks, dtype=np.uint8)
     num, m = blocks.shape
     g = -(-num // 64)
     nbytes = 8 * g
     lanes = np.zeros((m, 64 * g), dtype=np.uint8)
-    lanes[:, :num] = blocks.T[::-1]
-    # s_rev[m - 1 - i] is bit i of every lane; lane k of word w is row 64 w + k
-    s_rev = np.packbits(lanes, axis=1, bitorder="little").view("<u8")
+    lanes[:, :num] = blocks.T
+    # rc[i] is bit i of every lane; lane k of word w is row 64 w + k
+    rc = np.packbits(lanes, axis=1, bitorder="little").view("<u8")
+    rb = rc.copy()
+    scratch = np.empty((m, g), dtype="<u8")
     real = (1 << num) - 1  # the padding lanes stay zero throughout
-    c = np.zeros((m + 1, g), dtype="<u8")
-    c[0] = np.frombuffer(real.to_bytes(nbytes, "little"), dtype="<u8")
-    # b = 1 with its last change at -1, so b x^(idx + 1) at step idx
-    b_buf = np.zeros((m + 2, g), dtype="<u8")
-    b_buf[m + 1] = c[0]
-    scratch = np.empty((m + 1, g), dtype="<u8")
     ready, pending = {0: real}, {}
     eligible = real
-    lo = hi = 0
     for idx in range(m):
         woke = pending.pop(idx, 0)
         if woke:
             ready[idx] = woke
             eligible |= woke
-        rows = hi + 1
-        t = np.bitwise_and(c[:rows], s_rev[m - 1 - idx : m - idx + hi], out=scratch[:rows])
-        d = np.bitwise_xor.reduce(t, axis=0).tobytes()
+        d = rc[idx].tobytes()
         d_int = int.from_bytes(d, "little")
         if not d_int:
             continue
-        rows = max(hi, idx + 1 - lo) + 1
-        cs, bs, t = c[:rows], b_buf[m - idx : m - idx + rows], scratch[:rows]
+        rows = m - 1 - idx
+        cs, bs, t = rc[idx + 1 :], rb[:rows], scratch[:rows]
         # lane masks enter as whole (rows, g) tiles: a broadcast (g,) operand
         # costs numpy one inner loop per row
         cs ^= np.bitwise_and(bs, np.ndarray((rows, g), "<u8", d * rows), out=t)
@@ -317,8 +314,6 @@ def linear_complexities(blocks) -> np.ndarray:
                     ready[twice_l] = mask ^ moved
                 grown = 2 * idx + 2 - twice_l
                 pending[grown] = pending.get(grown, 0) | moved
-        lo = min(ready or pending) // 2
-        hi = max(pending or ready) // 2
     complexity = np.zeros(64 * g, dtype=np.int64)
     for twice_l, mask in (*ready.items(), *pending.items()):
         lanes_in = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)

@@ -606,3 +606,13 @@ def test_battery_p_values_pinned_bit_for_bit():
     text = "\n".join(_p_value_text(bits) for bits in _pinned_streams())
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "d8c9dae0ac060833d2839ba6b00e9dc98da03036fbd10d2ce2c4d5b424d74722"
+
+
+def test_linear_complexities_equal_per_block_reference_on_pinned_streams():
+    # the pin above sees only the clipped class histogram, so complexities
+    # that are wrong but land in the same class would pass it; this checks
+    # each of the 200 blocks of 500 that linear_complexity_test reads
+    for bits in _pinned_streams():
+        blocks = bits[: 200 * 500].reshape(200, 500)
+        assert (linear_complexities(blocks).tolist()
+                == [berlekamp_massey(row) for row in blocks])
