@@ -8,11 +8,18 @@ indexed by a global block id, and a position's block in any pass is found
 from that pass's inverse permutation.  Odd blocks are binary-searched for
 one error, smallest block first; every flip toggles the parity of the
 position's block in each pass seen so far, which may make earlier blocks odd
-again, until no odd block remains.  The first pass (pass 0 in the code and
-the transcript) is simpler: its blocks are disjoint runs of the natural
-order and a flip there touches only the block it corrects, so one prefix
-sum of the key, taken as the pass starts, gives the local parity of every
-half searched in it.  Parity answers are counted as leaked bits.
+again, until no odd block remains.
+
+Every block is a run ``order[lo:hi]`` of its pass's order, and so is every
+half a search asks about.  The far side answers three queries:
+``parities(order, heads)`` for all block parities of a pass at once,
+``runs(order)`` for the parity of any run of one order, and
+``parity(indices)`` for one index set (the final full-key check).  Each
+side packs its key once into one Python int per pass order that is
+searched, bit i holding ``order[i]``, so a run's parity is the popcount of
+a shifted, masked int: no prefix sums and no numpy call per halving.  The
+correcting party keeps its packed ints current by toggling one bit of each
+on every flip.  Parity answers are counted as leaked bits.
 """
 from __future__ import annotations
 
@@ -71,7 +78,16 @@ class QberSample:
 
 
 class LocalParityOracle:
-    """In-process adapter answering parity queries over a visible key."""
+    """In-process far side, answering parity queries over a visible key.
+
+    It answers the three queries cascade asks:
+
+    - ``parities(order, heads)``: the parities of the blocks of ``order``
+      that start at ``heads``, one pass at a time;
+    - ``runs(order)``: a function ``(lo, hi) -> parity of order[lo:hi]``,
+      answered from the key packed once, in that order, into one int;
+    - ``parity(indices)``: the parity of any index set.
+    """
 
     def __init__(self, key: BitKey | np.ndarray):
         self._bits = as_bits(key)
@@ -87,6 +103,20 @@ class LocalParityOracle:
     def parities(self, order: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Parities of the blocks of ``order`` that start at ``heads``."""
         return np.add.reduceat(self._bits[order], heads) & 1
+
+    def runs(self, order: np.ndarray) -> Callable[[int, int], int]:
+        """Parity of ``order[lo:hi]`` as a function of ``(lo, hi)``."""
+        key = _pack(self._bits[order])
+
+        def run(lo: int, hi: int) -> int:
+            return ((key >> lo) & ((1 << (hi - lo)) - 1)).bit_count() & 1
+
+        return run
+
+
+def _pack(bits: np.ndarray) -> int:
+    """0/1 bits as one int, ``bits[i]`` at bit i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def initial_block_size(qber: float, key_len: int) -> int:
@@ -106,25 +136,28 @@ def pass_block_sizes(k1: int, key_len: int, num_passes: int) -> list[int]:
     return sizes
 
 
-def _search(seg, sums: list[int], offset: int, parity_g: Callable) -> int:
-    """Window index of one differing position inside the odd block ``seg``.
+def _search(
+    key_a: int, lo: int, hi: int, parity_g: Callable[[int, int], int]
+) -> tuple[int, int]:
+    """Offset of one differing position in the odd run ``[lo, hi)`` of an order.
 
-    The local parity of ``seg[i:j]`` is ``(sums[offset + j] - sums[offset +
-    i]) & 1``: ``sums`` is a prefix sum of the correcting party's bits, over
-    the block itself (offset 0) or over a longer run that holds it.  The
-    block is odd by assumption, so the search keeps a window ``[lo, hi)``
-    and asks ``parity_g`` only for the left half ``seg[lo:mid]``; the right
-    half's parity follows from the parent's, so it spends at most
-    ceil(log2(len)) queries.
+    ``key_a`` is the correcting party's key packed in that order, read as
+    the oracle's run query reads the far side's, and ``parity_g(i, j)`` is
+    the far side's parity of the run ``[i, j)``.  The run is odd by
+    assumption, so the search keeps a window ``[lo, hi)`` and asks only for
+    its left half; the right half's parity follows from the parent's, so it
+    spends at most ceil(log2(hi - lo)) answers.  Returns the offset and the
+    number of answers spent.
     """
-    lo, hi = 0, len(seg)
+    asked = 0
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
-        if (sums[offset + mid] - sums[offset + lo]) & 1 != parity_g(seg[lo:mid]):
+        asked += 1
+        if ((key_a >> lo) & ((1 << (mid - lo)) - 1)).bit_count() & 1 != parity_g(lo, mid):
             hi = mid
         else:
             lo = mid
-    return lo
+    return lo, asked
 
 
 def _indices_digest(indices: np.ndarray) -> str:
@@ -146,19 +179,16 @@ def cascade(
     Python lists that each pass extends once.  Position i lies in block
     ``first[p] + inverse[p][i] // sizes[p]`` of pass p, so a flip toggles
     the local parity of its block in every pass seen so far; the inverse
-    permutations are one scatter of ``arange(n)``.
+    permutations are one scatter of ``arange(n)``.  Odd blocks wait in a
+    heap, and the smallest (then lowest id) is searched first, which spends
+    the fewest answers per correction.
 
-    Pass 0 is searched from one prefix sum of the whole key, taken as the
-    pass starts.  Its blocks are disjoint runs of the natural order and a
-    pass-0 flip toggles only the block it corrects, which that flip makes
-    even, so no pass-0 block is searched twice and no bit outside the
-    searched block changes: the prefix sum stays exact for every block
-    still to be searched, and the odd blocks are simply walked in heap
-    order.  From pass 1 on, a flip can make any earlier block odd again and
-    blocks are permuted, so odd blocks wait in a heap, the smallest (then
-    lowest id) is searched first, which spends the fewest queries per
-    correction, and each search takes one prefix sum of the block's own
-    bits.  Either way a search pays one oracle call per halving.
+    A block and every half searched in it are runs of one pass order, so
+    the searches read packed keys, not index sets.  The first search in an
+    order packs the correcting key in that order and binds the oracle's run
+    query to it, which packs the far side's key once; each flip then
+    toggles bit ``inverse[q][pos]`` of every packed order q.  Orders that
+    hold no odd block are never packed.
 
     ``config.qber_estimate`` must be numeric here; "auto" is resolved by the
     pipeline via estimate_qber before cascading.  If ``transcript`` is a
@@ -183,39 +213,28 @@ def cascade(
     rng = np.random.default_rng(config.rng_seed)
     sizes = np.array(pass_block_sizes(k1, n, config.num_passes))
     orders = np.array([np.arange(n), *(rng.permutation(n) for _ in sizes[1:])])
-    flat = orders.reshape(-1)
     inverse = np.empty_like(orders)
     inverse[np.arange(len(sizes))[:, None], orders] = np.arange(n)
-    first = np.concatenate(([0], np.cumsum(-(-n // sizes))))
+    first = np.concatenate(([0], np.cumsum(-(-n // sizes)))).tolist()
+    blocking = list(zip(first, sizes.tolist()))  # (first block id, block size) per pass
     start: list[int] = []
     length: list[int] = []
     parity_a: list[int] = []
     parity_g: list[int] = []
+    keys: dict[int, int] = {}  # pass -> correcting key packed in its order
+    runs: dict[int, Callable[[int, int], int]] = {}  # pass -> far side's run query
     queries = flips = 0
 
     def log_query(pass_idx: int, block_id: int, idx, pa: int, pg: int) -> None:
         transcript.append(f"{pass_idx},{block_id},{_indices_digest(idx)},{pa},{pg}")
 
-    def ask(pass_idx: int, block_id: int, idx) -> int:
-        nonlocal queries
-        queries += 1
-        pg = oracle_g.parity(idx)
-        if transcript is not None:
+    def logged(pass_idx: int, block_id: int, order, run_g) -> Callable[[int, int], int]:
+        def answer(lo: int, hi: int) -> int:
+            pg = run_g(lo, hi)
+            idx = order[lo:hi]
             log_query(pass_idx, block_id, idx, int(bits[idx].sum() & 1), pg)
-        return pg
-
-    def flip(pos: int) -> None:
-        nonlocal flips
-        flips += 1
-        if flips > n:
-            raise ReconciliationError(
-                f"{flips} flips on a {n}-bit key: every consistent flip "
-                "removes one disagreement, so the parity answers contradict "
-                "each other"
-            )
-        bits[pos] ^= 1
-        if on_flip is not None:
-            on_flip(pos)
+            return pg
+        return answer
 
     for p, k in enumerate(sizes.tolist()):
         offsets = np.arange(0, n, k)
@@ -231,25 +250,35 @@ def cascade(
             for bid, seg in enumerate(np.split(orders[p], offsets[1:]), base):
                 log_query(p, bid, seg, parity_a[bid], parity_g[bid])
         heap = [(length[b], b) for b, (x, y) in enumerate(zip(pa, pg), base) if x != y]
-        if p == 0:
-            cum = [0, *np.cumsum(bits).tolist()]
-            for _, bid in sorted(heap):  # heap order: nothing is pushed in pass 0
-                lo = start[bid]
-                seg = orders[0][lo : lo + length[bid]]
-                flip(lo + _search(seg, cum, lo, lambda idx: ask(0, bid, idx)))
-            parity_a = parity_g.copy()  # each flip made its odd block even
-            continue
         heapq.heapify(heap)
-        firsts, ks, inv = first[: p + 1], sizes[: p + 1], inverse[: p + 1]
         while heap:
             bid = heapq.heappop(heap)[1]
             if parity_a[bid] == parity_g[bid]:
                 continue  # made even by a later flip
-            seg = flat[start[bid] : start[bid] + length[bid]]
-            sums = [0, *np.cumsum(bits[seg]).tolist()]
-            pos = int(seg[_search(seg, sums, 0, lambda idx: ask(p, bid, idx))])
-            flip(pos)
-            for hit in (firsts + inv[:, pos] // ks).tolist():
+            q, lo = divmod(start[bid], n)
+            if q not in keys:
+                keys[q] = _pack(bits[orders[q]])
+                runs[q] = oracle_g.runs(orders[q])
+            run_g = runs[q]
+            if transcript is not None:
+                run_g = logged(p, bid, orders[q], run_g)
+            at, asked = _search(keys[q], lo, lo + length[bid], run_g)
+            queries += asked
+            pos = int(orders[q, at])
+            flips += 1
+            if flips > n:
+                raise ReconciliationError(
+                    f"{flips} flips on a {n}-bit key: every consistent flip "
+                    "removes one disagreement, so the parity answers contradict "
+                    "each other"
+                )
+            bits[pos] ^= 1
+            if on_flip is not None:
+                on_flip(pos)
+            where = inverse[: p + 1, pos].tolist()
+            for q in keys:
+                keys[q] ^= 1 << where[q]
+            for hit in [f + i // k for (f, k), i in zip(blocking, where)]:
                 parity_a[hit] ^= 1
                 if parity_a[hit] != parity_g[hit]:
                     heapq.heappush(heap, (length[hit], hit))

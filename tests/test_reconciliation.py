@@ -20,6 +20,7 @@ from chirpkey import (
 )
 from chirpkey.reconciliation import (
     _indices_digest,
+    _pack,
     _search,
     consume_positions,
     initial_block_size,
@@ -122,6 +123,10 @@ class _LiarOracle(LocalParityOracle):
     def parities(self, order, heads):
         return super().parities(order, heads) ^ 1
 
+    def runs(self, order):
+        run = super().runs(order)
+        return lambda lo, hi: run(lo, hi) ^ 1
+
 
 def test_inconsistent_far_side_raises_instead_of_flipping_forever():
     rng = np.random.default_rng(8)
@@ -196,10 +201,18 @@ def test_config_validation():
 
 def _search_block(positions, local_bits, parity_g):
     """Position of one differing bit in the odd block ``positions``, found by
-    cascade's search over a prefix sum of ``local_bits``."""
+    cascade's search over ``local_bits`` packed into one int; ``parity_g``
+    answers index sets, and the search must count every answer it asks."""
     seg = np.asarray(positions, dtype=np.intp)
-    sums = [0, *np.cumsum(local_bits).tolist()]
-    return int(seg[_search(seg, sums, 0, parity_g)])
+    asked = []
+
+    def run_g(lo, hi):
+        asked.append((lo, hi))
+        return parity_g(seg[lo:hi])
+
+    at, count = _search(_pack(local_bits), 0, len(seg), run_g)
+    assert count == len(asked)
+    return int(seg[at])
 
 
 def test_binary_search_single_error_all_offsets():
@@ -299,10 +312,37 @@ def test_parity_answers_are_python_scalars():
     oracle = LocalParityOracle(truth)
     answer = oracle.parity(np.arange(10))
     assert type(answer) is int, f"parity() returned {type(answer)!r}, not int"
+    run = oracle.runs(np.arange(256)[::-1])
+    for lo, hi in ((0, 1), (3, 11), (0, 256)):
+        answer = run(lo, hi)
+        assert type(answer) is int, f"a run query returned {type(answer)!r}, not int"
     outcome = cascade(key_a, oracle, CascadeConfig(qber_estimate=0.05))
     assert type(outcome.converged) is bool, (
         f"converged is {type(outcome.converged)!r}, not bool"
     )
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 2048, 4097])
+def test_run_query_equals_parity_of_the_run(n):
+    # the run query reads the key packed into whole bytes and held in 30-bit
+    # int digits, so runs that start or end near byte, digit and 64-bit word
+    # edges, or at the key's end, are checked; up to 65 bits, every run is
+    rng = np.random.default_rng([n, 27])
+    truth = rng.integers(0, 2, n).astype(np.uint8)
+    oracle = LocalParityOracle(truth)
+    order = rng.permutation(n)
+    run = oracle.runs(order)
+    if n <= 65:
+        points = range(n + 1)
+    else:
+        edges = (0, 8, 30, 60, 64, 1024, n // 2, n - 64, n - 8, n)
+        near = {e + d for e in edges for d in (-1, 0, 1)}
+        near.update(rng.integers(0, n + 1, 20).tolist())
+        points = sorted(e for e in near if 0 <= e <= n)
+    for lo in points:
+        for hi in points:
+            if lo < hi:
+                assert run(lo, hi) == oracle.parity(order[lo:hi]), (lo, hi)
 
 
 def test_qber_estimate_clamps():
@@ -483,7 +523,7 @@ def _run_both(key_a, oracle, cfg, with_transcript):
     return runs
 
 
-@pytest.mark.parametrize("n", [1, 3, 31, 280, 2048])
+@pytest.mark.parametrize("n", [1, 3, 31, 64, 280, 1100, 2048])
 def test_cascade_equals_reference(n):
     rng = np.random.default_rng([n, 18])
     for passes in (1, 3, 14):
@@ -516,6 +556,15 @@ class _CountingOracle(LocalParityOracle):
     def parities(self, order, heads):
         self.answers += len(heads)
         return super().parities(order, heads)
+
+    def runs(self, order):
+        run = super().runs(order)
+
+        def counted(lo, hi):
+            self.answers += 1
+            return run(lo, hi)
+
+        return counted
 
 
 def test_leak_counts_every_parity_answer():
