@@ -105,7 +105,6 @@ KEYS = {
     ("quantizer", "alpha"): float,
     ("quantizer", "block_size"): int,
     ("quantizer", "shuffle"): _parse_bool,
-    ("quantizer", "encoding"): str,
     ("experiment", "bin_policy"): str,
     ("cascade", "qber_estimate"): _parse_qber,
     ("cascade", "num_passes"): int,

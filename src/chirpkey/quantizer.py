@@ -7,18 +7,17 @@ two-message index exchange, and quantize the surviving positions to bits.
 An optional shared-seed shuffle decorrelates adjacent amplitudes before
 blocking.  An eavesdropper runs the same public steps on its own amplitudes
 (``listener_key``): the shared shuffle, its own thresholds, and the
-overheard retained-index list.
+overheard retained-index list.  Each retained value gives one key bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .cfr import CfrAmplitudes
 from .errors import ParameterError
-
-ENCODINGS = ("plain", "d-gray")
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,13 @@ class QuantizerConfig:
     block_size: int = 64
     shuffle_enabled: bool = True
     shuffle_seed: int = 0
-    encoding: str = "plain"
+    encoding: ClassVar[str] = "plain"  # not a field, so no config can set it
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha < np.inf):
             raise ParameterError("alpha must be finite and >= 0")
         if self.block_size < 2:
             raise ParameterError("block_size must be >= 2")
-        if self.encoding not in ENCODINGS:
-            raise ParameterError(f"encoding must be one of {ENCODINGS}")
 
 
 @dataclass(frozen=True)
@@ -190,11 +187,12 @@ def quantize(
     value maps to the nearer threshold, q_plus to 1 and q_minus to 0, ties
     to 1.  A value at or past a threshold is nearer to it, so this also
     covers a retained value inside this party's gap (the retained set is
-    shared but thresholds are not).  With d-gray encoding every 0 becomes
-    01 and every 1 becomes 10.
+    shared but thresholds are not).  ``encoding`` must be "plain"
+    (``QuantizerConfig.encoding``); the parameter stays only for perfbench's
+    traced round and goes with ROADMAP item 3 step 1b.
     """
-    if encoding not in ENCODINGS:
-        raise ParameterError(f"encoding must be one of {ENCODINGS}")
+    if encoding != QuantizerConfig.encoding:
+        raise ParameterError(f"encoding must be {QuantizerConfig.encoding!r}, got {encoding!r}")
     expected = -(-len(amps.values) // block_size)  # ceil(n / m)
     if len(thresholds) != expected:
         raise ParameterError(
@@ -205,10 +203,7 @@ def quantize(
     v = amps.values[retained.indices]
     block_of = retained.indices // block_size
     qp, qm = thresholds.q_plus[block_of], thresholds.q_minus[block_of]
-    bits = ((qp - v) <= (v - qm)).astype(np.uint8)
-    if encoding == "d-gray":
-        bits = np.stack([bits, 1 - bits], axis=1).reshape(-1)
-    return BitKey(bits, "initial")
+    return BitKey(((qp - v) <= (v - qm)).astype(np.uint8), "initial")
 
 
 def _shuffled(amps: CfrAmplitudes, config: QuantizerConfig) -> CfrAmplitudes:

@@ -307,7 +307,9 @@ def estimate_qber(
     """Estimate the disagreement rate from a disclosed random sample.
 
     The sampled positions become public and must be removed from both keys
-    before cascading; they are returned alongside the clamped estimate.
+    before cascading; they are returned alongside the clamped estimate.  A
+    sample that would take every bit (only a 1-bit key, as the fraction is
+    at most 0.5) is an error.
     """
     if len(key_a) != len(key_g):
         raise ParameterError("keys must have equal length")
@@ -315,6 +317,8 @@ def estimate_qber(
         raise ParameterError("sample_fraction must lie in (0, 0.5]")
     n = len(key_a)
     count = max(1, math.ceil(sample_fraction * n))
+    if count >= n:
+        raise ParameterError(f"a {count}-bit QBER sample leaves nothing of a {n}-bit key")
     rng = np.random.default_rng(seed)
     positions = np.sort(rng.choice(n, size=count, replace=False))
     disagree = float(np.mean(key_a.bits[positions] != key_g.bits[positions]))

@@ -9,7 +9,7 @@ import pytest
 from chirpkey import ExperimentConfig, ParameterError, load_config
 from chirpkey.channel import ChannelModel
 from chirpkey.cli import FLAG_KEYS, build_parser, main
-from chirpkey.config import MIN_SNR_DB
+from chirpkey.config import KEYS, MIN_SNR_DB
 from chirpkey.pipeline import (
     export_probe_captures,
     run_pipeline_once,
@@ -82,7 +82,6 @@ snr_db = 25
 alpha = 0.7
 block_size = 32
 shuffle = off
-encoding = d-gray
 
 [cascade]
 num_passes = 6
@@ -102,7 +101,6 @@ sweep_values = 0.1, 0.5, 0.9
     assert cfg.channel.reciprocity_rho == 0.9
     assert cfg.channel.decay_db == 2.0
     assert not cfg.quantizer.shuffle_enabled
-    assert cfg.quantizer.encoding == "d-gray"
     assert cfg.cascade.num_passes == 6
     assert cfg.cascade.qber_estimate == 0.08
     assert cfg.trials == 7 and cfg.master_seed == 99
@@ -284,7 +282,6 @@ FLAG_CASES = {
     "alpha": ("quantizer", "alpha", "0.7"),
     "block_size": ("quantizer", "block_size", "32"),
     "shuffle": ("quantizer", "shuffle", "off"),
-    "encoding": ("quantizer", "encoding", "d-gray"),
     "qber": ("cascade", "qber_estimate", "0.05"),
     "num_passes": ("cascade", "num_passes", "6"),
     "bin_policy": ("experiment", "bin_policy", "occupied-band"),
@@ -292,6 +289,11 @@ FLAG_CASES = {
     "master_seed": ("experiment", "master_seed", "7"),
 }
 NON_SIMULATE_FLAGS = ("sweep_axis", "sweep_values", "a2g", "g2a", "eve")
+
+
+def test_flag_cases_name_exactly_the_flags():
+    # a stale row, or a flag without one, would otherwise pass unnoticed
+    assert sorted([*FLAG_CASES, *NON_SIMULATE_FLAGS]) == sorted(FLAG_KEYS)
 
 
 @pytest.mark.parametrize("dest", [d for d in FLAG_KEYS if d not in NON_SIMULATE_FLAGS])
@@ -336,8 +338,6 @@ def test_cli_sweep_axis_without_values_is_single_line_error(capsys):
 def test_cli_bad_flag_value_is_single_line_error(capsys):
     assert main(["simulate", "--qber", "abc"]) == 1
     assert "[cascade] qber_estimate" in _single_error_line(capsys)
-    assert main(["simulate", "--encoding", "foo"]) == 1
-    assert "encoding" in _single_error_line(capsys)
     assert main(["simulate", "--bin-policy", "sideband"]) == 1
     assert "bin_policy" in _single_error_line(capsys)
 
@@ -411,7 +411,9 @@ def test_negative_seeds_are_single_line_errors(tmp_path, capsys):
     ("[qauntizer]\nalpha = 0.9\n", "[qauntizer] alpha"),
     ("[quantizer]\nspread = variance\n", "[quantizer] spread"),
     ("[experiment]\nmode = captures\n", "[experiment] mode"),
-], ids=["misspelt-key", "misspelt-section", "removed-spread-key", "removed-mode-key"])
+    ("[quantizer]\nencoding = d-gray\n", "[quantizer] encoding"),
+], ids=["misspelt-key", "misspelt-section", "removed-spread-key", "removed-mode-key",
+        "removed-encoding-key"])
 def test_cli_unknown_config_key_is_single_line_error(text, named, tmp_path, capsys):
     path = tmp_path / "typo.cfg"
     path.write_text(text)
@@ -453,7 +455,6 @@ COMMON_OPTIONS = [
     (["--block-size"], "block_size", False, None, None),
     (["--shuffle"], "shuffle", False, None, "on"),
     (["--no-shuffle"], "shuffle", False, None, "off"),
-    (["--encoding"], "encoding", False, None, None),
     (["--bin-policy"], "bin_policy", False, None, None),
     (["--qber"], "qber", False, "cascade QBER estimate or 'auto'", None),
     (["--num-passes"], "num_passes", False, None, None),
@@ -536,7 +537,6 @@ KEY_CASES = [
     ("quantizer", "alpha", "0.7", lambda c: c.quantizer.alpha, 0.7),
     ("quantizer", "block_size", "32", lambda c: c.quantizer.block_size, 32),
     ("quantizer", "shuffle", "off", lambda c: c.quantizer.shuffle_enabled, False),
-    ("quantizer", "encoding", "d-gray", lambda c: c.quantizer.encoding, "d-gray"),
     ("cascade", "num_passes", "6", lambda c: c.cascade.num_passes, 6),
     ("cascade", "qber_estimate", "0.05", lambda c: c.cascade.qber_estimate, 0.05),
     ("experiment", "bin_policy", "occupied-band", lambda c: c.bin_policy, "occupied-band"),
@@ -559,3 +559,7 @@ def test_each_config_key_reaches_the_config(section, key, text, get, want, tmp_p
         keys["experiment", "sweep_values"] = "1"  # a sweep needs values
     assert get(ExperimentConfig()) != want
     assert get(load_config(_write_config(tmp_path / "key.cfg", keys))) == want
+
+
+def test_key_cases_name_exactly_the_config_keys():
+    assert sorted(case[:2] for case in KEY_CASES) == sorted(KEYS)

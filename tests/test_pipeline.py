@@ -259,13 +259,6 @@ def test_explicit_qber_skips_consumption():
     assert len(result.reconciliation.corrected_key) == result.metrics.key_bits
 
 
-def test_dgray_doubles_pipeline_keys():
-    cfg = ExperimentConfig(quantizer=QuantizerConfig(encoding="d-gray"))
-    plain = run_pipeline_once(ExperimentConfig(), trial_seed=2)
-    doubled = run_pipeline_once(cfg, trial_seed=2)
-    assert doubled.metrics.key_bits == 2 * plain.metrics.key_bits
-
-
 def test_confirmation_match_implies_equal_reconciled_keys():
     from chirpkey import skdr
 

@@ -149,8 +149,8 @@ def test_quantize_plain_and_dgray():
     th = BlockThresholds([6.0], [4.0])
     plain = quantize(amps, retained, th, "plain", block_size=3)
     np.testing.assert_array_equal(plain.bits, [1, 0, 1])
-    dgray = quantize(amps, retained, th, "d-gray", block_size=3)
-    np.testing.assert_array_equal(dgray.bits, [1, 0, 0, 1, 1, 0])
+    with pytest.raises(ParameterError, match="d-gray"):
+        quantize(amps, retained, th, "d-gray", 3)
 
 
 def test_quantize_gap_values_map_to_nearest_threshold():
@@ -211,20 +211,6 @@ def test_quantize_takes_the_block_size_of_its_thresholds():
         quantize(amps, retained, th, "plain")
     at_50 = quantize(amps, retained, th, "plain", 50).bits
     assert (at_50 != quantize(amps, retained, th, "plain", 64).bits).any()
-
-
-@given(st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=30)
-def test_dgray_doubles_length_without_double_runs(seed):
-    rng = np.random.default_rng(seed)
-    amps_a = CfrAmplitudes(rng.rayleigh(size=256))
-    amps_g = CfrAmplitudes(np.abs(amps_a.values + 0.01 * rng.standard_normal(256)))
-    cfg = QuantizerConfig(encoding="d-gray", shuffle_seed=seed)
-    key_a, key_g, _ = quantize_pipeline(amps_a, amps_g, cfg)
-    assert len(key_a) == len(key_g)
-    assert len(key_a) % 2 == 0
-    pairs = key_a.bits.reshape(-1, 2)
-    assert np.all(pairs.sum(axis=1) == 1)  # every aligned pair is 01 or 10
 
 
 def test_pipeline_identical_amplitudes_agree_with_and_without_shuffle():
@@ -322,13 +308,12 @@ def test_pipeline_deterministic():
 
 
 @pytest.mark.parametrize("shuffle_on", [True, False], ids=["shuffle", "no-shuffle"])
-@pytest.mark.parametrize("encoding", ["plain", "d-gray"])
-def test_listener_key_is_the_party_step(shuffle_on, encoding):
+def test_listener_key_is_the_party_step(shuffle_on):
     # G's amplitudes through the listener's public steps give G's own key
     rng = np.random.default_rng(41)
     amps_a = CfrAmplitudes(rng.rayleigh(size=300))
     amps_g = CfrAmplitudes(np.abs(amps_a.values + 0.1 * rng.standard_normal(300)))
-    cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=9, encoding=encoding)
+    cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=9)
     _, key_g, retained = quantize_pipeline(amps_a, amps_g, cfg)
     np.testing.assert_array_equal(listener_key(amps_g, retained, cfg).bits, key_g.bits)
 
@@ -364,5 +349,5 @@ def test_config_validation():
         QuantizerConfig(alpha=-0.1)
     with pytest.raises(ParameterError):
         QuantizerConfig(block_size=1)
-    with pytest.raises(ParameterError):
-        QuantizerConfig(encoding="gray-3")
+    with pytest.raises(TypeError):  # the encoding is not a field
+        QuantizerConfig(encoding="plain")

@@ -375,6 +375,15 @@ def test_qber_sample_consumption():
     assert len(sample.positions) == math.ceil(0.3 * 100)
 
 
+def test_qber_sample_of_the_whole_key_is_an_error():
+    # a sample that takes every bit would hand cascade two empty keys
+    one = BitKey(np.array([1], dtype=np.uint8))
+    with pytest.raises(ParameterError, match="1-bit QBER sample .* 1-bit key"):
+        estimate_qber(one, one, 0.1)
+    two = BitKey(np.array([1, 0], dtype=np.uint8))
+    assert len(estimate_qber(two, two, 0.5).positions) == 1
+
+
 @given(st.integers(min_value=16, max_value=256), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=25, deadline=None)
 def test_cascade_never_increases_disagreement(n, seed):
