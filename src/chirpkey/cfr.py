@@ -105,5 +105,9 @@ def estimate_from_frame(
     ref_idx, idx = _reference(params, bin_policy)
     spectra = np.fft.fft(rx.samples[: k * n_sym].reshape(k, n_sym), axis=1)
     # take() keeps the quotients row-major, so the mean sums the K symbols
-    # in the same order a per-symbol stack would
-    return Cfr((spectra.take(idx, axis=1) / ref_idx).mean(axis=0), idx)
+    # in the same order a per-symbol stack would; a policy that keeps every
+    # bin needs no take(), and the fresh spectra are divided in place
+    if len(idx) < n_sym:
+        spectra = spectra.take(idx, axis=1)
+    spectra /= ref_idx
+    return Cfr(spectra.mean(axis=0), idx)

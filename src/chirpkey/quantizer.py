@@ -12,6 +12,7 @@ overheard retained-index list.  Each retained value gives one key bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -111,10 +112,21 @@ class BitKey:
         return "".join(str(int(b)) for b in self.bits)
 
 
+@lru_cache(maxsize=4)
+def _permutation(seed: int, n: int) -> np.ndarray:
+    """``default_rng(seed).permutation(n)``, cached and read-only."""
+    perm = np.random.default_rng(seed).permutation(n)
+    perm.setflags(write=False)
+    return perm
+
+
 def shuffle(amps: CfrAmplitudes, seed: int) -> CfrAmplitudes:
-    """Apply the seed-determined uniform random permutation (the shared rule)."""
-    perm = np.random.default_rng(seed).permutation(len(amps.values))
-    return CfrAmplitudes(amps.values[perm])
+    """Apply the seed-determined uniform random permutation (the shared rule).
+
+    The permutation is drawn once per (seed, length) and cached, so A, G
+    and the eavesdropper of one round share a single draw.
+    """
+    return CfrAmplitudes(amps.values[_permutation(seed, len(amps.values))])
 
 
 def _row_thresholds(rows: np.ndarray, alpha: float) -> np.ndarray:

@@ -12,14 +12,18 @@ again, until no odd block remains.
 
 Every block is a run ``order[lo:hi]`` of its pass's order, and so is every
 half a search asks about.  The far side answers three queries:
-``parities(order, heads)`` for all block parities of a pass at once,
+``parities(order, heads)`` for the parities of many blocks at once,
 ``runs(order)`` for the parity of any run of one order, and
-``parity(indices)`` for one index set (the final full-key check).  Each
-side packs its key once into one Python int per pass order that is
-searched, bit i holding ``order[i]``, so a run's parity is the popcount of
-a shifted, masked int: no prefix sums and no numpy call per halving.  The
-correcting party keeps its packed ints current by toggling one bit of each
-on every flip.  Parity answers are counted as leaked bits.
+``parity(indices)`` for one index set (the final full-key check).  Cascade
+lays the pass orders end to end and asks ``parities`` once, for every block
+of every pass; its own block parities come from one sum over the same
+layout, re-read for the passes still ahead only after a flip.  Each side
+packs its key once into one Python int per pass order that is searched,
+bit i holding ``order[i]``, so a run's parity is the popcount of a shifted,
+masked int: no prefix sums and no numpy call per halving.  The correcting
+party keeps its packed ints current by toggling one bit of each on every
+flip, and builds the inverse permutations a flip needs on the first flip
+that needs them.  Parity answers are counted as leaked bits.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -83,7 +88,7 @@ class LocalParityOracle:
     It answers the three queries cascade asks:
 
     - ``parities(order, heads)``: the parities of the blocks of ``order``
-      that start at ``heads``, one pass at a time;
+      that start at ``heads``; cascade asks it once, for every pass;
     - ``runs(order)``: a function ``(lo, hi) -> parity of order[lo:hi]``,
       answered from the key packed once, in that order, into one int;
     - ``parity(indices)``: the parity of any index set.
@@ -101,7 +106,13 @@ class LocalParityOracle:
         return int(ones) & 1
 
     def parities(self, order: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """Parities of the blocks of ``order`` that start at ``heads``."""
+        """Parities of the blocks of ``order`` that start at ``heads``.
+
+        Block i is ``order[heads[i]:heads[i + 1]]`` and the last block runs
+        to the end.  ``order`` may be several pass orders laid end to end,
+        with a head at the start of each, so no block spans two passes and
+        one call answers every block of every pass.
+        """
         return np.add.reduceat(self._bits[order], heads) & 1
 
     def runs(self, order: np.ndarray) -> Callable[[int, int], int]:
@@ -175,13 +186,20 @@ def cascade(
     """Reconcile ``key_a`` against the key behind the parity oracle.
 
     Every block of every pass has a global id in one block table: its start
-    in the flattened pass orders, its length and both parities, held as
-    Python lists that each pass extends once.  Position i lies in block
+    in the pass orders laid end to end, its length and both parities, held
+    as Python lists built once.  The far side's parities are one batched
+    answer, ``oracle_g.parities`` over all pass orders with a head at every
+    block start; the correcting party's are one ``reduceat`` over its key in
+    the same layout.  A flip keeps the parities of the passes seen so far
+    current and leaves the later ones stale, so the next pass re-reads its
+    own and every later pass's parities in one ``reduceat``; a cascade that
+    makes no flip re-reads nothing.  Position i lies in block
     ``first[p] + inverse[p][i] // sizes[p]`` of pass p, so a flip toggles
-    the local parity of its block in every pass seen so far; the inverse
-    permutations are one scatter of ``arange(n)``.  Odd blocks wait in a
-    heap, and the smallest (then lowest id) is searched first, which spends
-    the fewest answers per correction.
+    the local parity of its block in every pass seen so far.  The inverse
+    permutation rows are filled on demand: a flip in pass p fills the rows
+    up to p that no earlier flip needed, so a cascade without flips builds
+    none.  Odd blocks wait in a heap, and the smallest (then lowest id) is
+    searched first, which spends the fewest answers per correction.
 
     A block and every half searched in it are runs of one pass order, so
     the searches read packed keys, not index sets.  The first search in an
@@ -193,10 +211,12 @@ def cascade(
     ``config.qber_estimate`` must be numeric here; "auto" is resolved by the
     pipeline via estimate_qber before cascading.  If ``transcript`` is a
     list, one CSV line "pass,block_id,indices_hash,parity_a,parity_g" is
-    appended per parity answer; ``on_flip`` is called with every corrected
-    position in order (audit hook).  Raises ``ReconciliationError`` instead
-    of making an (n+1)-th flip: with consistent answers each flip removes
-    one disagreement, so more than n prove the far side inconsistent.
+    appended per parity answer, in protocol order: pass p's block parities
+    when pass p starts, then its searches; ``on_flip`` is called with every
+    corrected position in order (audit hook).  Raises
+    ``ReconciliationError`` instead of making an (n+1)-th flip: with
+    consistent answers each flip removes one disagreement, so more than n
+    prove the far side inconsistent.
     """
     if isinstance(config.qber_estimate, str):
         raise ParameterError(
@@ -211,19 +231,26 @@ def cascade(
     bits = key_a.bits.copy()
     k1 = initial_block_size(float(config.qber_estimate), n)
     rng = np.random.default_rng(config.rng_seed)
-    sizes = np.array(pass_block_sizes(k1, n, config.num_passes))
-    orders = np.array([np.arange(n), *(rng.permutation(n) for _ in sizes[1:])])
-    inverse = np.empty_like(orders)
-    inverse[np.arange(len(sizes))[:, None], orders] = np.arange(n)
-    first = np.concatenate(([0], np.cumsum(-(-n // sizes)))).tolist()
-    blocking = list(zip(first, sizes.tolist()))  # (first block id, block size) per pass
-    start: list[int] = []
-    length: list[int] = []
-    parity_a: list[int] = []
-    parity_g: list[int] = []
+    sizes = pass_block_sizes(k1, n, config.num_passes)
+    orders = np.empty((len(sizes), n), dtype=np.intp)
+    orders[:] = np.arange(n)
+    for row in orders[1:]:
+        rng.shuffle(row)  # what rng.permutation(n) draws, in place
+    flat = orders.reshape(-1)
+    start = [lo for p, k in enumerate(sizes) for lo in range(p * n, (p + 1) * n, k)]
+    length = [hi - lo for lo, hi in zip(start, start[1:] + [flat.size])]
+    first = list(accumulate((-(-n // k) for k in sizes), initial=0))
+    blocking = list(zip(first, sizes))  # (first block id, block size) per pass
+    heads = np.array(start)
+    parity_g = oracle_g.parities(flat, heads).tolist()
+    # uint8 sums wrap modulo 256, which keeps their parity
+    parity_a = (np.add.reduceat(bits[flat], heads) & 1).tolist()
+    inverse = np.empty_like(orders)  # rows [0, built) filled, on the first flip needing them
+    built = 0
     keys: dict[int, int] = {}  # pass -> correcting key packed in its order
     runs: dict[int, Callable[[int, int], int]] = {}  # pass -> far side's run query
     queries = flips = 0
+    stale = False  # a flip since the parities of later passes were read
 
     def log_query(pass_idx: int, block_id: int, idx, pa: int, pg: int) -> None:
         transcript.append(f"{pass_idx},{block_id},{_indices_digest(idx)},{pa},{pg}")
@@ -236,20 +263,16 @@ def cascade(
             return pg
         return answer
 
-    for p, k in enumerate(sizes.tolist()):
-        offsets = np.arange(0, n, k)
-        pg = oracle_g.parities(orders[p], offsets).tolist()
-        # uint8 sums wrap modulo 256, which keeps their parity
-        pa = (np.add.reduceat(bits[orders[p]], offsets) & 1).tolist()
-        base = len(start)  # this pass's first block id
-        start += range(p * n, (p + 1) * n, k)
-        length += [k] * (len(pa) - 1) + [n - (len(pa) - 1) * k]
-        parity_g += pg
-        parity_a += pa
+    for p, k in enumerate(sizes):
+        base, end = first[p], first[p + 1]
+        if stale:  # passes p.. were read before the last flip: read them again
+            pa = np.add.reduceat(bits[flat[p * n :]], heads[base:] - p * n) & 1
+            parity_a[base:] = pa.tolist()
+            stale = False
         if transcript is not None:
-            for bid, seg in enumerate(np.split(orders[p], offsets[1:]), base):
+            for bid, seg in enumerate(np.split(orders[p], range(k, n, k)), base):
                 log_query(p, bid, seg, parity_a[bid], parity_g[bid])
-        heap = [(length[b], b) for b, (x, y) in enumerate(zip(pa, pg), base) if x != y]
+        heap = [(length[b], b) for b in range(base, end) if parity_a[b] != parity_g[b]]
         heapq.heapify(heap)
         while heap:
             bid = heapq.heappop(heap)[1]
@@ -273,8 +296,12 @@ def cascade(
                     "each other"
                 )
             bits[pos] ^= 1
+            stale = True
             if on_flip is not None:
                 on_flip(pos)
+            if built <= p:
+                inverse[np.arange(built, p + 1)[:, None], orders[built : p + 1]] = np.arange(n)
+                built = p + 1
             where = inverse[: p + 1, pos].tolist()
             for q in keys:
                 keys[q] ^= 1 << where[q]

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sp_fft
 
 from .errors import ParameterError, PreambleNotFoundError
@@ -119,9 +118,12 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     the true start.  As the template is K copies of one chirp c of n_sym
     samples, its correlation at lag l, sum_k sum_m cap[l + k*n_sym + m] *
     conj(c[m]), is the correlation of c with the folded capture
-    S = sum_k cap[k*n_sym : k*n_sym + n_sym + lags - 1]; the window energy
-    is a difference of one cumulative sum of |cap|^2, the template energy K
-    times the chirp's.  The correlation is one FFT product against the
+    S = sum_k cap[k*n_sym : k*n_sym + n_sym + lags - 1], folded by K - 1
+    slice-adds in row order (the order, and so the bits, of numpy's axis-0
+    sum over the K rows).  The window energy is a difference of one
+    cumulative sum of |cap|^2, built in one buffer by ``abs``, ``square``
+    and ``cumsum`` in place; the template energy is K times the chirp's.
+    The correlation is one FFT product against the
     chirp's cached spectrum, the same calls ``scipy.signal.fftconvolve``
     makes in "valid" mode.  The decision rule is the K-symbol one, unchanged:
     normalized |correlation|, argmax, threshold.
@@ -139,14 +141,20 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
             f"capture has {len(cap)} samples, needs at least {n}"
         )
     lags = len(cap) - n + 1
-    # row i is cap[i*n_sym : i*n_sym + n_sym + lags - 1]; row k - 1 ends at len(cap)
-    step = cap.strides[0]
-    rows = as_strided(cap, (k, n_sym + lags - 1), (n_sym * step, step), writeable=False)
-    folded = rows.sum(axis=0)
-    nfft = sp_fft.next_fast_len(len(folded) + n_sym - 1)
+    # row i is cap[i*n_sym : i*n_sym + width]; row k - 1 ends at len(cap)
+    width = n_sym + lags - 1
+    folded = cap[:width] + cap[n_sym : n_sym + width] if k > 1 else cap[:width]
+    for i in range(2, k):
+        folded += cap[i * n_sym : i * n_sym + width]
+    nfft = sp_fft.next_fast_len(width + n_sym - 1)
     spectrum = sp_fft.fft(folded, nfft) * _matched_filter_spectrum(params, nfft)
     num = np.abs(sp_fft.ifft(spectrum)[n_sym - 1 : n_sym - 1 + lags])
-    cs = np.concatenate(([0.0], np.cumsum(np.abs(cap) ** 2)))
+    # cs[i] is the energy of cap[:i], built in one buffer
+    cs = np.empty(len(cap) + 1)
+    cs[0] = 0.0
+    energy = np.abs(cap, out=cs[1:])
+    np.square(energy, out=energy)
+    np.cumsum(energy, out=energy)
     window_energy = np.maximum(cs[n:] - cs[:lags], 0.0)
     den = np.sqrt(window_energy * (k * np.vdot(chirp, chirp).real))
     with np.errstate(invalid="ignore", divide="ignore"):

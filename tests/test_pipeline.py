@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -315,3 +317,23 @@ def test_simulated_frames_equal_reference_at_capture_depth():
         got = simulate_probe_frames(cfg, seeds)
         for frame, want in zip(got, _reference_frames(cfg, seeds), strict=True):
             assert frame.samples.tobytes() == want.tobytes(), f"trial {t}"
+
+
+# SHA-256 over the float64 bytes of observe's G, A and eavesdropper CFR
+# amplitudes: default trials 0..49, SF 9 trials 0..4, occupied-band trials
+# 0..4.  The golden digests see the front end only through quantized keys,
+# so a change that moves an amplitude by one ulp can pass them; this can't.
+PINNED_FRONT_END = "27724fce340b3800e28a8e6d5f64bdac29264a0c256cbf123f5c9986ccd1279f"
+
+
+def test_front_end_amplitudes_match_pinned_bytes():
+    cases = [(ExperimentConfig(), 50),
+             (ExperimentConfig(lora=LoRaParams(sf=9)), 5),
+             (ExperimentConfig(bin_policy="occupied-band"), 5)]
+    h = hashlib.sha256()
+    for cfg, trials in cases:
+        for t in range(trials):
+            obs = observe(cfg, t)
+            for amps in (obs.amps_g, obs.amps_a, obs.amps_e):
+                h.update(amps.values.astype(np.float64, copy=False).tobytes())
+    assert h.hexdigest() == PINNED_FRONT_END

@@ -16,7 +16,13 @@ from chirpkey import (
 )
 from chirpkey.metrics import max_run_lengths
 from chirpkey.reconciliation import LocalParityOracle
-from chirpkey.quantizer import BitKey, BlockThresholds, block_thresholds, listener_key
+from chirpkey.quantizer import (
+    BitKey,
+    BlockThresholds,
+    _permutation,
+    block_thresholds,
+    listener_key,
+)
 
 amplitude_arrays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -44,6 +50,16 @@ def test_shuffle_shared_rule_aligns_positions(n, seed):
 def test_shuffle_length_one_is_identity():
     amps = CfrAmplitudes(np.array([3.5]))
     np.testing.assert_array_equal(shuffle(amps, 99).values, amps.values)
+
+
+def test_permutation_cache_is_the_seeded_draw_read_only_and_small():
+    for seed, n in ((0, 1), (7, 128), (2**40 + 3, 512), (7, 129), (123456789, 2048)):
+        perm = _permutation(seed, n)
+        np.testing.assert_array_equal(perm, np.random.default_rng(seed).permutation(n))
+        with pytest.raises(ValueError):
+            perm[0] = 0
+    # a round needs one entry, so a bound this small cannot grow with trials
+    assert _permutation.cache_info().maxsize <= 8
 
 
 def _one_block(values, alpha: float) -> tuple[float, float]:

@@ -553,6 +553,72 @@ def test_cascade_equals_reference(n):
                     assert got == want, (n, passes, scale, "liar")
 
 
+def _odd_block_passes(transcript):
+    """Passes whose transcript holds an odd block or half: the passes that search."""
+    return sorted({int(row.split(",")[0]) for row in transcript
+                   if row.split(",")[3] != row.split(",")[4]})
+
+
+def _assert_cascade_equals_reference(key_a, truth, cfg):
+    """cascade and the reference agree with and without a transcript, and
+    against a far side that lies; returns cascade's (outcome, transcript, flips)."""
+    runs = {}
+    for oracle in (LocalParityOracle(truth), _LiarOracle(truth)):
+        for with_transcript in (False, True):
+            got, want = _run_both(key_a, oracle, cfg, with_transcript)
+            assert got == want, (type(oracle).__name__, with_transcript)
+            runs[type(oracle), with_transcript] = got
+    return runs[LocalParityOracle, True]
+
+
+# (n, estimated QBER, cascade seed, key seed, error positions, passes that
+# search), found by a seeded search over pairs of errors inside one pass-0
+# block: every block of passes 0 and 1 holds an even number of errors, so
+# the first flip comes in pass 2 or later and fills several inverse rows at
+# once; where two passes search, the second flip fills rows again
+LATE_FIRST_FLIP = [
+    (64, 0.05, 226, 415, (0, 2, 17, 20), [2]),
+    (64, 0.05, 245, 133, (5, 9, 33, 44), [3, 5]),
+    (64, 0.05, 892, 434, (1, 14, 51, 53), [13]),
+    (280, 0.02, 558, 547, (13, 34, 155, 159), [2, 3]),
+    (280, 0.02, 691, 668, (8, 29, 185, 203), [4, 5]),
+    (1100, 0.01, 14, 250, (165, 181, 400, 434), [2, 11]),
+    (1100, 0.01, 512, 997, (178, 190), [9]),
+]
+
+
+@pytest.mark.parametrize("case", LATE_FIRST_FLIP, ids=lambda c: f"n{c[0]}-pass" + "-".join(map(str, c[5])))
+def test_cascade_equals_reference_after_late_first_flip(case):
+    n, q_est, cascade_seed, key_seed, errors, searched = case
+    truth = np.random.default_rng(key_seed).integers(0, 2, n).astype(np.uint8)
+    noisy = truth.copy()
+    noisy[list(errors)] ^= 1
+    cfg = CascadeConfig(qber_estimate=q_est, rng_seed=cascade_seed)
+    out, transcript, flips = _assert_cascade_equals_reference(BitKey(noisy), truth, cfg)
+    assert _odd_block_passes(transcript) == searched
+    assert sorted(flips) == sorted(errors)
+
+
+# (n, estimated QBER): n is a multiple of no block size, so every pass ends
+# in a short block just before the next pass's first head
+SHORT_LAST_BLOCKS = [(251, 0.03), (251, 0.11), (1009, 0.01), (1009, 0.05)]
+
+
+@pytest.mark.parametrize("n, q_est", SHORT_LAST_BLOCKS)
+def test_cascade_equals_reference_with_short_last_blocks(n, q_est):
+    rng = np.random.default_rng([n, round(q_est * 1000), 29])
+    for passes in (1, 3, 14):
+        sizes = pass_block_sizes(initial_block_size(q_est, n), n, passes)
+        assert all(n % k for k in sizes), sizes
+        q_true = float(rng.uniform(0.0, 0.15))
+        truth = rng.integers(0, 2, n).astype(np.uint8)
+        noisy = truth.copy()
+        noisy[rng.random(n) < q_true] ^= 1
+        cfg = CascadeConfig(num_passes=passes, qber_estimate=q_est,
+                            rng_seed=int(rng.integers(2**31)))
+        _assert_cascade_equals_reference(BitKey(noisy), truth, cfg)
+
+
 class _CountingOracle(LocalParityOracle):
     """Far side that tallies every parity bit it answers."""
 
