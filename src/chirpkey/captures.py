@@ -25,12 +25,7 @@ def ingest_capture(path, params: LoRaParams) -> IqSamples:
         )
     if len(data) == 0:
         raise CaptureFormatError(f"{os.fspath(path)}: empty capture")
-    floats = data.view("<f4")
-    bad = np.flatnonzero(~np.isfinite(floats))
-    if bad.size:
-        raise CaptureFormatError(
-            f"{os.fspath(path)}: non-finite float at byte offset {int(bad[0]) * 4}"
-        )
+    _check_finite(path, data.view("<f4"))
     return IqSamples(data.view(CAPTURE_DTYPE), params.fs)
 
 
@@ -39,6 +34,31 @@ def write_capture(path, iq: IqSamples) -> None:
 
     Values are cast to ``CAPTURE_DTYPE``, whose memory layout is that pair;
     a round trip is bit-identical once the samples are already at capture
-    depth.
+    depth.  A value beyond float32 range raises ``CaptureFormatError`` before
+    the file is opened.  An existing file is rewritten in place and then cut
+    to the new length: it keeps its inode, so a link still writes its
+    target, and no truncation to zero frees its blocks first.
     """
-    iq.samples.astype(CAPTURE_DTYPE).tofile(path)
+    try:
+        with np.errstate(over="raise"):
+            data = iq.samples.astype(CAPTURE_DTYPE)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            data = iq.samples.astype(CAPTURE_DTYPE)
+        _check_finite(path, data.view("<f4"))  # names the first value that overflowed
+    try:
+        f = open(path, "r+b")
+    except FileNotFoundError:
+        f = open(path, "wb")
+    with f:
+        f.write(data)
+        f.truncate()
+
+
+def _check_finite(path, floats: np.ndarray) -> None:
+    """Reject a capture at the byte offset of its first non-finite float32."""
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        raise CaptureFormatError(
+            f"{os.fspath(path)}: non-finite float at byte offset {int(bad[0]) * 4}"
+        )

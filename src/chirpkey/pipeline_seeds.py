@@ -7,6 +7,7 @@ and identical configs reproduce bit-identical experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,15 @@ class TrialSeeds:
     cascade: int
 
 
+@lru_cache(maxsize=8, typed=True)
 def derive_trial_seeds(master_seed: int, trial_index: int) -> TrialSeeds:
+    """The seeds of one trial, cached per (master_seed, trial_index).
+
+    A trial that is exported and then replayed, or observed once per
+    distinct channel, derives them once.  The returned ``TrialSeeds`` and
+    its ``SeedSequence`` members are shared by every caller: seed generators
+    from them (``default_rng``), never ``spawn`` from them.
+    """
     if trial_index < 0:
         raise ParameterError(f"trial index must be >= 0, got {trial_index}")
     root = np.random.SeedSequence((master_seed, trial_index))

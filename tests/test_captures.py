@@ -1,4 +1,7 @@
+import os
+import stat
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -86,3 +89,67 @@ def test_ingest_keeps_signed_zeros(tmp_path, default_params):
     back = ingest_capture(path, default_params)
     want = samples.astype("<c8").astype(np.complex128)
     assert back.samples.tobytes() == want.tobytes()
+
+
+def _frame(n, seed, fs):
+    rng = np.random.default_rng(seed)
+    return IqSamples(rng.standard_normal(n) + 1j * rng.standard_normal(n), fs)
+
+
+def _capture_bytes(iq):
+    return iq.samples.astype("<c8").tobytes()
+
+
+@pytest.mark.parametrize("first, second", [(4096, 1000), (1000, 4096)])
+def test_rewrite_reads_back_exactly(tmp_path, default_params, first, second):
+    # a shorter capture over a longer one must not keep the old tail, and a
+    # longer one over a shorter one must not stop at the old length
+    path = tmp_path / "cell.cf32"
+    write_capture(path, _frame(first, 1, default_params.fs))
+    new = _frame(second, 2, default_params.fs)
+    write_capture(path, new)
+    assert os.path.getsize(path) == 8 * second
+    assert path.read_bytes() == _capture_bytes(new)
+    back = ingest_capture(path, default_params)
+    np.testing.assert_array_equal(back.samples, new.samples.astype(np.complex64))
+
+
+def test_rewrite_through_symlink_writes_its_target(tmp_path, default_params):
+    target = tmp_path / "target.cf32"
+    link = tmp_path / "link.cf32"
+    write_capture(target, _frame(2048, 3, default_params.fs))
+    link.symlink_to(target)
+    new = _frame(512, 4, default_params.fs)
+    write_capture(link, new)
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert target.read_bytes() == _capture_bytes(new)
+
+
+def test_new_capture_gets_the_mode_of_a_plain_create(tmp_path, default_params):
+    plain = tmp_path / "plain.cf32"
+    with open(plain, "wb"):
+        pass
+    path = tmp_path / "new.cf32"
+    write_capture(path, _frame(16, 5, default_params.fs))
+    assert stat.S_IMODE(os.stat(path).st_mode) == stat.S_IMODE(os.stat(plain).st_mode)
+
+
+def test_writer_rejects_values_beyond_float32_and_keeps_the_old_file(
+    tmp_path, default_params
+):
+    # the cast would write inf, which ingest_capture rejects; nothing is
+    # written, and the error reads as ingest's does
+    path = tmp_path / "kept.cf32"
+    write_capture(path, _frame(64, 6, default_params.fs))
+    before = path.read_bytes()
+    iq = IqSamples(np.array([1 + 1j, 2 + 2j, 1e39 + 0j, 1 + 1e39j]), default_params.fs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CaptureFormatError, match=r"kept\.cf32: non-finite float at byte offset 16$"):
+            write_capture(path, iq)
+    assert path.read_bytes() == before
+    missing = tmp_path / "missing.cf32"
+    with pytest.raises(CaptureFormatError, match="offset 4"):
+        write_capture(missing, IqSamples(np.array([1 - 1e39j]), default_params.fs))
+    assert not missing.exists()

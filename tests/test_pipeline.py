@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import islice
 
 from chirpkey import (
@@ -80,8 +80,55 @@ def test_trial_seeds_are_independent():
 
 
 def test_negative_trial_index_rejected():
-    with pytest.raises(ParameterError, match="trial index"):
-        derive_trial_seeds(1, -1)
+    for _ in range(2):  # an error is never cached
+        with pytest.raises(ParameterError, match="trial index"):
+            derive_trial_seeds(1, -1)
+
+
+def _seed_state(seeds):
+    """Every value a TrialSeeds hands its consumers, as plain data."""
+    out = []
+    for f in fields(seeds):
+        v = getattr(seeds, f.name)
+        if isinstance(v, np.random.SeedSequence):
+            v = (v.entropy, v.spawn_key, v.pool_size, v.generate_state(4).tolist())
+        out.append(v)
+    return out
+
+
+def test_cached_trial_seeds_equal_a_fresh_derivation():
+    pairs = [(m, t) for m in (0, 1, 2**40) for t in (0, 1, 7, 2**33)]
+    pairs += [(np.int64(1), np.int64(3)), (np.uint32(5), 2), (1, np.int32(3))]
+    for master, trial in pairs + pairs:  # second pass reads the cache
+        got = derive_trial_seeds(master, trial)
+        assert _seed_state(got) == _seed_state(derive_trial_seeds.__wrapped__(master, trial))
+    assert derive_trial_seeds.cache_info().maxsize <= 16
+
+
+def test_seed_cache_is_typed():
+    # untyped, 3.0 would hit the entry of 3 (equal and of equal hash)
+    derive_trial_seeds(0, 3)
+    with pytest.raises(TypeError):
+        derive_trial_seeds(0, 3.0)
+
+
+def _assert_never_spawned(seeds):
+    for f in fields(seeds):
+        v = getattr(seeds, f.name)
+        if isinstance(v, np.random.SeedSequence):
+            assert v.n_children_spawned == 0, f.name
+
+
+def test_shared_trial_seeds_are_not_spawned_from(tmp_path):
+    # the cache hands every caller the same SeedSequence objects; a spawn
+    # would change what the next caller of that trial draws
+    cfg = ExperimentConfig()
+    run_pipeline_once(cfg, 11)
+    _assert_never_spawned(derive_trial_seeds(cfg.master_seed, 11))
+    paths = export_probe_captures(cfg, 12, tmp_path)
+    run_captures(replace(cfg, mode="captures", capture_a2g=paths["a2g"],
+                         capture_g2a=paths["g2a"], capture_eve=paths["eve"]), 12)
+    _assert_never_spawned(derive_trial_seeds(cfg.master_seed, 12))
 
 
 def test_capture_replay_matches_simulation(tmp_path):
@@ -337,3 +384,26 @@ def test_front_end_amplitudes_match_pinned_bytes():
             for amps in (obs.amps_g, obs.amps_a, obs.amps_e):
                 h.update(amps.values.astype(np.float64, copy=False).tobytes())
     assert h.hexdigest() == PINNED_FRONT_END
+
+
+# SHA-256 over the file bytes export_probe_captures writes for trials 0..2,
+# each trial over SNR 5/10/50 dB x SF 7/8/9 in that order, all into one
+# directory: later cells of a trial rewrite its three files, shorter (SF 9
+# then SF 7) and longer (SF 7 then SF 8) than what was there.  It pins the
+# frame stage at capture depth, which the golden digests see only through keys.
+PINNED_EXPORT_BYTES = "0d99c6f52afdae1102279cb9854e586935c241e476667d45fd49c7e2f959c4d6"
+
+
+def test_exported_capture_bytes_match_pin(tmp_path):
+    ref = ExperimentConfig()
+    h = hashlib.sha256()
+    for t in range(3):
+        for snr in (5.0, 10.0, 50.0):
+            for sf in (7, 8, 9):
+                cfg = replace(ref, lora=replace(ref.lora, sf=sf),
+                              channel=replace(ref.channel, snr_db=snr))
+                paths = export_probe_captures(cfg, t, tmp_path)
+                for leg in ("a2g", "g2a", "eve"):
+                    with open(paths[leg], "rb") as f:
+                        h.update(f.read())
+    assert h.hexdigest() == PINNED_EXPORT_BYTES
