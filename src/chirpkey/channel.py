@@ -88,6 +88,36 @@ def sample_channel(model: ChannelModel, seed) -> tuple[np.ndarray, np.ndarray, n
     return g1, reverse, (ge if model.eavesdropper_independent else reverse.copy())
 
 
+# Standard-normal prefixes by seed value, with the generator that drew each:
+# one trial's G, A and eavesdropper noise streams
+_NORMALS_STREAMS = 3
+_normals: dict[bytes, tuple[np.random.Generator, np.ndarray]] = {}
+
+
+def _unit_normals(seed, count: int) -> np.ndarray:
+    """The first ``count`` standard normals of ``default_rng(seed)``, read-only.
+
+    ``seed`` is an int or a ``SeedSequence``.  Its stream is kept by value
+    (the pool of ``SeedSequence(seed)``, its whole state, so an int and
+    ``SeedSequence(int)`` share one), as one growing prefix plus the
+    generator that drew it: a longer request draws only the missing tail,
+    which equals one longer draw.  At most ``_NORMALS_STREAMS`` streams are
+    kept, the least recently used evicted first; the worst case is
+    3 x 2 MB at SF 12 with an 8-symbol preamble (2 x 131072 float64).
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    key = ss.pool.tobytes()
+    rng, prefix = _normals.pop(key, None) or (np.random.default_rng(ss), np.empty(0))
+    if count > len(prefix):
+        tail = rng.standard_normal(count - len(prefix))
+        prefix = np.concatenate([prefix, tail]) if len(prefix) else tail
+        prefix.setflags(write=False)
+    _normals[key] = rng, prefix
+    if len(_normals) > _NORMALS_STREAMS:
+        del _normals[next(iter(_normals))]
+    return prefix[:count]
+
+
 def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db: float, seed) -> IqSamples:
     """Pass the signal through the taps and add receiver noise at the given SNR.
 
@@ -95,7 +125,10 @@ def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db: float, seed) -> IqSam
     one per tap, truncated to the input length: the linear convolution,
     summed tap by tap.  Noise is circularly-symmetric complex Gaussian
     scaled so that mean received signal power / noise power =
-    10**(snr_db/10); +inf disables it.
+    10**(snr_db/10); +inf disables it.  Its unit parts are the seed's first
+    2n standard normals, real then imaginary, read from the seed's shared
+    stream (``_unit_normals``): the same seed at another SNR or a shorter
+    input reads the same prefix.
     """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.size == 0:
@@ -107,12 +140,12 @@ def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db: float, seed) -> IqSam
         y[lag:] += taps[lag] * x[:-lag]
     ratio = _snr_ratio(snr_db)
     if ratio is not None:
-        rng = np.random.default_rng(seed)
+        z = _unit_normals(seed, 2 * n)
         p_rx = np.mean(np.abs(y) ** 2)
         noise_var = p_rx / ratio
         noise = np.empty(n, dtype=np.complex128)
-        noise.real = rng.standard_normal(n)
-        noise.imag = rng.standard_normal(n)
+        noise.real = z[:n]
+        noise.imag = z[n:]
         noise *= np.sqrt(noise_var / 2.0)
         y += noise
     return IqSamples(y, tx.fs)

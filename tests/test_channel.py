@@ -12,6 +12,7 @@ from chirpkey import (
     probe,
     sample_channel,
 )
+from chirpkey import channel
 
 
 def test_exponential_profile_shape():
@@ -187,3 +188,84 @@ def test_reciprocity_monotone_in_rho(default_params):
             corrs.append(np.corrcoef(np.abs(cfr_a.bins), np.abs(cfr_g.bins))[0, 1])
         means.append(np.mean(corrs))
     assert all(b >= a for a, b in zip(means, means[1:]))
+
+
+@pytest.fixture
+def empty_store():
+    channel._normals.clear()
+    yield channel._normals
+    channel._normals.clear()
+
+
+@pytest.mark.parametrize("counts", [
+    (1, 7, 4096, 32768),  # ascending: each request extends the prefix
+    (32768, 4096, 7, 1),  # descending: one draw, then slices
+    (4096, 4096, 4096),  # repeated
+    (0, 5, 0, 5, 3),  # empty requests draw nothing
+])
+def test_unit_normals_equal_a_fresh_draw(empty_store, counts):
+    seed = np.random.SeedSequence(21).spawn(2)[1]
+    for count in counts:
+        want = np.random.default_rng(seed).standard_normal(count)
+        np.testing.assert_array_equal(channel._unit_normals(seed, count), want)
+
+
+def test_unit_normals_interleaved_across_more_seeds_than_the_bound(empty_store):
+    seeds = [3, np.random.SeedSequence(3, spawn_key=(1,)), np.random.SeedSequence([4, 5]), 6]
+    assert len(seeds) > channel._NORMALS_STREAMS
+    for step, count in enumerate((10, 3000, 20, 8192, 8192, 1, 16384)):
+        for i in range(len(seeds)):
+            seed = seeds[(i + step) % len(seeds)]
+            want = np.random.default_rng(seed).standard_normal(count)
+            np.testing.assert_array_equal(channel._unit_normals(seed, count), want)
+            assert len(empty_store) <= channel._NORMALS_STREAMS
+
+
+def test_unit_normals_are_read_only(empty_store):
+    z = channel._unit_normals(9, 16)
+    with pytest.raises(ValueError):
+        z[0] = 1.0
+    with pytest.raises(ValueError):
+        channel._unit_normals(9, 64)[40] = 1.0  # an extended prefix too
+
+
+def test_unit_normals_are_keyed_by_seed_value(empty_store):
+    channel._unit_normals(17, 8)
+    channel._unit_normals(np.random.SeedSequence(17), 8)
+    assert len(empty_store) == 1
+    for make in (lambda: np.random.SeedSequence((5, 6), spawn_key=(2,)),
+                 lambda: np.random.SeedSequence([5, 6], spawn_key=(2,))):
+        channel._unit_normals(make(), 8)
+        channel._unit_normals(make(), 8)
+    assert len(empty_store) == 2  # a list and a tuple of the same words: one stream
+
+
+def test_apply_channel_does_not_spawn_from_its_seed(default_params, empty_store):
+    seed = np.random.SeedSequence(4)
+    seed.spawn(1)
+    tx = gen_preamble(default_params)
+    for snr_db in (5.0, 10.0):
+        apply_channel(tx, np.array([1.0]), snr_db, seed)
+    assert seed.n_children_spawned == 1
+
+
+def test_noiseless_leg_draws_nothing(default_params, empty_store):
+    apply_channel(gen_preamble(default_params), np.array([1.0]), np.inf, seed=2)
+    assert len(empty_store) == 0
+
+
+def test_apply_channel_noise_is_the_seeds_first_2n_normals(default_params, empty_store):
+    # the noise of a shorter input, or at another SNR, is a prefix of the same stream
+    seed = np.random.SeedSequence(8)
+    for sf in (9, 7, 8):
+        tx = gen_preamble(LoRaParams(sf=sf))
+        n = len(tx.samples)
+        for snr_db in (5.0, 50.0):
+            rx = apply_channel(tx, np.array([1.0]), snr_db, seed)
+            rng = np.random.default_rng(seed)
+            scale = np.sqrt(np.mean(np.abs(tx.samples) ** 2) / 10.0 ** (snr_db / 10.0) / 2.0)
+            want = np.empty(n, dtype=np.complex128)
+            want.real = rng.standard_normal(n)
+            want.imag = rng.standard_normal(n)
+            want *= scale
+            np.testing.assert_array_equal(rx.samples, tx.samples + want)

@@ -16,7 +16,7 @@ from chirpkey import (
     run_pipeline_once,
     run_sweep,
 )
-from chirpkey import pipeline
+from chirpkey import channel, pipeline
 from chirpkey.config import with_sweep_value
 from chirpkey.pipeline import (
     aggregate,
@@ -407,3 +407,42 @@ def test_exported_capture_bytes_match_pin(tmp_path):
                     with open(paths[leg], "rb") as f:
                         h.update(f.read())
     assert h.hexdigest() == PINNED_EXPORT_BYTES
+
+
+def _export_cells(ref, trial, cells, directory) -> dict:
+    """File bytes of each cell's exported captures, by (sf, snr, leg)."""
+    out = {}
+    for sf, snr in cells:
+        cfg = replace(ref, lora=replace(ref.lora, sf=sf), channel=replace(ref.channel, snr_db=snr))
+        paths = export_probe_captures(cfg, trial, directory / f"sf{sf}_snr{snr:g}")
+        for leg, path in paths.items():
+            with open(path, "rb") as f:
+                out[sf, snr, leg] = f.read()
+    return out
+
+
+def test_exported_captures_do_not_depend_on_cell_order(tmp_path):
+    # cells share each noise seed's stream of normals: descending, the SF 9
+    # cell draws it whole and the rest slice it; ascending, each SF extends it
+    ref = ExperimentConfig()
+    cells = [(sf, snr) for sf in (7, 8, 9) for snr in (5.0, 10.0, 50.0)]
+    channel._normals.clear()
+    descending = _export_cells(ref, 0, cells[::-1], tmp_path / "descending")
+    channel._normals.clear()
+    ascending = _export_cells(ref, 0, cells, tmp_path / "ascending")
+    assert len(ascending) == 27
+    assert descending.keys() == ascending.keys()
+    for cell, data in ascending.items():
+        assert descending[cell] == data, cell
+
+
+# SHA-256 over rows_to_csv of an SNR sweep (5, 10, 50 dB, 5 trials), taken
+# before noise seeds shared their streams across cells: the alpha-only
+# golden sweep never changes the SNR, so it cannot see that sharing.
+PINNED_SNR_SWEEP_CSV = "8e5e8f833c6e63a860b6e45ec8f28e52014722fbaa06330eac853446dd9ae8b4"
+
+
+def test_snr_sweep_csv_matches_pin():
+    cfg = ExperimentConfig(trials=5, sweep_axis="snr", sweep_values=(5.0, 10.0, 50.0))
+    csv_text = rows_to_csv(run_sweep(cfg))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == PINNED_SNR_SWEEP_CSV
