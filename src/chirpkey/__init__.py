@@ -6,7 +6,7 @@ reconciliation -> SHA-256 key confirmation, with a randomness suite and a
 seeded experiment harness on top.
 """
 from .captures import ingest_capture, write_capture
-from .cfr import Cfr, CfrAmplitudes, estimate_from_frame
+from .cfr import Cfr, estimate_from_frame
 from .channel import ChannelModel, apply_channel, exponential_profile, probe, sample_channel
 from .config import ExperimentConfig, load_config
 from .confirm import ConfirmationResult, KeyDigest, confirm, digest, serialize_key
@@ -30,7 +30,6 @@ from .pipeline import (
 )
 from .quantizer import (
     BitKey,
-    BlockThresholds,
     IndexList,
     QuantizerConfig,
     block_thresholds,

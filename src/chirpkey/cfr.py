@@ -29,39 +29,12 @@ class Cfr:
     bins: np.ndarray = field(repr=False)
     bin_indices: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        idx = np.asarray(self.bin_indices, dtype=np.intp)
-        if bins.size == 0 or bins.shape != idx.shape:
-            raise ParameterError("bins must be non-empty and match bin_indices")
-        if not np.all(np.isfinite(bins.view(np.float64))):
-            raise ParameterError("bins contain non-finite values")
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "bin_indices", idx)
-
     def __len__(self) -> int:
         return len(self.bins)
 
-    def amplitudes(self) -> "CfrAmplitudes":
-        return CfrAmplitudes(np.abs(self.bins))
-
-
-@dataclass(frozen=True)
-class CfrAmplitudes:
-    """Magnitude of an averaged CFR, the raw material for quantization."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.size == 0:
-            raise ParameterError("values must be non-empty")
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ParameterError("values must be finite and non-negative")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
+    def amplitudes(self) -> np.ndarray:
+        """|H| per retained bin: a plain float64 array, checked by the quantizer."""
+        return np.abs(self.bins)
 
 
 @lru_cache(maxsize=16)

@@ -24,7 +24,7 @@ from itertools import count, islice
 import numpy as np
 
 from .captures import CAPTURE_DTYPE, ingest_capture, write_capture
-from .cfr import CfrAmplitudes, estimate_from_frame
+from .cfr import estimate_from_frame
 from .channel import receive
 from .config import ExperimentConfig, with_sweep_value
 from .confirm import ConfirmationResult, confirm
@@ -112,18 +112,18 @@ class Observation:
     amplitudes of G, A and the eavesdropper (None without its capture)."""
 
     seeds: TrialSeeds
-    amps_g: CfrAmplitudes
-    amps_a: CfrAmplitudes
-    amps_e: CfrAmplitudes | None
+    amps_g: np.ndarray
+    amps_a: np.ndarray
+    amps_e: np.ndarray | None
 
 
-def _amplitudes(capture: IqSamples, config: ExperimentConfig) -> CfrAmplitudes:
+def _amplitudes(capture: IqSamples, config: ExperimentConfig) -> np.ndarray:
     """One party's front end, for simulate and replay alike: locate the
     preamble and estimate the CFR amplitudes of the K symbols from there on."""
     offset = detect_preamble(capture, config.lora)
     frame = IqSamples(capture.samples[offset:], capture.fs)
     amps = estimate_from_frame(frame, config.lora, config.bin_policy).amplitudes()
-    amps.values.setflags(write=False)  # shared by every arm that distills it
+    amps.setflags(write=False)  # shared by every arm that distills it
     return amps
 
 
@@ -191,7 +191,7 @@ def run_captures(config: ExperimentConfig, trial_seed: int = 0) -> PipelineResul
         raise ParameterError("captures mode needs capture_a2g and capture_g2a paths")
     seeds = derive_trial_seeds(config.master_seed, trial_seed)
 
-    def amplitudes_from(path) -> CfrAmplitudes:
+    def amplitudes_from(path) -> np.ndarray:
         cap = ingest_capture(path, config.lora)
         try:
             return _amplitudes(cap, config)

@@ -8,6 +8,11 @@ An optional shared-seed shuffle decorrelates adjacent amplitudes before
 blocking.  An eavesdropper runs the same public steps on its own amplitudes
 (``listener_key``): the shared shuffle, its own thresholds, and the
 overheard retained-index list.  Each retained value gives one key bit.
+
+Amplitudes are plain float64 arrays, thresholds a (2, blocks) array (row 0
+q_plus, row 1 q_minus).  ``block_thresholds`` and ``quantize`` reject
+amplitudes that are not 1-d, non-empty, finite and non-negative; every
+party path goes through both.
 """
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cfr import CfrAmplitudes
 from .errors import ParameterError
 
 
@@ -42,27 +46,6 @@ class QuantizerConfig:
             raise ParameterError("alpha must be finite and >= 0")
         if self.block_size < 2:
             raise ParameterError("block_size must be >= 2")
-
-
-@dataclass(frozen=True)
-class BlockThresholds:
-    """Thresholds of every block: block b spans positions [b*m, (b+1)*m)."""
-
-    q_plus: np.ndarray = field(repr=False)
-    q_minus: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        qp = np.asarray(self.q_plus, dtype=np.float64)
-        qm = np.asarray(self.q_minus, dtype=np.float64)
-        if qp.ndim != 1 or qp.shape != qm.shape:
-            raise ParameterError("q_plus and q_minus must be 1-d and of equal length")
-        if np.any(qm > qp):
-            raise ParameterError("q_minus must not exceed q_plus")
-        object.__setattr__(self, "q_plus", qp)
-        object.__setattr__(self, "q_minus", qm)
-
-    def __len__(self) -> int:
-        return len(self.q_plus)
 
 
 @dataclass(frozen=True)
@@ -120,13 +103,24 @@ def _permutation(seed: int, n: int) -> np.ndarray:
     return perm
 
 
-def shuffle(amps: CfrAmplitudes, seed: int) -> CfrAmplitudes:
+def shuffle(amps: np.ndarray, seed: int) -> np.ndarray:
     """Apply the seed-determined uniform random permutation (the shared rule).
 
     The permutation is drawn once per (seed, length) and cached, so A, G
-    and the eavesdropper of one round share a single draw.
+    and the eavesdropper of one round share a single draw.  The values are
+    not checked here; ``block_thresholds`` and ``quantize`` check them.
     """
-    return CfrAmplitudes(amps.values[_permutation(seed, len(amps.values))])
+    return amps[_permutation(seed, len(amps))]
+
+
+def _checked(amps: np.ndarray) -> np.ndarray:
+    """``amps`` as float64, rejected unless 1-d, non-empty, finite and >= 0."""
+    v = np.asarray(amps, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ParameterError("amplitudes must be a non-empty 1-d array")
+    if not np.all((v >= 0) & (v < np.inf)):  # NaN fails both comparisons
+        raise ParameterError("amplitudes must be finite and non-negative")
+    return v
 
 
 def _row_thresholds(rows: np.ndarray, alpha: float) -> np.ndarray:
@@ -138,36 +132,36 @@ def _row_thresholds(rows: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(constant, rows[:, 0], [center + alpha * width, center - alpha * width])
 
 
-def block_thresholds(amps: CfrAmplitudes, config: QuantizerConfig) -> BlockThresholds:
-    """Thresholds of each block of m values; a trailing remainder is one more block."""
-    v = amps.values
+def block_thresholds(amps: np.ndarray, config: QuantizerConfig) -> np.ndarray:
+    """(2, blocks) thresholds, q_plus in row 0 and q_minus in row 1, of each
+    block of m values; a trailing remainder is one more block.  Raises
+    ParameterError for amplitudes not 1-d, non-empty, finite and >= 0."""
+    v = _checked(amps)
     m = config.block_size
     full = len(v) - len(v) % m
     rows = [v[:full].reshape(-1, m)]
     if full < len(v):
         rows.append(v[None, full:])
-    q_plus, q_minus = np.concatenate([_row_thresholds(r, config.alpha) for r in rows], axis=1)
-    return BlockThresholds(q_plus, q_minus)
+    return np.concatenate([_row_thresholds(r, config.alpha) for r in rows], axis=1)
 
 
-def _censored_mask(amps: CfrAmplitudes, thresholds: BlockThresholds, m: int) -> np.ndarray:
+def _censored_mask(v: np.ndarray, thresholds: np.ndarray, m: int) -> np.ndarray:
     """True where a value falls strictly between its own block's thresholds.
 
     A trailing block of length 1 is censored outright (no usable spread).
     """
-    v = amps.values
     block_of = np.arange(len(v)) // m
-    mask = (v > thresholds.q_minus[block_of]) & (v < thresholds.q_plus[block_of])
+    mask = (v > thresholds[1, block_of]) & (v < thresholds[0, block_of])
     if len(v) % m == 1:
         mask[-1] = True
     return mask
 
 
 def censoring_exchange(
-    amps_a: CfrAmplitudes,
-    amps_g: CfrAmplitudes,
+    amps_a: np.ndarray,
+    amps_g: np.ndarray,
     config: QuantizerConfig,
-) -> tuple[IndexList, BlockThresholds, BlockThresholds]:
+) -> tuple[IndexList, np.ndarray, np.ndarray]:
     """The two-message index-censoring exchange.
 
     Each party independently computes per-block thresholds and the set of
@@ -176,10 +170,10 @@ def censoring_exchange(
     back; both retain the complement.  Returns the shared retained index
     list plus each party's per-block thresholds.
     """
-    if len(amps_a.values) != len(amps_g.values):
-        raise ParameterError("amplitude vectors must have equal length")
     th_a = block_thresholds(amps_a, config)
     th_g = block_thresholds(amps_g, config)
+    if len(amps_a) != len(amps_g):
+        raise ParameterError("amplitude vectors must have equal length")
     m = config.block_size
     censored = _censored_mask(amps_a, th_a, m) | _censored_mask(amps_g, th_g, m)
     retained = IndexList(np.where(~censored)[0])
@@ -187,45 +181,48 @@ def censoring_exchange(
 
 
 def quantize(
-    amps: CfrAmplitudes,
+    amps: np.ndarray,
     retained: IndexList,
-    thresholds: BlockThresholds,
+    thresholds: np.ndarray,
     encoding: str,
     block_size: int,
 ) -> BitKey:
     """Quantize the retained amplitude values against per-block thresholds.
 
-    ``block_size`` must be the m the thresholds were computed with.  Each
-    value maps to the nearer threshold, q_plus to 1 and q_minus to 0, ties
-    to 1.  A value at or past a threshold is nearer to it, so this also
-    covers a retained value inside this party's gap (the retained set is
-    shared but thresholds are not).  ``encoding`` must be "plain"
-    (``QuantizerConfig.encoding``); the parameter stays only for perfbench's
-    traced round and goes with ROADMAP item 3 step 1b.
+    ``thresholds`` is ``block_thresholds``' (2, ceil(n/m)) array and
+    ``block_size`` the m it was computed with.  Raises ParameterError for
+    amplitudes ``block_thresholds`` rejects, and for thresholds of another
+    shape or with q_minus above q_plus.  Each value maps to the nearer
+    threshold, q_plus to 1 and q_minus to 0, ties to 1.  A value at or past
+    a threshold is nearer to it, so this also covers a retained value
+    inside this party's gap (the retained set is shared but thresholds are
+    not).  ``encoding`` must be "plain" (``QuantizerConfig.encoding``); the
+    parameter stays only for perfbench's traced round and goes with ROADMAP
+    item 3 step 1b.
     """
     if encoding != QuantizerConfig.encoding:
         raise ParameterError(f"encoding must be {QuantizerConfig.encoding!r}, got {encoding!r}")
-    expected = -(-len(amps.values) // block_size)  # ceil(n / m)
-    if len(thresholds) != expected:
-        raise ParameterError(
-            f"{len(thresholds)} threshold pairs for {expected} blocks"
-        )
-    if len(retained.indices) and retained.indices[-1] >= len(amps.values):
+    amps = _checked(amps)
+    th = np.asarray(thresholds, dtype=np.float64)
+    expected = -(-len(amps) // block_size)  # ceil(n / m)
+    if th.shape != (2, expected) or np.any(th[1] > th[0]):
+        raise ParameterError(f"thresholds must be a (2, {expected}) array, q_minus <= q_plus")
+    if len(retained.indices) and retained.indices[-1] >= len(amps):
         raise ParameterError("retained index out of bounds")
-    v = amps.values[retained.indices]
+    v = amps[retained.indices]
     block_of = retained.indices // block_size
-    qp, qm = thresholds.q_plus[block_of], thresholds.q_minus[block_of]
+    qp, qm = th[0, block_of], th[1, block_of]
     return BitKey(((qp - v) <= (v - qm)).astype(np.uint8), "initial")
 
 
-def _shuffled(amps: CfrAmplitudes, config: QuantizerConfig) -> CfrAmplitudes:
+def _shuffled(amps: np.ndarray, config: QuantizerConfig) -> np.ndarray:
     """The amplitudes under the shared shuffle rule, if the config enables it."""
     return shuffle(amps, config.shuffle_seed) if config.shuffle_enabled else amps
 
 
 def quantize_pipeline(
-    amps_a: CfrAmplitudes,
-    amps_g: CfrAmplitudes,
+    amps_a: np.ndarray,
+    amps_g: np.ndarray,
     config: QuantizerConfig,
 ) -> tuple[BitKey, BitKey, IndexList]:
     """Shuffle (optional) -> censoring exchange -> per-party quantization.
@@ -240,7 +237,7 @@ def quantize_pipeline(
     return key_a, key_g, retained
 
 
-def listener_key(amps: CfrAmplitudes, retained: IndexList, config: QuantizerConfig) -> BitKey:
+def listener_key(amps: np.ndarray, retained: IndexList, config: QuantizerConfig) -> BitKey:
     """The key a third party quantizes from its own amplitudes by the public steps:
     the shared shuffle, its own thresholds, and the overheard retained list."""
     amps = _shuffled(amps, config)

@@ -256,7 +256,7 @@ def test_sweep_rejects_bad_later_value_before_any_trial(monkeypatch):
 def test_observation_amplitudes_are_read_only():
     obs = observe(ExperimentConfig(), 0)
     for amps in (obs.amps_g, obs.amps_a, obs.amps_e):
-        assert not amps.values.flags.writeable
+        assert not amps.flags.writeable
 
 
 def test_capture_observation_equals_simulated(tmp_path, monkeypatch):
@@ -277,8 +277,8 @@ def test_capture_observation_equals_simulated(tmp_path, monkeypatch):
                              capture_g2a=paths["g2a"], capture_eve=paths["eve"]), t)
         sim = observe(cfg, t)
         for party in ("amps_g", "amps_a", "amps_e"):
-            got = getattr(replayed[-1], party).values
-            assert got.tobytes() == getattr(sim, party).values.tobytes(), (t, party)
+            got = getattr(replayed[-1], party)
+            assert got.tobytes() == getattr(sim, party).tobytes(), (t, party)
         assert replayed[-1].seeds.shuffle == sim.seeds.shuffle
 
 
@@ -382,7 +382,7 @@ def test_front_end_amplitudes_match_pinned_bytes():
         for t in range(trials):
             obs = observe(cfg, t)
             for amps in (obs.amps_g, obs.amps_a, obs.amps_e):
-                h.update(amps.values.astype(np.float64, copy=False).tobytes())
+                h.update(amps.astype(np.float64, copy=False).tobytes())
     assert h.hexdigest() == PINNED_FRONT_END
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpkey import (
-    CfrAmplitudes,
     IndexList,
     ParameterError,
     QuantizerConfig,
@@ -18,7 +17,6 @@ from chirpkey.metrics import max_run_lengths
 from chirpkey.reconciliation import LocalParityOracle
 from chirpkey.quantizer import (
     BitKey,
-    BlockThresholds,
     _permutation,
     block_thresholds,
     listener_key,
@@ -33,23 +31,22 @@ amplitude_arrays = st.lists(
 
 @given(amplitude_arrays, st.integers(min_value=0, max_value=2**31))
 def test_shuffle_is_a_permutation(values, seed):
-    amps = CfrAmplitudes(values)
-    out = shuffle(amps, seed)
-    assert sorted(out.values.tolist()) == sorted(values.tolist())
+    out = shuffle(values, seed)
+    assert sorted(out.tolist()) == sorted(values.tolist())
 
 
 @given(st.integers(min_value=2, max_value=200), st.integers(min_value=0, max_value=2**31))
 def test_shuffle_shared_rule_aligns_positions(n, seed):
     # applying the same seed to paired vectors keeps pairs aligned
     base = np.arange(n, dtype=float)
-    a = shuffle(CfrAmplitudes(base), seed)
-    g = shuffle(CfrAmplitudes(base + 1000.0), seed)
-    np.testing.assert_array_equal(g.values - a.values, 1000.0)
+    a = shuffle(base, seed)
+    g = shuffle(base + 1000.0, seed)
+    np.testing.assert_array_equal(g - a, 1000.0)
 
 
 def test_shuffle_length_one_is_identity():
-    amps = CfrAmplitudes(np.array([3.5]))
-    np.testing.assert_array_equal(shuffle(amps, 99).values, amps.values)
+    amps = np.array([3.5])
+    np.testing.assert_array_equal(shuffle(amps, 99), amps)
 
 
 def test_permutation_cache_is_the_seeded_draw_read_only_and_small():
@@ -64,10 +61,10 @@ def test_permutation_cache_is_the_seeded_draw_read_only_and_small():
 
 def _one_block(values, alpha: float) -> tuple[float, float]:
     """(q_plus, q_minus) of a vector that forms exactly one block."""
-    th = block_thresholds(CfrAmplitudes(np.asarray(values, dtype=float)),
+    th = block_thresholds(np.asarray(values, dtype=float),
                           QuantizerConfig(alpha=alpha, block_size=len(values)))
-    assert len(th) == 1
-    return th.q_plus[0], th.q_minus[0]
+    assert th.shape[1] == 1
+    return th[0, 0], th[1, 0]
 
 
 def test_thresholds_constant_block():
@@ -99,7 +96,7 @@ def test_block_thresholds_equal_per_slice_numpy(n, m, alpha, constant, seed):
     values = np.random.default_rng(seed).rayleigh(size=n)
     if constant:  # every block repeats one value, whose mean need not be exact
         values = np.repeat(values[::m], m)[:n]
-    th = block_thresholds(CfrAmplitudes(values), QuantizerConfig(alpha=alpha, block_size=m))
+    th = block_thresholds(values, QuantizerConfig(alpha=alpha, block_size=m))
     want_plus, want_minus = [], []
     for start in range(0, n, m):
         block = values[start : start + m]
@@ -109,29 +106,64 @@ def test_block_thresholds_equal_per_slice_numpy(n, m, alpha, constant, seed):
             continue
         want_plus.append(np.mean(block) + alpha * np.std(block))
         want_minus.append(np.mean(block) - alpha * np.std(block))
-    assert th.q_plus.tolist() == want_plus
-    assert th.q_minus.tolist() == want_minus
+    assert th[0].tolist() == want_plus
+    assert th[1].tolist() == want_minus
 
 
 def test_block_thresholds_reject_crossed_or_ragged_arrays():
+    # four values at m = 4 are one block, so quantize takes only a (2, 1)
+    # array with q_minus <= q_plus
+    amps, retained = np.array([1.0, 9.0, 2.0, 8.0]), IndexList(np.arange(4))
+    quantize(amps, retained, np.array([[6.0], [4.0]]), "plain", 4)
+    for crossed_or_ragged in ([[4.0], [6.0]], [[6.0, 7.0], [4.0, 5.0]], [[6.0]]):
+        with pytest.raises(ParameterError):
+            quantize(amps, retained, np.array(crossed_or_ragged), "plain", 4)
+
+
+_GOOD = np.array([1.0, 9.0, 2.0, 8.0])
+_PARTY_STEPS = {
+    "block_thresholds": lambda v: block_thresholds(v, QuantizerConfig(block_size=4)),
+    "censoring_exchange": lambda v: censoring_exchange(v, _GOOD, QuantizerConfig(block_size=4)),
+    "censoring_exchange-g": lambda v: censoring_exchange(_GOOD, v, QuantizerConfig(block_size=4)),
+    "quantize": lambda v: quantize(v, IndexList(np.arange(4)), np.array([[6.0], [4.0]]),
+                                   "plain", 4),
+    "quantize_pipeline": lambda v: quantize_pipeline(v, _GOOD, QuantizerConfig(block_size=4)),
+    "quantize_pipeline-g": lambda v: quantize_pipeline(_GOOD, v, QuantizerConfig(block_size=4)),
+    "listener_key": lambda v: listener_key(v, IndexList(np.arange(4)),
+                                           QuantizerConfig(block_size=4)),
+}
+_BAD_AMPLITUDES = {
+    "nan": np.array([1.0, np.nan, 2.0, 8.0]),
+    "+inf": np.array([1.0, np.inf, 2.0, 8.0]),
+    "-inf": np.array([1.0, -np.inf, 2.0, 8.0]),
+    "negative": np.array([1.0, -0.5, 2.0, 8.0]),
+    "empty": np.array([]),
+    "2-d": np.ones((2, 4)),
+}
+
+
+@pytest.mark.parametrize("values", _BAD_AMPLITUDES.values(), ids=_BAD_AMPLITUDES.keys())
+@pytest.mark.parametrize("step", _PARTY_STEPS.values(), ids=_PARTY_STEPS.keys())
+def test_quantizer_entries_reject_bad_amplitudes(step, values):
+    # every entry that reads amplitudes checks them (shuffle leaves that to
+    # the step after it); the same call on good values goes through
+    step(_GOOD)
     with pytest.raises(ParameterError):
-        BlockThresholds(np.array([4.0]), np.array([6.0]))
-    with pytest.raises(ParameterError):
-        BlockThresholds(np.array([6.0, 7.0]), np.array([4.0]))
+        step(values)
 
 
 def test_censoring_identical_inputs_alpha_zero_retains_all():
-    amps = CfrAmplitudes(np.array([5.0, 1.0, 8.0, 9.0, 2.0, 7.0]))
+    amps = np.array([5.0, 1.0, 8.0, 9.0, 2.0, 7.0])
     retained, _, _ = censoring_exchange(amps, amps, QuantizerConfig(alpha=0.0, block_size=6))
     np.testing.assert_array_equal(retained.indices, np.arange(6))
 
 
 def test_censoring_worked_example():
-    amps = CfrAmplitudes(np.array([0.0, 10.0, 5.01, 10.0, 0.0]))
+    amps = np.array([0.0, 10.0, 5.01, 10.0, 0.0])
     cfg = QuantizerConfig(alpha=0.5, block_size=5)
     retained, th_a, _ = censoring_exchange(amps, amps, cfg)
-    block = amps.values
-    assert th_a.q_plus[0] == pytest.approx(block.mean() + 0.5 * block.std())
+    block = amps
+    assert th_a[0, 0] == pytest.approx(block.mean() + 0.5 * block.std())
     np.testing.assert_array_equal(retained.indices, [0, 1, 3, 4])
 
 
@@ -143,8 +175,8 @@ def test_censoring_worked_example():
 def test_retained_sets_identical_for_adversarial_inputs(m, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 400))
-    amps_a = CfrAmplitudes(rng.rayleigh(size=n))
-    amps_g = CfrAmplitudes(rng.rayleigh(size=n))  # unrelated on purpose
+    amps_a = rng.rayleigh(size=n)
+    amps_g = rng.rayleigh(size=n)  # unrelated on purpose
     cfg = QuantizerConfig(alpha=0.5, block_size=m)
     retained, th_a, th_g = censoring_exchange(amps_a, amps_g, cfg)
     key_a = quantize(amps_a, retained, th_a, "plain", block_size=m)
@@ -153,16 +185,16 @@ def test_retained_sets_identical_for_adversarial_inputs(m, seed):
 
 
 def test_censoring_length_mismatch():
-    a = CfrAmplitudes(np.ones(4))
-    g = CfrAmplitudes(np.ones(5))
+    a = np.ones(4)
+    g = np.ones(5)
     with pytest.raises(ParameterError):
         censoring_exchange(a, g, QuantizerConfig())
 
 
 def test_quantize_plain_and_dgray():
-    amps = CfrAmplitudes(np.array([9.0, 1.0, 9.0]))
+    amps = np.array([9.0, 1.0, 9.0])
     retained = IndexList(np.arange(3))
-    th = BlockThresholds([6.0], [4.0])
+    th = np.array([[6.0], [4.0]])
     plain = quantize(amps, retained, th, "plain", block_size=3)
     np.testing.assert_array_equal(plain.bits, [1, 0, 1])
     with pytest.raises(ParameterError, match="d-gray"):
@@ -170,18 +202,18 @@ def test_quantize_plain_and_dgray():
 
 
 def test_quantize_gap_values_map_to_nearest_threshold():
-    th = BlockThresholds([6.0], [4.0])
+    th = np.array([[6.0], [4.0]])
     retained = IndexList(np.arange(3))
-    amps = CfrAmplitudes(np.array([4.5, 5.0, 5.5]))
+    amps = np.array([4.5, 5.0, 5.5])
     bits = quantize(amps, retained, th, "plain", block_size=3)
     # 4.5 is nearer the lower threshold; the exact midpoint 5.0 ties to 1
     np.testing.assert_array_equal(bits.bits, [0, 1, 1])
 
 
 def test_quantize_zero_spread_block():
-    th = BlockThresholds([5.0], [5.0])
+    th = np.array([[5.0], [5.0]])
     retained = IndexList(np.arange(2))
-    bits = quantize(CfrAmplitudes(np.array([5.0, 4.99])), retained, th, "plain", block_size=2)
+    bits = quantize(np.array([5.0, 4.99]), retained, th, "plain", block_size=2)
     np.testing.assert_array_equal(bits.bits, [1, 0])
 
 
@@ -209,8 +241,8 @@ def test_quantize_nearer_threshold_equals_three_way_rule(cases):
         q_plus.append(qp)
         q_minus.append(qm)
     v, qp, qm = np.array(values), np.array(q_plus), np.array(q_minus)
-    bits = quantize(CfrAmplitudes(v), IndexList(np.arange(len(v))),
-                    BlockThresholds(qp, qm), "plain", block_size=1).bits
+    bits = quantize(v, IndexList(np.arange(len(v))),
+                    np.array([qp, qm]), "plain", block_size=1).bits
     assert (bits == _three_way_bits(v, qp, qm)).all()
 
 
@@ -220,9 +252,9 @@ def test_quantize_takes_the_block_size_of_its_thresholds():
     # second block sits higher, so at m = 64 values 50..63 are cut at the
     # first block's thresholds and all read 1
     rng = np.random.default_rng(24)
-    amps = CfrAmplitudes(np.concatenate([rng.rayleigh(size=50), 10 + rng.rayleigh(size=50)]))
+    amps = np.concatenate([rng.rayleigh(size=50), 10 + rng.rayleigh(size=50)])
     retained, th, _ = censoring_exchange(amps, amps, QuantizerConfig(block_size=50))
-    assert len(th) == 2 == -(-100 // 64)
+    assert th.shape[1] == 2 == -(-100 // 64)
     with pytest.raises(TypeError):
         quantize(amps, retained, th, "plain")
     at_50 = quantize(amps, retained, th, "plain", 50).bits
@@ -231,7 +263,7 @@ def test_quantize_takes_the_block_size_of_its_thresholds():
 
 def test_pipeline_identical_amplitudes_agree_with_and_without_shuffle():
     rng = np.random.default_rng(17)
-    amps = CfrAmplitudes(rng.rayleigh(size=512))
+    amps = rng.rayleigh(size=512)
     for shuffle_on in (True, False):
         cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=5)
         key_a, key_g, _ = quantize_pipeline(amps, amps, cfg)
@@ -250,7 +282,7 @@ def test_pipeline_correlated_gaussian_pairs():
         g = 10 + rho * base + np.sqrt(1 - rho**2) * noise
         cfg = QuantizerConfig(shuffle_seed=int(rng.integers(2**31)))
         key_a, key_g, _ = quantize_pipeline(
-            CfrAmplitudes(np.abs(a)), CfrAmplitudes(np.abs(g)), cfg
+            np.abs(a), np.abs(g), cfg
         )
         skdrs.append(skdr(key_a, key_g))
         fractions.append(len(key_a) / 512)
@@ -266,7 +298,7 @@ def test_pipeline_shuffle_shortens_runs_on_smooth_profiles():
         t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
         coef = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         smooth = np.abs(sum(c * np.exp(1j * (k + 1) * t) for k, c in enumerate(coef)))
-        amps = CfrAmplitudes(smooth)
+        amps = smooth
         for shuffle_on, sink in ((True, on_runs), (False, off_runs)):
             cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=trial)
             key_a, _, _ = quantize_pipeline(amps, amps, cfg)
@@ -278,7 +310,7 @@ def test_pipeline_shuffle_shortens_runs_on_smooth_profiles():
 def test_shuffle_preserves_bit_multiset_under_global_thresholds():
     rng = np.random.default_rng(8)
     values = rng.rayleigh(size=128)
-    amps = CfrAmplitudes(values)
+    amps = values
     cfg_off = QuantizerConfig(shuffle_enabled=False, block_size=128)
     cfg_on = QuantizerConfig(shuffle_enabled=True, block_size=128, shuffle_seed=77)
     key_off, _, _ = quantize_pipeline(amps, amps, cfg_off)
@@ -288,8 +320,8 @@ def test_shuffle_preserves_bit_multiset_under_global_thresholds():
 
 def test_retained_fraction_monotone_in_alpha():
     rng = np.random.default_rng(12)
-    amps_a = CfrAmplitudes(rng.rayleigh(size=512))
-    amps_g = CfrAmplitudes(amps_a.values + 0.05 * rng.standard_normal(512))
+    amps_a = rng.rayleigh(size=512)
+    amps_g = amps_a + 0.05 * rng.standard_normal(512)
     previous = None
     for alpha in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.2):
         cfg = QuantizerConfig(alpha=alpha, shuffle_enabled=False)
@@ -302,11 +334,11 @@ def test_retained_fraction_monotone_in_alpha():
 def test_trailing_blocks():
     # length 130 with m=64: two full blocks + a 2-wide tail block
     rng = np.random.default_rng(3)
-    amps = CfrAmplitudes(rng.rayleigh(size=130))
+    amps = rng.rayleigh(size=130)
     th = block_thresholds(amps, QuantizerConfig())
-    assert len(th) == 3
+    assert th.shape[1] == 3
     # length 129: the singleton tail is censored outright
-    amps1 = CfrAmplitudes(rng.rayleigh(size=129))
+    amps1 = rng.rayleigh(size=129)
     retained, _, _ = censoring_exchange(amps1, amps1, QuantizerConfig(alpha=0.0))
     assert 128 not in retained.indices.tolist()
     np.testing.assert_array_equal(retained.indices, np.arange(128))
@@ -314,8 +346,8 @@ def test_trailing_blocks():
 
 def test_pipeline_deterministic():
     rng = np.random.default_rng(5)
-    a = CfrAmplitudes(rng.rayleigh(size=300))
-    g = CfrAmplitudes(rng.rayleigh(size=300))
+    a = rng.rayleigh(size=300)
+    g = rng.rayleigh(size=300)
     cfg = QuantizerConfig(shuffle_seed=21)
     k1 = quantize_pipeline(a, g, cfg)
     k2 = quantize_pipeline(a, g, cfg)
@@ -327,8 +359,8 @@ def test_pipeline_deterministic():
 def test_listener_key_is_the_party_step(shuffle_on):
     # G's amplitudes through the listener's public steps give G's own key
     rng = np.random.default_rng(41)
-    amps_a = CfrAmplitudes(rng.rayleigh(size=300))
-    amps_g = CfrAmplitudes(np.abs(amps_a.values + 0.1 * rng.standard_normal(300)))
+    amps_a = rng.rayleigh(size=300)
+    amps_g = np.abs(amps_a + 0.1 * rng.standard_normal(300))
     cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=9)
     _, key_g, retained = quantize_pipeline(amps_a, amps_g, cfg)
     np.testing.assert_array_equal(listener_key(amps_g, retained, cfg).bits, key_g.bits)
