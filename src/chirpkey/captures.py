@@ -17,7 +17,10 @@ CAPTURE_DTYPE = np.dtype("<c8")
 
 
 def ingest_capture(path, params: LoRaParams) -> IqSamples:
-    """Parse a capture file into complex samples at the configured rate."""
+    """Parse a capture file into complex samples at the configured rate.
+
+    The samples stay at capture depth: a complex64 view of the file's bytes.
+    """
     data = np.fromfile(path, dtype=np.uint8)
     if len(data) % 8 != 0:
         raise CaptureFormatError(
@@ -33,15 +36,16 @@ def write_capture(path, iq: IqSamples) -> None:
     """Serialize samples as interleaved float32 pairs (the ingest inverse).
 
     Values are cast to ``CAPTURE_DTYPE``, whose memory layout is that pair;
-    a round trip is bit-identical once the samples are already at capture
-    depth.  A value beyond float32 range raises ``CaptureFormatError`` before
-    the file is opened.  An existing file is rewritten in place and then cut
-    to the new length: it keeps its inode, so a link still writes its
-    target, and no truncation to zero frees its blocks first.
+    samples already at capture depth are written as they are, without a
+    copy, and read back bit-identical.  A value beyond float32 range raises
+    ``CaptureFormatError`` before the file is opened.  An existing file is
+    rewritten in place and then cut to the new length: it keeps its inode,
+    so a link still writes its target, and no truncation to zero frees its
+    blocks first.
     """
     try:
         with np.errstate(over="raise"):
-            data = iq.samples.astype(CAPTURE_DTYPE)
+            data = iq.samples.astype(CAPTURE_DTYPE, copy=False)
     except FloatingPointError:
         with np.errstate(over="ignore"):
             data = iq.samples.astype(CAPTURE_DTYPE)
@@ -56,9 +60,12 @@ def write_capture(path, iq: IqSamples) -> None:
 
 
 def _check_finite(path, floats: np.ndarray) -> None:
-    """Reject a capture at the byte offset of its first non-finite float32."""
-    bad = np.flatnonzero(~np.isfinite(floats))
-    if bad.size:
+    """Reject a capture at the byte offset of its first non-finite float32.
+
+    A good capture costs one scan; the offset is located only on failure.
+    """
+    finite = np.isfinite(floats)
+    if not finite.all():
         raise CaptureFormatError(
-            f"{os.fspath(path)}: non-finite float at byte offset {int(bad[0]) * 4}"
+            f"{os.fspath(path)}: non-finite float at byte offset {int(finite.argmin()) * 4}"
         )

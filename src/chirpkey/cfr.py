@@ -63,7 +63,8 @@ def estimate_from_frame(
 ) -> Cfr:
     """Averaged LS estimate from a preamble-aligned received frame.
 
-    The first K symbol windows of ``rx`` go through one (K, n) FFT; each
+    The first K symbol windows of ``rx``, widened to complex128 (a
+    capture-depth frame is complex64), go through one (K, n) FFT; each
     retained bin is divided by the reference upchirp's spectrum and the K
     quotients are averaged.  Bins whose reference magnitude falls below the
     low-reference guard are dropped, never divided.  The retained bins and
@@ -76,7 +77,8 @@ def estimate_from_frame(
             f"frame has {len(rx.samples)} samples, needs {k * n_sym}"
         )
     ref_idx, idx = _reference(params, bin_policy)
-    spectra = np.fft.fft(rx.samples[: k * n_sym].reshape(k, n_sym), axis=1)
+    symbols = rx.samples[: k * n_sym].astype(np.complex128, copy=False)
+    spectra = np.fft.fft(symbols.reshape(k, n_sym), axis=1)
     # take() keeps the quotients row-major, so the mean sums the K symbols
     # in the same order a per-symbol stack would; a policy that keeps every
     # bin needs no take(), and the fresh spectra are divided in place

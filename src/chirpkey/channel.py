@@ -118,37 +118,76 @@ def _unit_normals(seed, count: int) -> np.ndarray:
     return prefix[:count]
 
 
+def _tap_sum(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The linear convolution of ``x`` with ``taps``, truncated to ``len(x)``,
+    as a sum of shifted, scaled copies of ``x``, one per tap."""
+    y = taps[0] * x
+    for lag in range(1, min(taps.size, len(x))):
+        y[lag:] += taps[lag] * x[:-lag]
+    return y
+
+
+# Noiseless tap sums by taps' bytes, with the input they faded and its mean
+# power: one trial's G, A and eavesdropper legs
+_LEGS = 3
+_legs: dict[bytes, tuple[IqSamples, np.ndarray, float]] = {}
+
+
+def _faded(tx: IqSamples, taps: np.ndarray) -> tuple[np.ndarray, float]:
+    """The noiseless tap sum of ``tx`` (read-only) and its mean power.
+
+    A sum is kept by the taps' bytes together with ``tx`` itself, and a
+    lookup hits only for that very object (``is``, so a recycled ``id``
+    cannot hit): the SNR cells of one trial and SF pass the same cached
+    preamble through the same taps.  Only read-only inputs are kept, as a
+    writable one could change under its entry.  At most ``_LEGS`` sums are
+    kept, the least recently used evicted first: 3 x 256 KB at SF 9 with an
+    8-symbol preamble.
+    """
+    key = taps.tobytes()
+    hit = _legs.pop(key, None)
+    if hit is not None and hit[0] is tx:
+        _legs[key] = hit
+        return hit[1], hit[2]
+    y = _tap_sum(tx.samples, taps)
+    p_rx = np.mean(np.abs(y) ** 2)
+    y.setflags(write=False)
+    if not tx.samples.flags.writeable:
+        _legs[key] = tx, y, p_rx
+        if len(_legs) > _LEGS:
+            del _legs[next(iter(_legs))]
+    return y, p_rx
+
+
 def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db: float, seed) -> IqSamples:
     """Pass the signal through the taps and add receiver noise at the given SNR.
 
-    The received signal is the sum of shifted, scaled copies of the input,
-    one per tap, truncated to the input length: the linear convolution,
-    summed tap by tap.  Noise is circularly-symmetric complex Gaussian
-    scaled so that mean received signal power / noise power =
-    10**(snr_db/10); +inf disables it.  Its unit parts are the seed's first
-    2n standard normals, real then imaginary, read from the seed's shared
-    stream (``_unit_normals``): the same seed at another SNR or a shorter
-    input reads the same prefix.
+    The received signal is the linear convolution truncated to the input
+    length, summed tap by tap (``_tap_sum``).  That sum and its mean power
+    are shared by calls with the same input object and taps (``_faded``),
+    so the SNR cells of one trial sum each leg once; at +inf dB (no noise)
+    the shared sum is returned, read-only.  Noise is circularly-symmetric
+    complex Gaussian scaled so that mean received signal power / noise
+    power = 10**(snr_db/10), and the noisy output is built in its buffer.
+    Its unit parts are the seed's first 2n standard normals, real then
+    imaginary, read from the seed's shared stream (``_unit_normals``): the
+    same seed at another SNR or a shorter input reads the same prefix.
     """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.size == 0:
         raise ParameterError("taps must be non-empty")
-    x = tx.samples
-    n = len(x)
-    y = taps[0] * x
-    for lag in range(1, min(taps.size, n)):
-        y[lag:] += taps[lag] * x[:-lag]
+    y, p_rx = _faded(tx, taps)
     ratio = _snr_ratio(snr_db)
-    if ratio is not None:
-        z = _unit_normals(seed, 2 * n)
-        p_rx = np.mean(np.abs(y) ** 2)
-        noise_var = p_rx / ratio
-        noise = np.empty(n, dtype=np.complex128)
-        noise.real = z[:n]
-        noise.imag = z[n:]
-        noise *= np.sqrt(noise_var / 2.0)
-        y += noise
-    return IqSamples(y, tx.fs)
+    if ratio is None:
+        return IqSamples(y, tx.fs)
+    n = len(y)
+    z = _unit_normals(seed, 2 * n)
+    noise = np.empty(n, dtype=np.complex128)
+    noise.real = z[:n]
+    noise.imag = z[n:]
+    noise *= np.sqrt(p_rx / ratio / 2.0)
+    noise += y
+    return IqSamples(noise, tx.fs)
 
 
 def receive(tx: IqSamples, model: ChannelModel, seeds) -> tuple[IqSamples, IqSamples, IqSamples]:

@@ -9,10 +9,11 @@ steps against its own amplitudes (``quantizer.listener_key``: shared
 shuffle rule, its own thresholds, the overheard retained-index list).
 
 Simulated received frames are rounded to capture depth (complex64), the
-cf32 layout SDR file sinks write, before estimation.  Every stage reads
-frames only at that depth, so serializing them to capture files and
-replaying through ``run_captures`` reproduces a simulate-mode trial
-bit-for-bit.
+cf32 layout SDR file sinks write, and stay there: written to and read from
+capture files without a copy, they are widened to complex128 only inside
+the aligner and the estimator.  Every stage reads frames only at that
+depth, so serializing them to capture files and replaying through
+``run_captures`` reproduces a simulate-mode trial bit-for-bit.
 """
 from __future__ import annotations
 

@@ -60,16 +60,24 @@ class LoRaParams:
 
 @dataclass(frozen=True)
 class IqSamples:
-    """Complex baseband signal with its sample rate."""
+    """Complex baseband signal with its sample rate.
+
+    Samples at capture depth (complex64, the layout SDR file sinks write)
+    are kept as they are, not copied; anything else is widened to
+    complex128.  The consumers that transform samples (``detect_preamble``,
+    ``cfr.estimate_from_frame``) widen what they read to complex128.
+    """
 
     samples: np.ndarray = field(repr=False)
     fs: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        arr = np.asarray(self.samples)
+        if arr.dtype != np.complex64:
+            arr = arr.astype(np.complex128, copy=False)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("samples must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.all(np.isfinite(arr.view(arr.real.dtype))):
             raise ParameterError("samples contain non-finite values")
         object.__setattr__(self, "samples", arr)
 
@@ -126,7 +134,9 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     The correlation is one FFT product against the
     chirp's cached spectrum, the same calls ``scipy.signal.fftconvolve``
     makes in "valid" mode.  The decision rule is the K-symbol one, unchanged:
-    normalized |correlation|, argmax, threshold.
+    normalized |correlation|, argmax, threshold.  A capture-depth
+    (complex64) capture is widened to complex128 once, on entry, so every
+    step computes in double precision whatever the capture's depth.
 
     Returns the sample offset of the best peak.  Raises
     PreambleNotFoundError if the peak correlation is below
@@ -135,7 +145,7 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     chirp = gen_upchirp(params).samples
     n_sym, k = len(chirp), params.preamble_len
     n = k * n_sym
-    cap = capture.samples
+    cap = capture.samples.astype(np.complex128, copy=False)
     if len(cap) < n:
         raise ParameterError(
             f"capture has {len(cap)} samples, needs at least {n}"

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from chirpkey import LoRaParams
+from chirpkey import ExperimentConfig, LoRaParams
 
 
 @functools.lru_cache(maxsize=8)
@@ -40,3 +41,9 @@ def default_params() -> LoRaParams:
 def small_params() -> LoRaParams:
     # sf=5 at critical sampling: 32 samples/symbol, fast exhaustive sweeps
     return LoRaParams(sf=5, bw=250e3, fs=250e3, preamble_len=4)
+
+
+def cell_config(sf: int, snr_db: float) -> ExperimentConfig:
+    """The reference config at one (SF, SNR) cell, as round-replay runs them."""
+    ref = ExperimentConfig()
+    return replace(ref, lora=replace(ref.lora, sf=sf), channel=replace(ref.channel, snr_db=snr_db))

@@ -81,13 +81,13 @@ def test_writer_bytes_equal_interleaved_float32_pairs(tmp_path, default_params):
 
 
 def test_ingest_keeps_signed_zeros(tmp_path, default_params):
-    # replay must yield exactly the complex64 -> complex128 cast that
-    # simulated frames take, sign bits of zero parts included
+    # replay must yield exactly the capture-depth cast that simulated
+    # frames take, sign bits of zero parts included
     samples = np.array([complex(-0.0, 0.5), complex(0.25, -0.0), complex(-0.0, -0.0)])
     path = tmp_path / "zeros.cf32"
     write_capture(path, IqSamples(samples, default_params.fs))
     back = ingest_capture(path, default_params)
-    want = samples.astype("<c8").astype(np.complex128)
+    want = samples.astype("<c8")
     assert back.samples.tobytes() == want.tobytes()
 
 

@@ -115,8 +115,9 @@ def test_frame_estimate_equals_per_symbol_loop(sf, policy):
     in_band = (freqs >= -p.bw / 2) & (freqs < p.bw / 2)
     above_guard = np.abs(ref) >= LOW_REFERENCE_GUARD * np.max(np.abs(ref))
     idx = np.flatnonzero(above_guard & (in_band if policy == "occupied-band" else True))
+    wide = rx.samples.astype(np.complex128)
     per_symbol = [
-        np.fft.fft(rx.samples[i * n : (i + 1) * n])[idx] / ref[idx]
+        np.fft.fft(wide[i * n : (i + 1) * n])[idx] / ref[idx]
         for i in range(p.preamble_len)
     ]
     est = estimate_from_frame(rx, p, policy)

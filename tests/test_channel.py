@@ -13,6 +13,9 @@ from chirpkey import (
     sample_channel,
 )
 from chirpkey import channel
+from chirpkey.pipeline import simulate_probe_frames
+from chirpkey.pipeline_seeds import derive_trial_seeds
+from conftest import cell_config
 
 
 def test_exponential_profile_shape():
@@ -269,3 +272,104 @@ def test_apply_channel_noise_is_the_seeds_first_2n_normals(default_params, empty
             want.imag = rng.standard_normal(n)
             want *= scale
             np.testing.assert_array_equal(rx.samples, tx.samples + want)
+
+
+@pytest.fixture
+def empty_legs():
+    channel._legs.clear()
+    yield channel._legs
+    channel._legs.clear()
+
+
+@pytest.fixture
+def tap_sums(monkeypatch):
+    """The taps of every tap sum computed, in call order."""
+    calls = []
+    tap_sum = channel._tap_sum
+
+    def spy(x, taps):
+        calls.append(taps.tobytes())
+        return tap_sum(x, taps)
+
+    monkeypatch.setattr(channel, "_tap_sum", spy)
+    return calls
+
+
+def test_snr_cells_of_a_trial_sum_each_leg_once(empty_legs, tap_sums):
+    seeds = derive_trial_seeds(cell_config(7, 5.0).master_seed, 0)
+    for i, sf in enumerate((7, 8, 9)):
+        for snr_db in (5.0, 10.0, 50.0):
+            simulate_probe_frames(cell_config(sf, snr_db), seeds)
+            assert len(empty_legs) <= channel._LEGS
+        assert len(tap_sums) == 3 * (i + 1)  # G, A and the eavesdropper, once per SF
+    assert len(set(tap_sums)) == 3  # every SF passes through the trial's three tap sets
+
+
+def test_leg_store_interleaved_across_more_legs_than_the_bound(default_params, empty_legs):
+    tx = gen_preamble(default_params)
+    rng = np.random.default_rng(5)
+    legs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(5)]
+    assert len(legs) > channel._LEGS
+    for step in range(4):
+        for i in range(len(legs)):
+            taps = legs[(i + step) % len(legs)]
+            got = apply_channel(tx, taps, np.inf, seed=0).samples
+            np.testing.assert_array_equal(got, channel._tap_sum(tx.samples, taps))
+            assert len(empty_legs) <= channel._LEGS
+
+
+def test_leg_store_misses_other_taps_and_other_inputs(default_params, empty_legs, tap_sums):
+    tx = gen_preamble(default_params)
+    taps = np.array([1.0, 0.5j])
+    for snr_db in (5.0, 10.0, np.inf):
+        apply_channel(tx, taps, snr_db, seed=1)
+    assert len(tap_sums) == 1
+    apply_channel(tx, np.array([1.0, 0.25j]), 5.0, seed=1)
+    assert len(tap_sums) == 2
+    equal = tx.samples.copy()
+    equal.setflags(write=False)
+    twin = IqSamples(equal, tx.fs)  # equal samples, another object
+    apply_channel(twin, taps, 5.0, seed=1)
+    assert len(tap_sums) == 3
+    apply_channel(twin, taps, 10.0, seed=1)
+    assert len(tap_sums) == 3
+
+
+def test_leg_store_keeps_no_writable_input(default_params, empty_legs):
+    x = gen_preamble(default_params).samples.copy()
+    tx = IqSamples(x, default_params.fs)
+    taps = np.array([1.0, 0.5j])
+    first = apply_channel(tx, taps, np.inf, seed=0).samples.copy()
+    x *= 2.0  # the same object, changed in place
+    np.testing.assert_array_equal(apply_channel(tx, taps, np.inf, seed=0).samples, 2.0 * first)
+    assert len(empty_legs) == 0
+
+
+def test_noiseless_leg_cannot_change_the_stored_sum(default_params, empty_legs):
+    tx = gen_preamble(default_params)
+    taps = np.array([0.5, 0.25j])
+    rx = apply_channel(tx, taps, np.inf, seed=0)
+    with pytest.raises(ValueError):
+        rx.samples[0] = 0.0
+    with pytest.raises(ValueError):
+        rx.samples *= 2.0
+    want = channel._tap_sum(tx.samples, taps)
+    np.testing.assert_array_equal(apply_channel(tx, taps, np.inf, seed=0).samples, want)
+    noisy = apply_channel(tx, taps, 10.0, seed=0).samples
+    channel._legs.clear()
+    np.testing.assert_array_equal(apply_channel(tx, taps, 10.0, seed=0).samples, noisy)
+
+
+@pytest.mark.parametrize("snrs", [(5.0, 10.0, 50.0), (50.0, 10.0, 5.0)])
+def test_frames_equal_those_of_an_emptied_leg_store(empty_legs, snrs):
+    cells = [(t, sf, snr) for t in range(3) for sf in (7, 8, 9) for snr in snrs]
+    shared = {}
+    for t, sf, snr in cells:
+        cfg = cell_config(sf, snr)
+        shared[t, sf, snr] = simulate_probe_frames(cfg, derive_trial_seeds(cfg.master_seed, t))
+    for t, sf, snr in cells:
+        cfg = cell_config(sf, snr)
+        empty_legs.clear()
+        fresh = simulate_probe_frames(cfg, derive_trial_seeds(cfg.master_seed, t))
+        for got, want in zip(shared[t, sf, snr], fresh, strict=True):
+            assert got.samples.tobytes() == want.samples.tobytes(), (t, sf, snr)

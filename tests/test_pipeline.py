@@ -8,15 +8,17 @@ from itertools import islice
 from chirpkey import (
     ChannelModel,
     ExperimentConfig,
+    IqSamples,
     ParameterError,
     PreambleNotFoundError,
     QuantizerConfig,
     export_probe_captures,
+    ingest_capture,
     run_captures,
     run_pipeline_once,
     run_sweep,
 )
-from chirpkey import channel, pipeline
+from chirpkey import cfr, channel, pipeline, waveform
 from chirpkey.config import with_sweep_value
 from chirpkey.pipeline import (
     aggregate,
@@ -27,6 +29,7 @@ from chirpkey.pipeline import (
 )
 from chirpkey.pipeline_seeds import derive_trial_seeds
 from chirpkey.waveform import LoRaParams
+from conftest import cell_config
 
 
 def test_perfect_channel_round():
@@ -338,7 +341,7 @@ def test_sweep_arms_share_channel_realizations(monkeypatch):
 def _reference_frames(config, seeds):
     """Frames by the textbook formula: np.convolve truncated to the frame,
     noise added as one expression, a concatenated silent symbol, then a
-    complex64 round trip."""
+    cast to capture depth (complex64)."""
     from chirpkey import gen_preamble, sample_channel
 
     model = config.channel
@@ -353,7 +356,7 @@ def _reference_frames(config, seeds):
             rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
         )
         padded = np.concatenate([y, np.zeros(config.lora.samples_per_symbol)])
-        frames.append(padded.astype(np.complex64).astype(np.complex128))
+        frames.append(padded.astype(np.complex64))
     return frames
 
 
@@ -364,6 +367,64 @@ def test_simulated_frames_equal_reference_at_capture_depth():
         got = simulate_probe_frames(cfg, seeds)
         for frame, want in zip(got, _reference_frames(cfg, seeds), strict=True):
             assert frame.samples.tobytes() == want.tobytes(), f"trial {t}"
+
+
+def test_frames_stay_at_capture_depth(tmp_path):
+    cfg = ExperimentConfig()
+    frames = simulate_probe_frames(cfg, derive_trial_seeds(cfg.master_seed, 0))
+    assert [rx.samples.dtype for rx in frames] == [np.complex64] * 3
+    paths = export_probe_captures(cfg, 0, tmp_path)
+    for rx, leg in zip(frames, ("a2g", "g2a", "eve")):
+        back = ingest_capture(paths[leg], cfg.lora)
+        assert back.samples.dtype == np.complex64
+        assert back.samples.tobytes() == rx.samples.tobytes()
+
+
+def test_front_end_transforms_capture_depth_frames_in_double(monkeypatch):
+    # every FFT of the aligner and the estimator reads complex128, as a
+    # complex64 transform would round differently
+    seen = {"detect": [], "estimate": []}
+
+    def spy(fft, name):
+        def call(x, *args, **kwargs):
+            seen[name].append(np.asarray(x).dtype)
+            return fft(x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(waveform.sp_fft, "fft", spy(waveform.sp_fft.fft, "detect"))
+    monkeypatch.setattr(cfr.np.fft, "fft", spy(cfr.np.fft.fft, "estimate"))
+    for policy in ("all-bins", "occupied-band"):
+        cfg = replace(cell_config(8, 10.0), bin_policy=policy)
+        for rx in simulate_probe_frames(cfg, derive_trial_seeds(cfg.master_seed, 1)):
+            assert rx.samples.dtype == np.complex64
+            offset = waveform.detect_preamble(rx, cfg.lora)
+            frame = IqSamples(rx.samples[offset:], rx.fs)
+            cfr.estimate_from_frame(frame, cfg.lora, policy)
+    assert seen["detect"] and set(seen["detect"]) == {np.dtype(np.complex128)}
+    assert seen["estimate"] and set(seen["estimate"]) == {np.dtype(np.complex128)}
+
+
+def _detected(capture, params):
+    try:
+        return waveform.detect_preamble(capture, params)
+    except PreambleNotFoundError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cell, trials, misses", [
+    ((7, 50.0), range(200), 0),  # the default config's trials
+    *(((sf, 0.0), range(20), 2) for sf in (7, 8, 9)),  # round-replay's 0 dB miss cells
+])
+def test_detect_at_capture_depth_equals_detect_widened(cell, trials, misses):
+    cfg = cell_config(*cell)
+    found = []
+    for t in trials:
+        for rx in simulate_probe_frames(cfg, derive_trial_seeds(cfg.master_seed, t)):
+            wide = IqSamples(rx.samples.astype(np.complex128), rx.fs)
+            got = _detected(rx, cfg.lora)
+            assert got == _detected(wide, cfg.lora), (t, got)
+            found.append(got)
+    assert sum(isinstance(got, str) for got in found) == misses
 
 
 # SHA-256 over the float64 bytes of observe's G, A and eavesdropper CFR
