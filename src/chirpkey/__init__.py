@@ -30,7 +30,6 @@ from .pipeline import (
 )
 from .quantizer import (
     BitKey,
-    IndexList,
     QuantizerConfig,
     block_thresholds,
     censoring_exchange,

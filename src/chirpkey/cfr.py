@@ -48,7 +48,7 @@ def _reference(params: LoRaParams, bin_policy: str) -> tuple[np.ndarray, np.ndar
         idx = np.where((freqs >= -params.bw / 2) & (freqs < params.bw / 2))[0]
     else:
         raise ParameterError(f"unknown bin policy {bin_policy!r}, expected one of {BIN_POLICIES}")
-    ref = np.fft.fft(gen_upchirp(params).samples)
+    ref = np.fft.fft(gen_upchirp(params))
     idx = idx[np.abs(ref[idx]) >= LOW_REFERENCE_GUARD * np.max(np.abs(ref))]
     ref_idx = ref[idx]
     ref_idx.setflags(write=False)

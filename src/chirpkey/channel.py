@@ -130,10 +130,10 @@ def _tap_sum(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 # Noiseless tap sums by taps' bytes, with the input they faded and its mean
 # power: one trial's G, A and eavesdropper legs
 _LEGS = 3
-_legs: dict[bytes, tuple[IqSamples, np.ndarray, float]] = {}
+_legs: dict[bytes, tuple[np.ndarray, np.ndarray, float]] = {}
 
 
-def _faded(tx: IqSamples, taps: np.ndarray) -> tuple[np.ndarray, float]:
+def _faded(tx: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, float]:
     """The noiseless tap sum of ``tx`` (read-only) and its mean power.
 
     A sum is kept by the taps' bytes together with ``tx`` itself, and a
@@ -142,24 +142,27 @@ def _faded(tx: IqSamples, taps: np.ndarray) -> tuple[np.ndarray, float]:
     preamble through the same taps.  Only read-only inputs are kept, as a
     writable one could change under its entry.  At most ``_LEGS`` sums are
     kept, the least recently used evicted first: 3 x 256 KB at SF 9 with an
-    8-symbol preamble.
+    8-symbol preamble.  A non-finite sample or tap makes the mean power
+    non-finite, which is refused before anything is kept.
     """
     key = taps.tobytes()
     hit = _legs.pop(key, None)
     if hit is not None and hit[0] is tx:
         _legs[key] = hit
         return hit[1], hit[2]
-    y = _tap_sum(tx.samples, taps)
+    y = _tap_sum(tx, taps)
     p_rx = np.mean(np.abs(y) ** 2)
+    if not math.isfinite(p_rx):
+        raise ParameterError("samples and taps must be finite, with finite received power")
     y.setflags(write=False)
-    if not tx.samples.flags.writeable:
+    if not tx.flags.writeable:
         _legs[key] = tx, y, p_rx
         if len(_legs) > _LEGS:
             del _legs[next(iter(_legs))]
     return y, p_rx
 
 
-def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db: float, seed) -> IqSamples:
+def apply_channel(tx: np.ndarray, taps: np.ndarray, snr_db: float, seed) -> np.ndarray:
     """Pass the signal through the taps and add receiver noise at the given SNR.
 
     The received signal is the linear convolution truncated to the input
@@ -172,25 +175,33 @@ def apply_channel(tx: IqSamples, taps: np.ndarray, snr_db: float, seed) -> IqSam
     Its unit parts are the seed's first 2n standard normals, real then
     imaginary, read from the seed's shared stream (``_unit_normals``): the
     same seed at another SNR or a shorter input reads the same prefix.
+    Raises ParameterError for an input that is not 1-d and non-empty, empty
+    taps, a non-finite sample or tap, and a noise scale that overflows.
     """
+    tx = np.asarray(tx)
+    if tx.ndim != 1 or tx.size == 0:
+        raise ParameterError("samples must be a non-empty 1-d array")
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.size == 0:
         raise ParameterError("taps must be non-empty")
     y, p_rx = _faded(tx, taps)
     ratio = _snr_ratio(snr_db)
     if ratio is None:
-        return IqSamples(y, tx.fs)
+        return y
+    scale = math.sqrt(p_rx / ratio / 2.0)
+    if not math.isfinite(scale):
+        raise ParameterError(f"noise at {snr_db} dB overflows for received power {p_rx}")
     n = len(y)
     z = _unit_normals(seed, 2 * n)
     noise = np.empty(n, dtype=np.complex128)
     noise.real = z[:n]
     noise.imag = z[n:]
-    noise *= np.sqrt(p_rx / ratio / 2.0)
+    noise *= scale
     noise += y
-    return IqSamples(noise, tx.fs)
+    return noise
 
 
-def receive(tx: IqSamples, model: ChannelModel, seeds) -> tuple[IqSamples, IqSamples, IqSamples]:
+def receive(tx: np.ndarray, model: ChannelModel, seeds) -> tuple[np.ndarray, ...]:
     """Receptions of ``tx`` at G, A and the eavesdropper over one shared realization.
 
     ``seeds``: the realization's, then the noise of G, A and the eavesdropper.
@@ -213,5 +224,5 @@ def probe(
     from its received frame, returned as (G, A, E) like ``receive``.  The
     same int ``seed`` gives the same round."""
     seeds = np.random.SeedSequence(seed).spawn(4)
-    return tuple(estimate_from_frame(rx, params, bin_policy)
+    return tuple(estimate_from_frame(IqSamples(rx, params.fs), params, bin_policy)
                  for rx in receive(gen_preamble(params), model, seeds))

@@ -102,8 +102,8 @@ def simulate_probe_frames(
     frames = []
     for rx in receive(tx, config.channel, (s.channel, s.noise_g, s.noise_a, s.noise_e)):
         frame = np.zeros(n + config.lora.samples_per_symbol, dtype=CAPTURE_DTYPE)
-        frame[:n] = rx.samples
-        frames.append(IqSamples(frame, tx.fs))
+        frame[:n] = rx
+        frames.append(IqSamples(frame, config.lora.fs))
     return tuple(frames)
 
 

@@ -48,24 +48,6 @@ class QuantizerConfig:
             raise ParameterError("block_size must be >= 2")
 
 
-@dataclass(frozen=True)
-class IndexList:
-    """Strictly increasing positions into the (possibly shuffled) amplitude vector."""
-
-    indices: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.intp)
-        if idx.size > 1 and np.any(np.diff(idx) <= 0):
-            raise ParameterError("indices must be strictly increasing")
-        if idx.size and idx[0] < 0:
-            raise ParameterError("indices must be non-negative")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 def as_bits(bits) -> np.ndarray:
     """The 0/1 values of a 1-d sequence or BitKey as a uint8 array."""
     b = np.asarray(getattr(bits, "bits", bits))
@@ -161,14 +143,15 @@ def censoring_exchange(
     amps_a: np.ndarray,
     amps_g: np.ndarray,
     config: QuantizerConfig,
-) -> tuple[IndexList, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two-message index-censoring exchange.
 
     Each party independently computes per-block thresholds and the set of
     its own positions strictly inside the gap.  The first message carries
     A's censored list to G; G unions it with its own and sends the union
-    back; both retain the complement.  Returns the shared retained index
-    list plus each party's per-block thresholds.
+    back; both retain the complement.  Returns the shared retained
+    positions, a strictly increasing intp array, plus each party's
+    per-block thresholds.
     """
     th_a = block_thresholds(amps_a, config)
     th_g = block_thresholds(amps_g, config)
@@ -176,13 +159,12 @@ def censoring_exchange(
         raise ParameterError("amplitude vectors must have equal length")
     m = config.block_size
     censored = _censored_mask(amps_a, th_a, m) | _censored_mask(amps_g, th_g, m)
-    retained = IndexList(np.where(~censored)[0])
-    return retained, th_a, th_g
+    return np.flatnonzero(~censored), th_a, th_g
 
 
 def quantize(
     amps: np.ndarray,
-    retained: IndexList,
+    retained: np.ndarray,
     thresholds: np.ndarray,
     encoding: str,
     block_size: int,
@@ -190,9 +172,11 @@ def quantize(
     """Quantize the retained amplitude values against per-block thresholds.
 
     ``thresholds`` is ``block_thresholds``' (2, ceil(n/m)) array and
-    ``block_size`` the m it was computed with.  Raises ParameterError for
-    amplitudes ``block_thresholds`` rejects, and for thresholds of another
-    shape or with q_minus above q_plus.  Each value maps to the nearer
+    ``block_size`` the m it was computed with, and ``retained`` the
+    positions to quantize.  Raises ParameterError for amplitudes
+    ``block_thresholds`` rejects, for thresholds of another shape or with
+    q_minus above q_plus, and for positions that are not 1-d, strictly
+    increasing and within the amplitudes.  Each value maps to the nearer
     threshold, q_plus to 1 and q_minus to 0, ties to 1.  A value at or past
     a threshold is nearer to it, so this also covers a retained value
     inside this party's gap (the retained set is shared but thresholds are
@@ -207,10 +191,13 @@ def quantize(
     expected = -(-len(amps) // block_size)  # ceil(n / m)
     if th.shape != (2, expected) or np.any(th[1] > th[0]):
         raise ParameterError(f"thresholds must be a (2, {expected}) array, q_minus <= q_plus")
-    if len(retained.indices) and retained.indices[-1] >= len(amps):
-        raise ParameterError("retained index out of bounds")
-    v = amps[retained.indices]
-    block_of = retained.indices // block_size
+    idx = np.asarray(retained, dtype=np.intp)
+    if idx.ndim != 1 or idx.size and not (
+            0 <= idx[0] and idx[-1] < len(amps) and np.all(idx[1:] > idx[:-1])):
+        raise ParameterError(
+            f"retained positions must be strictly increasing, 1-d and in [0, {len(amps)})")
+    v = amps[idx]
+    block_of = idx // block_size
     qp, qm = th[0, block_of], th[1, block_of]
     return BitKey(((qp - v) <= (v - qm)).astype(np.uint8), "initial")
 
@@ -224,10 +211,10 @@ def quantize_pipeline(
     amps_a: np.ndarray,
     amps_g: np.ndarray,
     config: QuantizerConfig,
-) -> tuple[BitKey, BitKey, IndexList]:
+) -> tuple[BitKey, BitKey, np.ndarray]:
     """Shuffle (optional) -> censoring exchange -> per-party quantization.
 
-    Returns both keys and the shared retained index list, which an
+    Returns both keys and the shared retained positions, which an
     eavesdropper overhears.
     """
     amps_a, amps_g = _shuffled(amps_a, config), _shuffled(amps_g, config)
@@ -237,7 +224,7 @@ def quantize_pipeline(
     return key_a, key_g, retained
 
 
-def listener_key(amps: np.ndarray, retained: IndexList, config: QuantizerConfig) -> BitKey:
+def listener_key(amps: np.ndarray, retained: np.ndarray, config: QuantizerConfig) -> BitKey:
     """The key a third party quantizes from its own amplitudes by the public steps:
     the shared shuffle, its own thresholds, and the overheard retained list."""
     amps = _shuffled(amps, config)

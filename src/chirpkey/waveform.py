@@ -62,9 +62,10 @@ class LoRaParams:
 class IqSamples:
     """Complex baseband signal with its sample rate.
 
-    Samples at capture depth (complex64, the layout SDR file sinks write)
-    are kept as they are, not copied; anything else is widened to
-    complex128.  The consumers that transform samples (``detect_preamble``,
+    Contiguous samples at capture depth (complex64, the layout SDR file
+    sinks write) are kept as they are, not copied; anything else is widened
+    to complex128, and strided samples are copied to a contiguous array.
+    The consumers that transform samples (``detect_preamble``,
     ``cfr.estimate_from_frame``) widen what they read to complex128.
     """
 
@@ -77,16 +78,14 @@ class IqSamples:
             arr = arr.astype(np.complex128, copy=False)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("samples must be a non-empty 1-d sequence")
+        arr = np.ascontiguousarray(arr)  # the float view below needs it
         if not np.all(np.isfinite(arr.view(arr.real.dtype))):
             raise ParameterError("samples contain non-finite values")
         object.__setattr__(self, "samples", arr)
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 @lru_cache(maxsize=16)
-def gen_upchirp(params: LoRaParams) -> IqSamples:
+def gen_upchirp(params: LoRaParams) -> np.ndarray:
     """One upchirp symbol: exp(j*pi*(-bw + k*t)*t) sampled at t = n/fs.
 
     The instantaneous frequency sweeps linearly from -bw/2 at t = 0 to
@@ -97,22 +96,22 @@ def gen_upchirp(params: LoRaParams) -> IqSamples:
     phase = np.pi * (-params.bw + params.sweep_rate * t) * t
     chirp = np.exp(1j * phase)
     chirp.setflags(write=False)
-    return IqSamples(chirp, params.fs)
+    return chirp
 
 
 @lru_cache(maxsize=16)
-def gen_preamble(params: LoRaParams) -> IqSamples:
+def gen_preamble(params: LoRaParams) -> np.ndarray:
     """K identical upchirps back to back.  Cached, read-only."""
-    preamble = np.tile(gen_upchirp(params).samples, params.preamble_len)
+    preamble = np.tile(gen_upchirp(params), params.preamble_len)
     preamble.setflags(write=False)
-    return IqSamples(preamble, params.fs)
+    return preamble
 
 
 @lru_cache(maxsize=16)
 def _matched_filter_spectrum(params: LoRaParams, nfft: int) -> np.ndarray:
     """FFT of the conjugate-reversed upchirp, zero-padded to nfft.  Cached,
     read-only."""
-    spectrum = sp_fft.fft(np.conj(gen_upchirp(params).samples[::-1]), nfft)
+    spectrum = sp_fft.fft(np.conj(gen_upchirp(params)[::-1]), nfft)
     spectrum.setflags(write=False)
     return spectrum
 
@@ -142,7 +141,7 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     PreambleNotFoundError if the peak correlation is below
     ``DETECTION_THRESHOLD``.
     """
-    chirp = gen_upchirp(params).samples
+    chirp = gen_upchirp(params)
     n_sym, k = len(chirp), params.preamble_len
     n = k * n_sym
     cap = capture.samples.astype(np.complex128, copy=False)

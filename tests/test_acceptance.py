@@ -82,7 +82,7 @@ def test_criterion_01_waveform_exactness():
     chirp = gen_upchirp(params)
     t = np.arange(params.samples_per_symbol) / params.fs
     expected = np.pi * (-params.bw * t + params.sweep_rate * t * t)
-    err = np.max(np.abs(np.unwrap(np.angle(chirp.samples)) - expected))
+    err = np.max(np.abs(np.unwrap(np.angle(chirp)) - expected))
     gate.finish(len(chirp) == 512 and err < 1e-9, f"max phase error {err:.2e} rad")
 
 
@@ -90,7 +90,7 @@ def test_criterion_02_ls_oracle_equivalence():
     gate = _Gate(2, "LS recovers analytic DFT", 10.0)
     params = LoRaParams()
     n = params.samples_per_symbol
-    sym = gen_upchirp(params).samples
+    sym = gen_upchirp(params)
     rng = np.random.default_rng(20240)
     worst = 0.0
     for _ in range(50):
@@ -119,9 +119,9 @@ def test_criterion_03_averaging_gain():
     err1 = []
     for _ in range(trials):
         noise = np.sqrt(10 ** (-10 / 10) / 2) * (
-            rng.standard_normal(len(tx.samples)) + 1j * rng.standard_normal(len(tx.samples))
+            rng.standard_normal(len(tx)) + 1j * rng.standard_normal(len(tx))
         )
-        rx = IqSamples(tx.samples + noise, params.fs)
+        rx = IqSamples(tx + noise, params.fs)
         est8 = estimate_from_frame(rx, params, "occupied-band")
         est1 = estimate_from_frame(
             IqSamples(rx.samples[:n], params.fs), single, "occupied-band"

@@ -26,11 +26,11 @@ def test_format_definition(tmp_path, default_params):
 def test_roundtrip_is_bit_identical(tmp_path, default_params):
     pre = gen_preamble(default_params)
     path = tmp_path / "pre.cf32"
-    write_capture(path, pre)
+    write_capture(path, IqSamples(pre, default_params.fs))
     back = ingest_capture(path, default_params)
     # once at capture depth the cycle is exact
     np.testing.assert_array_equal(
-        back.samples, pre.samples.astype(np.complex64).astype(np.complex128)
+        back.samples, pre.astype(np.complex64).astype(np.complex128)
     )
     path2 = tmp_path / "pre2.cf32"
     write_capture(path2, back)

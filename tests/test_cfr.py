@@ -18,7 +18,7 @@ from chirpkey.cfr import BIN_POLICIES, LOW_REFERENCE_GUARD
 def _circular_rx(params: LoRaParams, taps: np.ndarray) -> IqSamples:
     """Preamble through a circular (per-symbol) channel: exact DFT fixture."""
     n = params.samples_per_symbol
-    sym = gen_upchirp(params).samples
+    sym = gen_upchirp(params)
     rx_sym = np.fft.ifft(np.fft.fft(sym) * np.fft.fft(taps, n))
     return IqSamples(np.tile(rx_sym, params.preamble_len), params.fs)
 
@@ -28,7 +28,7 @@ def _single(params: LoRaParams) -> LoRaParams:
 
 
 def test_ls_identity_channel(default_params):
-    ref = gen_upchirp(default_params)
+    ref = IqSamples(gen_upchirp(default_params), default_params.fs)
     est = estimate_from_frame(ref, _single(default_params))
     np.testing.assert_allclose(est.bins, 1.0, atol=1e-12)
     assert len(est) == 512
@@ -37,7 +37,7 @@ def test_ls_identity_channel(default_params):
 def test_ls_flat_complex_gain(default_params):
     ref = gen_upchirp(default_params)
     g = 0.3 - 1.7j
-    rx = IqSamples(g * ref.samples, default_params.fs)
+    rx = IqSamples(g * ref, default_params.fs)
     np.testing.assert_allclose(estimate_from_frame(rx, _single(default_params)).bins, g,
                                atol=1e-12)
 
@@ -55,7 +55,7 @@ def test_ls_two_tap_circular_channel(default_params):
 
 def test_ls_length_mismatch(default_params):
     ref = gen_upchirp(default_params)
-    rx = IqSamples(ref.samples[:100], default_params.fs)
+    rx = IqSamples(ref[:100], default_params.fs)
     with pytest.raises(ParameterError):
         estimate_from_frame(rx, _single(default_params))
 
@@ -88,7 +88,7 @@ def test_average_of_identical_estimates(default_params):
 
 
 def test_average_cancellation(default_params):
-    x = gen_upchirp(default_params).samples * (1 + 1j)
+    x = gen_upchirp(default_params) * (1 + 1j)
     est = estimate_from_frame(*_frame_of([x, -x], default_params))
     np.testing.assert_allclose(est.bins, 0.0, atol=1e-15)
 
@@ -110,7 +110,7 @@ def test_frame_estimate_equals_per_symbol_loop(sf, policy):
     rx = IqSamples((rng.standard_normal(p.preamble_len * n + 7)
                     + 1j * rng.standard_normal(p.preamble_len * n + 7)).astype(np.complex64),
                    p.fs)
-    ref = np.fft.fft(gen_upchirp(p).samples)
+    ref = np.fft.fft(gen_upchirp(p))
     freqs = np.fft.fftfreq(n, 1 / p.fs)
     in_band = (freqs >= -p.bw / 2) & (freqs < p.bw / 2)
     above_guard = np.abs(ref) >= LOW_REFERENCE_GUARD * np.max(np.abs(ref))
@@ -126,7 +126,8 @@ def test_frame_estimate_equals_per_symbol_loop(sf, policy):
 
 
 def test_frame_estimate_clean_preamble(default_params):
-    est = estimate_from_frame(gen_preamble(default_params), default_params)
+    est = estimate_from_frame(IqSamples(gen_preamble(default_params), default_params.fs),
+                              default_params)
     np.testing.assert_allclose(est.bins, 1.0, atol=1e-12)
 
 
@@ -151,7 +152,7 @@ def test_frame_estimate_random_circular_taps_exact(default_params):
 
 
 def test_frame_estimate_too_short(default_params):
-    rx = IqSamples(gen_preamble(default_params).samples[:-1], default_params.fs)
+    rx = IqSamples(gen_preamble(default_params)[:-1], default_params.fs)
     with pytest.raises(ParameterError):
         estimate_from_frame(rx, default_params)
 
@@ -163,9 +164,9 @@ def test_averaging_beats_single_symbol(default_params):
     err_k8, err_k1 = [], []
     for seed in range(100):
         rx = apply_channel(tx, np.array([1.0]), snr_db=30.0, seed=seed)
-        est = estimate_from_frame(rx, p, "occupied-band")
+        est = estimate_from_frame(IqSamples(rx, p.fs), p, "occupied-band")
         err_k8.append(np.mean(np.abs(est.bins - 1.0) ** 2))
-        rx1 = IqSamples(rx.samples[: p.samples_per_symbol], p.fs)
+        rx1 = IqSamples(rx[: p.samples_per_symbol], p.fs)
         est1 = estimate_from_frame(rx1, single, "occupied-band")
         err_k1.append(np.mean(np.abs(est1.bins - 1.0) ** 2))
     assert np.sqrt(np.mean(err_k8)) < np.sqrt(np.mean(err_k1))
@@ -173,7 +174,7 @@ def test_averaging_beats_single_symbol(default_params):
 
 def test_bin_policies_retain_expected_counts(default_params):
     p = default_params
-    pre = gen_preamble(p)
+    pre = IqSamples(gen_preamble(p), p.fs)
     assert len(estimate_from_frame(pre, p, "all-bins")) == 512
     occupied = estimate_from_frame(pre, p, "occupied-band")
     assert len(occupied) == round(512 * p.bw / p.fs) == 128
@@ -183,7 +184,8 @@ def test_bin_policies_retain_expected_counts(default_params):
 
 def test_unknown_policy_rejected(default_params):
     with pytest.raises(ParameterError):
-        estimate_from_frame(gen_preamble(default_params), default_params, "sideband")
+        estimate_from_frame(IqSamples(gen_preamble(default_params), default_params.fs),
+                            default_params, "sideband")
 
 
 @pytest.mark.parametrize("policy", BIN_POLICIES)
@@ -192,7 +194,8 @@ def test_cached_arrays_are_read_only(default_params, policy):
 
     def cached():
         pre = gen_preamble(p)
-        return [pre.samples, gen_upchirp(p).samples, estimate_from_frame(pre, p, policy).bin_indices]
+        bins = estimate_from_frame(IqSamples(pre, p.fs), p, policy).bin_indices
+        return [pre, gen_upchirp(p), bins]
 
     first = cached()
     snapshot = [a.copy() for a in first]

@@ -3,7 +3,6 @@ import pytest
 
 from chirpkey import (
     ChannelModel,
-    IqSamples,
     LoRaParams,
     ParameterError,
     apply_channel,
@@ -88,9 +87,9 @@ def test_per_tap_power_matches_profile():
 def test_identity_channel_passthrough(default_params):
     tx = gen_preamble(default_params)
     rx = apply_channel(tx, np.array([1.0]), snr_db=np.inf, seed=0)
-    np.testing.assert_array_equal(rx.samples, tx.samples)
+    np.testing.assert_array_equal(rx, tx)
     rx = apply_channel(tx, np.array([0.5]), snr_db=np.inf, seed=0)
-    np.testing.assert_allclose(rx.samples, 0.5 * tx.samples, rtol=1e-15)
+    np.testing.assert_allclose(rx, 0.5 * tx, rtol=1e-15)
 
 
 @pytest.mark.parametrize("num_taps", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -100,17 +99,17 @@ def test_noiseless_channel_matches_linear_convolution(num_taps):
     for n in (1, 2, num_taps, 37, 4096):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         taps = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
-        rx = apply_channel(IqSamples(x, 1e6), taps, snr_db=np.inf, seed=0)
+        rx = apply_channel(x, taps, snr_db=np.inf, seed=0)
         want = np.convolve(x, taps)[:n]
-        assert rx.samples.shape == want.shape
-        assert np.max(np.abs(rx.samples - want)) <= 1e-13 * np.max(np.abs(want))
+        assert rx.shape == want.shape
+        assert np.max(np.abs(rx - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_noise_power_calibration(default_params):
-    tx = IqSamples(np.ones(100_000, dtype=complex), default_params.fs)
+    tx = np.ones(100_000, dtype=complex)
     rx = apply_channel(tx, np.array([1.0]), snr_db=0.0, seed=3)
-    noise = rx.samples - tx.samples
-    ratio = np.mean(np.abs(noise) ** 2) / np.mean(np.abs(tx.samples) ** 2)
+    noise = rx - tx
+    ratio = np.mean(np.abs(noise) ** 2) / np.mean(np.abs(tx) ** 2)
     assert 0.9 <= ratio <= 1.1
 
 
@@ -120,15 +119,47 @@ def test_empty_taps_rejected(default_params):
         apply_channel(tx, np.array([]), snr_db=np.inf, seed=0)
 
 
+def _read_only_preamble(at: int = 0, factor: complex = 1.0) -> np.ndarray:
+    x = gen_preamble(LoRaParams()).copy()
+    x[at] *= factor
+    x.setflags(write=False)  # an input the leg store would keep
+    return x
+
+
+@pytest.mark.parametrize("snr_db", [10.0, np.inf])
+@pytest.mark.parametrize("tx, taps", [
+    (_read_only_preamble(), [1.0, np.nan]),
+    (_read_only_preamble(), [1.0, 0.5, np.inf]),
+    (_read_only_preamble(), [1.0, np.inf * 1j]),
+    (_read_only_preamble(100, np.nan), [1.0, 0.5j]),
+    (_read_only_preamble(4095, np.inf), [1.0]),
+    (_read_only_preamble(7, complex(0, np.inf)), [0.5, 0.25]),
+    (_read_only_preamble().reshape(8, -1), [1.0]),  # 2-d
+    (np.array([], dtype=complex), [1.0]),
+], ids=["nan-tap", "inf-tap", "imag-inf-tap", "nan-sample", "inf-sample",
+        "imag-inf-sample", "2-d", "empty"])
+def test_apply_channel_rejects_bad_samples_and_taps(tx, taps, snr_db, empty_legs):
+    with np.errstate(all="ignore"), pytest.raises(ParameterError):
+        apply_channel(tx, np.array(taps), snr_db, seed=0)
+    assert len(empty_legs) == 0  # nothing non-finite is kept
+
+
+def test_apply_channel_rejects_an_overflowing_noise_scale(empty_legs):
+    tx = _read_only_preamble()
+    apply_channel(tx, np.array([1.0]), -3080.0, seed=0)  # 10**-308: the scale is finite
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match="overflows"):
+        apply_channel(tx, np.array([1.0]), -3084.0, seed=0)
+
+
 def test_energy_preserved_on_average(default_params):
     model = ChannelModel()
-    tx = IqSamples(gen_preamble(LoRaParams(preamble_len=1)).samples, default_params.fs)
+    tx = gen_preamble(LoRaParams(preamble_len=1))
     total = 0.0
     trials = 10_000
     for i in range(trials):
         taps = sample_channel(model, seed=i)[0]
         rx = apply_channel(tx, taps, snr_db=np.inf, seed=0)
-        total += np.mean(np.abs(rx.samples) ** 2)
+        total += np.mean(np.abs(rx) ** 2)
     assert total / trials == pytest.approx(1.0, rel=0.05)
 
 
@@ -262,16 +293,16 @@ def test_apply_channel_noise_is_the_seeds_first_2n_normals(default_params, empty
     seed = np.random.SeedSequence(8)
     for sf in (9, 7, 8):
         tx = gen_preamble(LoRaParams(sf=sf))
-        n = len(tx.samples)
+        n = len(tx)
         for snr_db in (5.0, 50.0):
             rx = apply_channel(tx, np.array([1.0]), snr_db, seed)
             rng = np.random.default_rng(seed)
-            scale = np.sqrt(np.mean(np.abs(tx.samples) ** 2) / 10.0 ** (snr_db / 10.0) / 2.0)
+            scale = np.sqrt(np.mean(np.abs(tx) ** 2) / 10.0 ** (snr_db / 10.0) / 2.0)
             want = np.empty(n, dtype=np.complex128)
             want.real = rng.standard_normal(n)
             want.imag = rng.standard_normal(n)
             want *= scale
-            np.testing.assert_array_equal(rx.samples, tx.samples + want)
+            np.testing.assert_array_equal(rx, tx + want)
 
 
 @pytest.fixture
@@ -313,8 +344,8 @@ def test_leg_store_interleaved_across_more_legs_than_the_bound(default_params, e
     for step in range(4):
         for i in range(len(legs)):
             taps = legs[(i + step) % len(legs)]
-            got = apply_channel(tx, taps, np.inf, seed=0).samples
-            np.testing.assert_array_equal(got, channel._tap_sum(tx.samples, taps))
+            got = apply_channel(tx, taps, np.inf, seed=0)
+            np.testing.assert_array_equal(got, channel._tap_sum(tx, taps))
             assert len(empty_legs) <= channel._LEGS
 
 
@@ -326,9 +357,8 @@ def test_leg_store_misses_other_taps_and_other_inputs(default_params, empty_legs
     assert len(tap_sums) == 1
     apply_channel(tx, np.array([1.0, 0.25j]), 5.0, seed=1)
     assert len(tap_sums) == 2
-    equal = tx.samples.copy()
-    equal.setflags(write=False)
-    twin = IqSamples(equal, tx.fs)  # equal samples, another object
+    twin = tx.copy()  # equal samples, another object
+    twin.setflags(write=False)
     apply_channel(twin, taps, 5.0, seed=1)
     assert len(tap_sums) == 3
     apply_channel(twin, taps, 10.0, seed=1)
@@ -336,12 +366,11 @@ def test_leg_store_misses_other_taps_and_other_inputs(default_params, empty_legs
 
 
 def test_leg_store_keeps_no_writable_input(default_params, empty_legs):
-    x = gen_preamble(default_params).samples.copy()
-    tx = IqSamples(x, default_params.fs)
+    tx = gen_preamble(default_params).copy()
     taps = np.array([1.0, 0.5j])
-    first = apply_channel(tx, taps, np.inf, seed=0).samples.copy()
-    x *= 2.0  # the same object, changed in place
-    np.testing.assert_array_equal(apply_channel(tx, taps, np.inf, seed=0).samples, 2.0 * first)
+    first = apply_channel(tx, taps, np.inf, seed=0).copy()
+    tx *= 2.0  # the same object, changed in place
+    np.testing.assert_array_equal(apply_channel(tx, taps, np.inf, seed=0), 2.0 * first)
     assert len(empty_legs) == 0
 
 
@@ -350,14 +379,14 @@ def test_noiseless_leg_cannot_change_the_stored_sum(default_params, empty_legs):
     taps = np.array([0.5, 0.25j])
     rx = apply_channel(tx, taps, np.inf, seed=0)
     with pytest.raises(ValueError):
-        rx.samples[0] = 0.0
+        rx[0] = 0.0
     with pytest.raises(ValueError):
-        rx.samples *= 2.0
-    want = channel._tap_sum(tx.samples, taps)
-    np.testing.assert_array_equal(apply_channel(tx, taps, np.inf, seed=0).samples, want)
-    noisy = apply_channel(tx, taps, 10.0, seed=0).samples
+        rx *= 2.0
+    want = channel._tap_sum(tx, taps)
+    np.testing.assert_array_equal(apply_channel(tx, taps, np.inf, seed=0), want)
+    noisy = apply_channel(tx, taps, 10.0, seed=0)
     channel._legs.clear()
-    np.testing.assert_array_equal(apply_channel(tx, taps, 10.0, seed=0).samples, noisy)
+    np.testing.assert_array_equal(apply_channel(tx, taps, 10.0, seed=0), noisy)
 
 
 @pytest.mark.parametrize("snrs", [(5.0, 10.0, 50.0), (50.0, 10.0, 5.0)])

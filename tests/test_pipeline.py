@@ -180,9 +180,8 @@ def test_clean_loopback_captures(tmp_path):
     from chirpkey import gen_preamble, write_capture
 
     cfg = ExperimentConfig()
-    pre = gen_preamble(cfg.lora)
     path = tmp_path / "loopback.cf32"
-    write_capture(path, pre)
+    write_capture(path, IqSamples(gen_preamble(cfg.lora), cfg.lora.fs))
     result = run_captures(
         replace(cfg, mode="captures", capture_a2g=str(path), capture_g2a=str(path)),
         trial_seed=0,
@@ -345,7 +344,7 @@ def _reference_frames(config, seeds):
     from chirpkey import gen_preamble, sample_channel
 
     model = config.channel
-    tx = gen_preamble(config.lora).samples
+    tx = gen_preamble(config.lora)
     frames = []
     for taps, noise_seed in zip(sample_channel(model, seeds.channel),
                                 (seeds.noise_g, seeds.noise_a, seeds.noise_e)):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpkey import (
-    IndexList,
     ParameterError,
     QuantizerConfig,
     censoring_exchange,
@@ -113,7 +112,7 @@ def test_block_thresholds_equal_per_slice_numpy(n, m, alpha, constant, seed):
 def test_block_thresholds_reject_crossed_or_ragged_arrays():
     # four values at m = 4 are one block, so quantize takes only a (2, 1)
     # array with q_minus <= q_plus
-    amps, retained = np.array([1.0, 9.0, 2.0, 8.0]), IndexList(np.arange(4))
+    amps, retained = np.array([1.0, 9.0, 2.0, 8.0]), np.arange(4)
     quantize(amps, retained, np.array([[6.0], [4.0]]), "plain", 4)
     for crossed_or_ragged in ([[4.0], [6.0]], [[6.0, 7.0], [4.0, 5.0]], [[6.0]]):
         with pytest.raises(ParameterError):
@@ -125,11 +124,11 @@ _PARTY_STEPS = {
     "block_thresholds": lambda v: block_thresholds(v, QuantizerConfig(block_size=4)),
     "censoring_exchange": lambda v: censoring_exchange(v, _GOOD, QuantizerConfig(block_size=4)),
     "censoring_exchange-g": lambda v: censoring_exchange(_GOOD, v, QuantizerConfig(block_size=4)),
-    "quantize": lambda v: quantize(v, IndexList(np.arange(4)), np.array([[6.0], [4.0]]),
+    "quantize": lambda v: quantize(v, np.arange(4), np.array([[6.0], [4.0]]),
                                    "plain", 4),
     "quantize_pipeline": lambda v: quantize_pipeline(v, _GOOD, QuantizerConfig(block_size=4)),
     "quantize_pipeline-g": lambda v: quantize_pipeline(_GOOD, v, QuantizerConfig(block_size=4)),
-    "listener_key": lambda v: listener_key(v, IndexList(np.arange(4)),
+    "listener_key": lambda v: listener_key(v, np.arange(4),
                                            QuantizerConfig(block_size=4)),
 }
 _BAD_AMPLITUDES = {
@@ -152,10 +151,34 @@ def test_quantizer_entries_reject_bad_amplitudes(step, values):
         step(values)
 
 
+_RETAINED_STEPS = {
+    "quantize": lambda r: quantize(_GOOD, r, np.array([[6.0], [4.0]]), "plain", 4),
+    "listener_key": lambda r: listener_key(_GOOD, r, QuantizerConfig(block_size=4)),
+}
+_BAD_RETAINED = {
+    "repeated": [0, 2, 2],
+    "decreasing": [0, 3, 1],
+    "negative": [-1, 0, 2],
+    "past-end": [0, 1, 4],
+    "2-d": [[0, 1], [2, 3]],
+}
+
+
+@pytest.mark.parametrize("positions", _BAD_RETAINED.values(), ids=_BAD_RETAINED.keys())
+@pytest.mark.parametrize("step", _RETAINED_STEPS.values(), ids=_RETAINED_STEPS.keys())
+def test_quantizer_entries_reject_bad_retained_positions(step, positions):
+    # the entries that read retained positions check them; every strictly
+    # increasing 1-d selection within the amplitudes, empty too, goes through
+    for good in ([], [3], [0, 1, 2, 3], [1, 3]):
+        assert len(step(np.array(good, dtype=np.intp))) == len(good)
+    with pytest.raises(ParameterError):
+        step(np.array(positions))
+
+
 def test_censoring_identical_inputs_alpha_zero_retains_all():
     amps = np.array([5.0, 1.0, 8.0, 9.0, 2.0, 7.0])
     retained, _, _ = censoring_exchange(amps, amps, QuantizerConfig(alpha=0.0, block_size=6))
-    np.testing.assert_array_equal(retained.indices, np.arange(6))
+    np.testing.assert_array_equal(retained, np.arange(6))
 
 
 def test_censoring_worked_example():
@@ -164,7 +187,8 @@ def test_censoring_worked_example():
     retained, th_a, _ = censoring_exchange(amps, amps, cfg)
     block = amps
     assert th_a[0, 0] == pytest.approx(block.mean() + 0.5 * block.std())
-    np.testing.assert_array_equal(retained.indices, [0, 1, 3, 4])
+    assert retained.dtype == np.intp
+    np.testing.assert_array_equal(retained, [0, 1, 3, 4])
 
 
 @given(
@@ -179,6 +203,8 @@ def test_retained_sets_identical_for_adversarial_inputs(m, seed):
     amps_g = rng.rayleigh(size=n)  # unrelated on purpose
     cfg = QuantizerConfig(alpha=0.5, block_size=m)
     retained, th_a, th_g = censoring_exchange(amps_a, amps_g, cfg)
+    assert retained.dtype == np.intp and retained.ndim == 1
+    assert np.all(np.diff(retained) > 0)
     key_a = quantize(amps_a, retained, th_a, "plain", block_size=m)
     key_g = quantize(amps_g, retained, th_g, "plain", block_size=m)
     assert len(key_a) == len(key_g) == len(retained)
@@ -193,7 +219,7 @@ def test_censoring_length_mismatch():
 
 def test_quantize_plain_and_dgray():
     amps = np.array([9.0, 1.0, 9.0])
-    retained = IndexList(np.arange(3))
+    retained = np.arange(3)
     th = np.array([[6.0], [4.0]])
     plain = quantize(amps, retained, th, "plain", block_size=3)
     np.testing.assert_array_equal(plain.bits, [1, 0, 1])
@@ -203,7 +229,7 @@ def test_quantize_plain_and_dgray():
 
 def test_quantize_gap_values_map_to_nearest_threshold():
     th = np.array([[6.0], [4.0]])
-    retained = IndexList(np.arange(3))
+    retained = np.arange(3)
     amps = np.array([4.5, 5.0, 5.5])
     bits = quantize(amps, retained, th, "plain", block_size=3)
     # 4.5 is nearer the lower threshold; the exact midpoint 5.0 ties to 1
@@ -212,7 +238,7 @@ def test_quantize_gap_values_map_to_nearest_threshold():
 
 def test_quantize_zero_spread_block():
     th = np.array([[5.0], [5.0]])
-    retained = IndexList(np.arange(2))
+    retained = np.arange(2)
     bits = quantize(np.array([5.0, 4.99]), retained, th, "plain", block_size=2)
     np.testing.assert_array_equal(bits.bits, [1, 0])
 
@@ -241,7 +267,7 @@ def test_quantize_nearer_threshold_equals_three_way_rule(cases):
         q_plus.append(qp)
         q_minus.append(qm)
     v, qp, qm = np.array(values), np.array(q_plus), np.array(q_minus)
-    bits = quantize(v, IndexList(np.arange(len(v))),
+    bits = quantize(v, np.arange(len(v)),
                     np.array([qp, qm]), "plain", block_size=1).bits
     assert (bits == _three_way_bits(v, qp, qm)).all()
 
@@ -340,8 +366,8 @@ def test_trailing_blocks():
     # length 129: the singleton tail is censored outright
     amps1 = rng.rayleigh(size=129)
     retained, _, _ = censoring_exchange(amps1, amps1, QuantizerConfig(alpha=0.0))
-    assert 128 not in retained.indices.tolist()
-    np.testing.assert_array_equal(retained.indices, np.arange(128))
+    assert 128 not in retained.tolist()
+    np.testing.assert_array_equal(retained, np.arange(128))
 
 
 def test_pipeline_deterministic():
@@ -364,13 +390,6 @@ def test_listener_key_is_the_party_step(shuffle_on):
     cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=9)
     _, key_g, retained = quantize_pipeline(amps_a, amps_g, cfg)
     np.testing.assert_array_equal(listener_key(amps_g, retained, cfg).bits, key_g.bits)
-
-
-def test_index_list_must_increase():
-    with pytest.raises(ParameterError):
-        IndexList(np.array([3, 3]))
-    with pytest.raises(ParameterError):
-        IndexList(np.array([5, 2]))
 
 
 def test_bitkey_rejects_non_bits():

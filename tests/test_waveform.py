@@ -37,13 +37,13 @@ def test_invalid_params_rejected(kwargs):
 
 def test_upchirp_starts_at_phase_zero(default_params):
     chirp = gen_upchirp(default_params)
-    assert chirp.samples[0] == pytest.approx(1 + 0j)
+    assert chirp[0] == pytest.approx(1 + 0j)
     assert len(chirp) == 512
 
 
 def test_upchirp_unit_magnitude(default_params):
     chirp = gen_upchirp(default_params)
-    assert np.max(np.abs(np.abs(chirp.samples) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.abs(chirp) - 1.0)) < 1e-12
 
 
 def test_upchirp_phase_matches_closed_form(default_params):
@@ -51,14 +51,14 @@ def test_upchirp_phase_matches_closed_form(default_params):
     chirp = gen_upchirp(p)
     t = np.arange(p.samples_per_symbol) / p.fs
     expected = np.pi * (-p.bw * t + p.sweep_rate * t**2)
-    observed = np.unwrap(np.angle(chirp.samples))
+    observed = np.unwrap(np.angle(chirp))
     assert np.max(np.abs(observed - expected)) < 1e-9
 
 
 def test_instantaneous_frequency_sweeps_the_band(default_params):
     p = default_params
     chirp = gen_upchirp(p)
-    phase = np.unwrap(np.angle(chirp.samples))
+    phase = np.unwrap(np.angle(chirp))
     inst_freq = np.diff(phase) * p.fs / (2 * np.pi)
     # half-sample offset of the finite difference: f((n + 0.5)/fs)
     t_mid = (np.arange(len(inst_freq)) + 0.5) / p.fs
@@ -72,14 +72,14 @@ def test_preamble_is_k_repetitions(default_params):
     p = default_params
     pre = gen_preamble(p)
     assert len(pre) == p.preamble_len * 512
-    one = gen_upchirp(p).samples
+    one = gen_upchirp(p)
     for i in range(p.preamble_len):
-        np.testing.assert_array_equal(pre.samples[i * 512 : (i + 1) * 512], one)
+        np.testing.assert_array_equal(pre[i * 512 : (i + 1) * 512], one)
 
 
 def test_preamble_with_k1_equals_upchirp():
     p = LoRaParams(preamble_len=1)
-    np.testing.assert_array_equal(gen_preamble(p).samples, gen_upchirp(p).samples)
+    np.testing.assert_array_equal(gen_preamble(p), gen_upchirp(p))
 
 
 def _embed(preamble: np.ndarray, offset: int, tail: int, fs: float) -> IqSamples:
@@ -94,13 +94,13 @@ def _embed(preamble: np.ndarray, offset: int, tail: int, fs: float) -> IqSamples
 
 
 def test_detect_clean_embedding(default_params):
-    pre = gen_preamble(default_params).samples
+    pre = gen_preamble(default_params)
     cap = _embed(pre, 777, 400, default_params.fs)
     assert detect_preamble(cap, default_params) == 777
 
 
 def test_detect_offset_sweep_exhaustive(small_params):
-    pre = gen_preamble(small_params).samples
+    pre = gen_preamble(small_params)
     n_sym = small_params.samples_per_symbol
     for offset in range(0, n_sym + 1):
         cap = _embed(pre, offset, 37, small_params.fs)
@@ -108,7 +108,7 @@ def test_detect_offset_sweep_exhaustive(small_params):
 
 
 def test_detect_at_20db_snr(default_params):
-    pre = gen_preamble(default_params).samples
+    pre = gen_preamble(default_params)
     rng = np.random.default_rng(1234)
     hits = 0
     for _ in range(100):
@@ -125,7 +125,7 @@ def test_detect_at_20db_snr(default_params):
 def _template_correlation_peak(cap: np.ndarray, params: LoRaParams) -> tuple[int, float]:
     """Reference detector: the K-symbol template correlated at every lag,
     window energy by convolution with ones; returns (argmax, peak)."""
-    template = np.tile(gen_upchirp(params).samples, params.preamble_len)
+    template = np.tile(gen_upchirp(params), params.preamble_len)
     n = len(template)
     num = np.abs(fftconvolve(cap, np.conj(template[::-1]), mode="valid"))
     energy = fftconvolve(np.abs(cap) ** 2, np.ones(n), mode="valid").real
@@ -150,7 +150,7 @@ def test_detect_equals_k_symbol_template_reference(link, k, lag_case, snr_db):
     lags = {"one": 1, "below-symbol": n_sym // 2 + 3, "above-symbol": 2 * n_sym + 5}[lag_case]
     rng = np.random.default_rng([sf, k, lags, 0 if snr_db is None else int(snr_db) + 100])
     offset = int(rng.integers(lags))
-    signal = gen_preamble(p).samples
+    signal = gen_preamble(p)
     if snr_db is not None:
         # multipath smears the peak over neighbouring lags, noise sets its height
         taps = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * [1.0, 0.5, 0.25]
@@ -189,3 +189,21 @@ def test_iq_samples_validation():
         IqSamples(np.array([], dtype=complex), 1e6)
     with pytest.raises(ParameterError):
         IqSamples(np.array([1.0, np.nan], dtype=complex), 1e6)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_iq_samples_take_strided_samples(dtype):
+    """A strided 1-d view is scanned like any other input: accepted when
+    finite, ParameterError (not numpy's contiguity error) at a NaN; a
+    contiguous capture-depth array is still kept without a copy."""
+    x = np.arange(10, dtype=dtype) * (1 - 1j)
+    iq = IqSamples(x[::2], 1e6)
+    assert iq.samples.dtype == dtype
+    np.testing.assert_array_equal(iq.samples, x[::2])
+    x[3] = np.nan  # skipped by the stride
+    np.testing.assert_array_equal(IqSamples(x[::2], 1e6).samples, x[::2])
+    x[4] = np.nan
+    with pytest.raises(ParameterError, match="non-finite"):
+        IqSamples(x[::2], 1e6)
+    frame = np.zeros(8, dtype=np.complex64)
+    assert IqSamples(frame, 1e6).samples is frame
