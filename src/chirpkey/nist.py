@@ -22,6 +22,10 @@ unpacks nothing.  The complexities are integers, so the p-value equals
 the one-block-at-a-time reference exactly.  The Approximate Entropy test
 takes its m-bit and (m+1)-bit pattern counts from one count of the
 (m+1)-bit patterns.
+
+The p-value functions come from ``scipy.special``, imported inside the
+tests that call them: the battery loads it on first use, and ``import
+chirpkey`` loads no scipy.
 """
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import ParameterError
 from .metrics import longest_runs
@@ -95,6 +98,7 @@ def frequency_test(bits) -> TestResult:
     if n < 100:
         return TestResult("frequency", None, f"needs n >= 100, got {n}")
     s = 2 * int(np.count_nonzero(b)) - n
+    from scipy.special import erfc
     p = float(erfc(abs(s) / np.sqrt(2.0 * n)))
     return TestResult("frequency", p)
 
@@ -109,6 +113,7 @@ def block_frequency_test(bits, block_len: int = 128) -> TestResult:
     num = n // block_len
     props = b[: num * block_len].reshape(num, block_len).mean(axis=1)
     chi2 = 4.0 * block_len * float(np.sum((props - 0.5) ** 2))
+    from scipy.special import gammaincc
     p = float(gammaincc(num / 2.0, chi2 / 2.0))
     return TestResult("block_frequency", p)
 
@@ -131,6 +136,7 @@ def cumulative_sums_test(bits) -> TestResult:
     lo2 = int(np.floor((-n / z - 3) / 4))
     ks1 = np.arange(lo1, hi + 1)
     ks2 = np.arange(lo2, hi + 1)
+    from scipy.special import ndtr
     term1 = np.sum(ndtr((4 * ks1 + 1) * z / sn) - ndtr((4 * ks1 - 1) * z / sn))
     term2 = np.sum(ndtr((4 * ks2 + 3) * z / sn) - ndtr((4 * ks2 + 1) * z / sn))
     p = float(1.0 - term1 + term2)
@@ -151,6 +157,7 @@ def longest_run_test(bits) -> TestResult:
     nu = np.bincount(np.clip(runs, lo, lo + k) - lo, minlength=k + 1)
     expected = num * np.asarray(probs)
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
+    from scipy.special import gammaincc
     p = float(gammaincc(k / 2.0, chi2 / 2.0))
     return TestResult("longest_run", p)
 
@@ -171,6 +178,7 @@ def spectral_fft_test(bits) -> TestResult:
     n0 = 0.95 * n / 2.0
     n1 = int(np.sum(mags < threshold))
     d = (n1 - n0) / np.sqrt(n * 0.95 * 0.05 / 4.0)
+    from scipy.special import erfc
     p = float(erfc(abs(d) / np.sqrt(2.0)))
     return TestResult("spectral_fft", p)
 
@@ -206,6 +214,7 @@ def non_overlapping_template_test(
     mean = width / 2.0**m
     var = block_len * (1.0 / 2.0**m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
     chi2 = float(np.sum((counts - mean) ** 2 / var))
+    from scipy.special import gammaincc
     p = float(gammaincc(num_blocks / 2.0, chi2 / 2.0))
     return TestResult("non_overlapping_template", p)
 
@@ -240,6 +249,7 @@ def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
 
     apen = phi(counts.reshape(-1, 2).sum(axis=1)) - phi(counts)
     chi2 = 2.0 * n * (np.log(2.0) - apen)
+    from scipy.special import gammaincc
     p = float(gammaincc(2.0 ** (m_pattern - 1), chi2 / 2.0))
     return TestResult("approximate_entropy", p)
 
@@ -343,6 +353,7 @@ def linear_complexity_test(bits, block_len: int = 500) -> TestResult:
     nu = np.bincount(np.searchsorted([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], t), minlength=7)
     expected = num * _LC_PROBS
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
+    from scipy.special import gammaincc
     p = float(gammaincc(3.0, chi2 / 2.0))
     return TestResult("linear_complexity", p)
 

@@ -92,6 +92,9 @@ class LocalParityOracle:
     - ``runs(order)``: a function ``(lo, hi) -> parity of order[lo:hi]``,
       answered from the key packed once, in that order, into one int;
     - ``parity(indices)``: the parity of any index set.
+
+    The ``order`` arrays cascade passes are views of its retained tables,
+    valid only during the call: an oracle that needs one later copies it.
     """
 
     def __init__(self, key: BitKey | np.ndarray):
@@ -128,6 +131,27 @@ class LocalParityOracle:
 def _pack(bits: np.ndarray) -> int:
     """0/1 bits as one int, ``bits[i]`` at bit i."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+_TABLE_CAP = 1 << 16  # entries per kept pass table: 14 passes of 2048 bits fit
+# the flat (orders, inverse) pair while no call holds it, sized to the
+# largest passes * n up to _TABLE_CAP seen so far
+_spare_tables: list[tuple[np.ndarray, np.ndarray]] = []
+
+
+def _take_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat intp tables of at least ``size`` entries: the retained pair
+    if it is large enough, else a new pair.  A call takes the pair out of
+    ``_spare_tables``, so no other call can hold it at the same time."""
+    tables = None
+    if size <= _TABLE_CAP:  # a larger call leaves the retained pair alone
+        try:
+            tables = _spare_tables.pop()
+        except IndexError:  # none retained yet, or another call holds it
+            pass
+    if tables is None or tables[0].size < size:
+        tables = (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp))
+    return tables
 
 
 def initial_block_size(qber: float, key_len: int) -> int:
@@ -208,6 +232,13 @@ def cascade(
     toggles bit ``inverse[q][pos]`` of every packed order q.  Orders that
     hold no odd block are never packed.
 
+    ``orders`` and ``inverse`` are (passes, n) views of two intp tables,
+    kept for the next call when passes * n <= 2^16 (so a call maps and
+    faults in no fresh pages for them) and allocated for this call alone
+    above it.  Every row is written before it is read, so what an earlier
+    call left in them is never seen.  The ``order`` arrays the
+    oracle receives are views of these tables, valid only during the call.
+
     ``config.qber_estimate`` must be numeric here; "auto" is resolved by the
     pipeline via estimate_qber before cascading.  If ``transcript`` is a
     list, one CSV line "pass,block_id,indices_hash,parity_a,parity_g" is
@@ -232,7 +263,8 @@ def cascade(
     k1 = initial_block_size(float(config.qber_estimate), n)
     rng = np.random.default_rng(config.rng_seed)
     sizes = pass_block_sizes(k1, n, config.num_passes)
-    orders = np.empty((len(sizes), n), dtype=np.intp)
+    tables = _take_tables(len(sizes) * n)
+    orders, inverse = (t[: len(sizes) * n].reshape(len(sizes), n) for t in tables)
     orders[:] = np.arange(n)
     for row in orders[1:]:
         rng.shuffle(row)  # what rng.permutation(n) draws, in place
@@ -245,8 +277,7 @@ def cascade(
     parity_g = oracle_g.parities(flat, heads).tolist()
     # uint8 sums wrap modulo 256, which keeps their parity
     parity_a = (np.add.reduceat(bits[flat], heads) & 1).tolist()
-    inverse = np.empty_like(orders)  # rows [0, built) filled, on the first flip needing them
-    built = 0
+    built = 0  # inverse rows [0, built) filled, on the first flip needing them
     keys: dict[int, int] = {}  # pass -> correcting key packed in its order
     runs: dict[int, Callable[[int, int], int]] = {}  # pass -> far side's run query
     queries = flips = 0
@@ -316,6 +347,8 @@ def cascade(
     pa_full = int(bits.sum() & 1)
     if transcript is not None:
         log_query(config.num_passes, -1, full, pa_full, pg_full)
+    if flat.size <= _TABLE_CAP:
+        _spare_tables[:] = [tables]
 
     return ReconciliationOutcome(
         corrected_key=BitKey(bits, "reconciled"),

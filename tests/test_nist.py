@@ -584,6 +584,30 @@ def test_import_does_not_load_scipy_stats():
     assert done.stdout.strip() == "False"
 
 
+_SCIPY_FREE_IMPORT = """
+import sys
+import numpy as np
+import chirpkey, chirpkey.cli
+from chirpkey import nist
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+nist.run_suite(np.random.default_rng(0).integers(0, 2, 1000, dtype=np.uint8))
+print("scipy.special" in sys.modules, "scipy.fft" in sys.modules)
+"""
+
+
+def test_import_loads_no_scipy_and_the_battery_only_scipy_special():
+    # scipy's import is most of the package's; only the battery's p-values
+    # need it, and they load scipy.special on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_IMPORT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True False"]
+
+
 def _pinned_streams():
     n = 100_000
     for i in range(20):

@@ -382,23 +382,31 @@ def test_frames_stay_at_capture_depth(tmp_path):
 def test_front_end_transforms_capture_depth_frames_in_double(monkeypatch):
     # every FFT of the aligner and the estimator reads complex128, as a
     # complex64 transform would round differently
-    seen = {"detect": [], "estimate": []}
+    read = []
 
-    def spy(fft, name):
+    def spy(fft):
         def call(x, *args, **kwargs):
-            seen[name].append(np.asarray(x).dtype)
+            read.append(np.asarray(x).dtype)
             return fft(x, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(waveform.sp_fft, "fft", spy(waveform.sp_fft.fft, "detect"))
-    monkeypatch.setattr(cfr.np.fft, "fft", spy(cfr.np.fft.fft, "estimate"))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, spy(getattr(np.fft, name)))
+    seen = {"detect": [], "estimate": []}
+
+    def take(stage):
+        seen[stage] += read
+        read.clear()
+
     for policy in ("all-bins", "occupied-band"):
         cfg = replace(cell_config(8, 10.0), bin_policy=policy)
         for rx in simulate_probe_frames(cfg, derive_trial_seeds(cfg.master_seed, 1)):
             assert rx.samples.dtype == np.complex64
             offset = waveform.detect_preamble(rx, cfg.lora)
+            take("detect")
             frame = IqSamples(rx.samples[offset:], rx.fs)
             cfr.estimate_from_frame(frame, cfg.lora, policy)
+            take("estimate")
     assert seen["detect"] and set(seen["detect"]) == {np.dtype(np.complex128)}
     assert seen["estimate"] and set(seen["estimate"]) == {np.dtype(np.complex128)}
 

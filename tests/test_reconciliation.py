@@ -18,6 +18,7 @@ from chirpkey import (
     cascade,
     estimate_qber,
 )
+from chirpkey import reconciliation
 from chirpkey.reconciliation import (
     _indices_digest,
     _pack,
@@ -656,3 +657,38 @@ def test_leak_counts_every_parity_answer():
                             rng_seed=int(rng.integers(2**31)))
         outcome = cascade(BitKey(noisy), oracle, cfg)
         assert oracle.answers == outcome.parity_bits_leaked
+
+
+def _cascade_call(n, seed):
+    """Bits, leak, messages, converged, transcript and flips of a 14-pass
+    cascade at 5% errors."""
+    rng = np.random.default_rng([n, seed])
+    key_a, truth = _random_keys(rng, n, 0.05)
+    transcript, flips = [], []
+    out = cascade(key_a, LocalParityOracle(truth),
+                  CascadeConfig(qber_estimate=0.05, rng_seed=seed),
+                  transcript=transcript, on_flip=flips.append)
+    return (out.corrected_key.bits.tobytes(), out.parity_bits_leaked,
+            out.parity_messages, out.converged, transcript, flips)
+
+
+def test_retained_pass_tables_change_no_outcome(monkeypatch):
+    # 2048, 512 and 2048 bits share one retained pair of tables; 5000 x 14
+    # passes is above the cap and gets a pair of its own, which is not kept
+    calls = [(2048, 1), (512, 2), (2048, 3), (5000, 4)]
+    assert 2048 * 14 <= reconciliation._TABLE_CAP < 5000 * 14
+    monkeypatch.setattr(reconciliation, "_spare_tables", [])
+    got, kept = [], []
+    for call in calls:
+        got.append(_cascade_call(*call))
+        kept.append([id(t) for t in reconciliation._spare_tables[0]])
+    assert kept[0] == kept[1] == kept[2] == kept[3]
+    assert all(t.size <= reconciliation._TABLE_CAP for t in reconciliation._spare_tables[0])
+    for call, want in zip(calls, got):
+        reconciliation._spare_tables.clear()  # fresh tables
+        assert _cascade_call(*call) == want, call
+    for call, want in zip(calls, got):
+        for pair in reconciliation._spare_tables:
+            for table in pair:
+                table.fill(0)  # what an earlier call left is never read
+        assert _cascade_call(*call) == want, call

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from chirpkey import (
@@ -11,6 +12,7 @@ from chirpkey import (
     gen_preamble,
     gen_upchirp,
 )
+from chirpkey import waveform
 from chirpkey.waveform import DETECTION_THRESHOLD
 
 
@@ -207,3 +209,33 @@ def test_iq_samples_take_strided_samples(dtype):
         IqSamples(x[::2], 1e6)
     frame = np.zeros(8, dtype=np.complex64)
     assert IqSamples(frame, 1e6).samples is frame
+
+
+def test_next_fast_len_equals_scipy():
+    targets = range(1, 2**17 + 1)
+    got = [waveform._next_fast_len(t) for t in targets]
+    assert got == [sp_fft.next_fast_len(t) for t in targets]
+
+
+# (bw, fs): the README's and the benchmark's link, 8 samples a chip, and
+# critical sampling (small_params)
+@pytest.mark.parametrize("bw, fs", [(250e3, 1e6), (125e3, 1e6), (250e3, 250e3)])
+@pytest.mark.parametrize("sf", range(5, 13))
+def test_aligner_transforms_equal_scipy_fft_bytes(sf, bw, fs):
+    # the aligner's numpy.fft calls give the bytes scipy.fft gives; on a numpy
+    # whose FFT differs, this names the cause before the pinned digests fail
+    p = LoRaParams(sf=sf, bw=bw, fs=fs)
+    n_sym, k = p.samples_per_symbol, p.preamble_len
+    rng = np.random.default_rng([sf, int(bw), int(fs)])
+    for length in ((k + 1) * n_sym, k * n_sym + 3):  # K+1 symbols, and a short capture
+        cap = rng.standard_normal((length, 2)).astype(np.float32).view(np.complex64)[:, 0]
+        cap = cap.astype(np.complex128)
+        width = length - (k - 1) * n_sym
+        folded = np.sum([cap[i * n_sym : i * n_sym + width] for i in range(k)], axis=0)
+        nfft = waveform._next_fast_len(width + n_sym - 1)
+        spectrum = waveform._matched_filter_spectrum(p, nfft)
+        want = sp_fft.fft(np.conj(gen_upchirp(p)[::-1]), nfft)
+        assert spectrum.tobytes() == want.tobytes(), (length, nfft)
+        got = np.fft.ifft(np.fft.fft(folded, nfft) * spectrum)
+        want = sp_fft.ifft(sp_fft.fft(folded, nfft) * spectrum)
+        assert got.tobytes() == want.tobytes(), (length, nfft)
