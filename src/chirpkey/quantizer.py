@@ -62,7 +62,7 @@ def as_bits(bits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BitKey:
-    """Ordered bit sequence at one pipeline stage (initial/reconciled/final)."""
+    """Ordered bit sequence at one pipeline stage (initial/reconciled)."""
 
     bits: np.ndarray = field(repr=False)
     stage: str = "initial"

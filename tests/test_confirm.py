@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpkey import BitKey, confirm, digest, serialize_key
-from chirpkey.confirm import FINAL_KEY_LABEL
 
 
 def _oracle_sha256(message: bytes) -> bytes:
@@ -55,19 +54,14 @@ def test_digest_matches_oracle_on_random_keys():
         assert digest(key).digest == _oracle_sha256(serialize_key(key))
 
 
-def test_confirm_matched_and_final_key():
+def test_confirm_matched():
     rng = np.random.default_rng(1)
     for _ in range(100):
         bits = rng.integers(0, 2, 256).astype(np.uint8)
         result = confirm(BitKey(bits), BitKey(bits.copy()))
         assert result.matched
-        assert result.final_key is not None
-        assert len(result.final_key) == 256
-        assert result.final_key.stage == "final"
-        # no published digest is the key; it is the labelled hash of the key
-        packed = np.packbits(result.final_key.bits).tobytes()
-        assert packed not in (result.digest_a.digest, result.digest_g.digest)
-        assert packed == _oracle_sha256(FINAL_KEY_LABEL + serialize_key(BitKey(bits)))
+        expected = _oracle_sha256(serialize_key(BitKey(bits)))
+        assert result.digest_a.digest == result.digest_g.digest == expected
 
 
 def test_confirm_detects_single_bit_flips():
@@ -78,7 +72,6 @@ def test_confirm_detects_single_bit_flips():
         flipped[rng.integers(0, len(bits))] ^= 1
         result = confirm(BitKey(bits), BitKey(flipped))
         assert not result.matched
-        assert result.final_key is None
 
 
 def test_confirm_symmetric():

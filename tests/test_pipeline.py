@@ -44,12 +44,24 @@ def test_perfect_channel_round():
     assert result.metrics.skdr == 0.0
     assert result.reconciliation.converged
     assert result.confirmation.matched
-    assert result.confirmation.final_key is not None
     # zero flips: the leak equals the deterministic block-count schedule
     n = len(result.reconciliation.corrected_key)
     k1 = initial_block_size(result.qber_estimate, n)
     schedule = sum(math.ceil(n / k) for k in pass_block_sizes(k1, n, cfg.cascade.num_passes))
     assert result.reconciliation.parity_bits_leaked == schedule + 1
+
+
+def test_flat_channel_carries_no_key_yet_confirms():
+    # one tap: a flat CFR, so each party quantizes its own noise and the keys
+    # are independent; cascade equalizes them by disclosing more parity than
+    # they hold, and confirmation still matches
+    cfg = ExperimentConfig(channel=ChannelModel(num_taps=1))
+    results = [run_pipeline_once(cfg, t) for t in range(20)]
+    assert abs(np.mean([r.metrics.skdr for r in results]) - 0.5) <= 0.05
+    assert all(r.confirmation.matched for r in results)
+    for r in results:
+        rec = r.reconciliation
+        assert rec.parity_bits_leaked >= len(rec.corrected_key)
 
 
 def test_default_rounds_have_low_disagreement():
