@@ -27,6 +27,8 @@ SWEEP_AXES = {
     "alpha": ("quantizer", "alpha"),
     "block_size": ("quantizer", "block_size"),
     "snr": ("channel", "snr_db"),
+    "num_taps": ("channel", "num_taps"),
+    "decay_db": ("channel", "decay_db"),
 }
 MODES = ("simulate", "captures")
 # the lowest snr_db whose noise, at unit received power, stays 60 dB under

@@ -30,8 +30,10 @@ def longest_runs(rows: np.ndarray, value: int) -> np.ndarray:
     width = rows.shape[1]
     cols = np.arange(width, dtype=np.int32 if width < 2**31 else np.int64)
     # column of the last other value at or before each column (-1 if none),
-    # then the run length ending at each column, in one table
-    last_miss = np.where(rows == value, -1, cols)
+    # as (col + 1) * miss - 1, then the run length ending at each column, in
+    # one table
+    last_miss = np.multiply(rows != value, cols + 1, dtype=cols.dtype)
+    last_miss -= 1
     np.maximum.accumulate(last_miss, axis=1, out=last_miss)
     return np.subtract(cols, last_miss, out=last_miss).max(axis=1)
 

@@ -23,6 +23,15 @@ the one-block-at-a-time reference exactly.  The Approximate Entropy test
 takes its m-bit and (m+1)-bit pattern counts from one count of the
 (m+1)-bit patterns.
 
+The Spectral and Approximate Entropy tests keep their stream-length
+workspaces from call to call: spectral its float64 +-1 stream, ``rfft``
+output and magnitudes, approximate entropy its intp pattern codes.  Streams
+of up to ``_WORKSPACE_CAP`` = 2^17 bits share one kept set per test, sized
+to the longest such stream seen; a longer stream gets arrays of its own and
+leaves the kept set alone.  A call takes the set out of the store while it
+runs, so overlapping calls never share one, and a test returns only
+scalars, so no caller ever sees a workspace.
+
 The p-value functions come from ``scipy.special``, imported inside the
 tests that call them: the battery loads it on first use, and ``import
 chirpkey`` loads no scipy.
@@ -53,6 +62,29 @@ _LONGEST_RUN_TABLE = (
 # (its first entry is 0.01047 rather than the rounded theoretical 0.010417;
 # kept so the suite's worked example reproduces bit-for-bit)
 _LC_PROBS = np.array([0.01047, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833])
+
+_WORKSPACE_CAP = 1 << 17  # stream bits per kept workspace: 10^5 and 100 104 fit
+# test name -> its workspace arrays while no call holds them, sized to the
+# longest stream up to _WORKSPACE_CAP seen so far
+_spare_workspaces: dict[str, tuple[np.ndarray, ...]] = {}
+
+
+def _take_workspace(name: str, n: int, make) -> tuple[np.ndarray, ...]:
+    """The kept workspace of test ``name`` if it fits an n-bit stream, else ``make(n)``.
+
+    Its first array holds at least n entries.  A call takes the set out of
+    ``_spare_workspaces``, so no other call can hold it at the same time;
+    ``_keep_workspace`` puts it back.
+    """
+    workspace = _spare_workspaces.pop(name, None) if n <= _WORKSPACE_CAP else None
+    if workspace is None or workspace[0].size < n:
+        workspace = make(n)
+    return workspace
+
+
+def _keep_workspace(name: str, n: int, workspace: tuple[np.ndarray, ...]) -> None:
+    if n <= _WORKSPACE_CAP:  # a larger call leaves the kept set alone
+        _spare_workspaces[name] = workspace
 
 
 @dataclass(frozen=True)
@@ -172,11 +204,17 @@ def spectral_fft_test(bits) -> TestResult:
     n = len(b)
     if n < 100:
         return TestResult("spectral_fft", None, f"needs n >= 100, got {n}")
-    x = 2.0 * b.astype(np.float64) - 1.0
-    mags = np.abs(np.fft.rfft(x))[: n // 2]
+    workspace = _take_workspace("spectral_fft", n, lambda size: (
+        np.empty(size), np.empty(size // 2 + 1, complex), np.empty(size // 2 + 1)))
+    x, spectrum, mags = workspace
+    x = np.multiply(b, 2.0, out=x[:n])
+    x -= 1.0
+    spectrum = np.fft.rfft(x, out=spectrum[: n // 2 + 1])
+    mags = np.abs(spectrum[: n // 2], out=mags[: n // 2])
     threshold = np.sqrt(np.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
-    n1 = int(np.sum(mags < threshold))
+    n1 = int(np.count_nonzero(mags < threshold))
+    _keep_workspace("spectral_fft", n, workspace)
     d = (n1 - n0) / np.sqrt(n * 0.95 * 0.05 / 4.0)
     from scipy.special import erfc
     p = float(erfc(abs(d) / np.sqrt(2.0)))
@@ -236,12 +274,17 @@ def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
         return TestResult(
             "approximate_entropy", None, f"needs n >= max(100, 2^(m+1)) = {need}, got {n}"
         )
-    aug = np.concatenate([b, b[:m_pattern]])
-    codes = aug[:n].astype(np.uint8 if m_pattern < 8 else np.intp)
+    # intp codes, so bincount casts no copy; the window at i wraps past the end
+    workspace = _take_workspace("approximate_entropy", n, lambda size: (
+        np.empty(size, np.intp),))
+    codes = workspace[0][:n]
+    np.copyto(codes, b)
     for j in range(1, m_pattern + 1):
         codes <<= 1
-        codes |= aug[j : j + n]
+        codes[: n - j] |= b[j:]
+        codes[n - j :] |= b[:j]
     counts = np.bincount(codes, minlength=2 ** (m_pattern + 1))
+    _keep_workspace("approximate_entropy", n, workspace)
 
     def phi(counts: np.ndarray) -> float:
         freqs = counts[counts > 0] / n

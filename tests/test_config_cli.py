@@ -131,6 +131,17 @@ def test_cli_sweep_deterministic(tmp_path):
     assert lines[0] == CSV_HEADER and len(lines) == 5
 
 
+def test_cli_num_taps_sweep_writes_a_row_per_value_and_arm(tmp_path):
+    out = tmp_path / "taps.csv"
+    assert main(["sweep", "--trials", "2", "--sweep-axis", "num_taps",
+                 "--sweep-values", "1,2", "--out", str(out)]) == 0
+    header, *rows = out.read_text().strip().split("\n")
+    assert header == CSV_HEADER
+    assert [tuple(row.split(",")[:3]) for row in rows] == [
+        ("num_taps", "1", "on"), ("num_taps", "1", "off"),
+        ("num_taps", "2", "on"), ("num_taps", "2", "off")]
+
+
 def test_cli_captures_roundtrip(tmp_path, capsys):
     paths = export_probe_captures(ExperimentConfig(), 0, tmp_path)
     code = main([
@@ -438,6 +449,12 @@ def test_cli_fractional_block_size_sweep_is_single_line_error(capsys):
     assert main(["sweep", "--sweep-axis", "block_size", "--sweep-values", "16.5",
                  "--trials", "1"]) == 1
     assert "block_size" in _single_error_line(capsys)
+
+
+def test_cli_fractional_num_taps_sweep_is_single_line_error(capsys):
+    assert main(["sweep", "--sweep-axis", "num_taps", "--sweep-values", "1.5",
+                 "--trials", "1"]) == 1
+    assert "[channel] num_taps" in _single_error_line(capsys)
 
 
 # (option strings, dest, required, help, const) of every option but -h

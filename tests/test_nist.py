@@ -570,6 +570,57 @@ def test_longest_runs_equal_int64_reference_at_battery_shapes(shape, p, value):
     assert longest_runs(grid, value).tolist() == _reference_longest_runs(grid, value).tolist()
 
 
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("rows", [
+    np.zeros((3, 7), np.uint8), np.ones((3, 7), np.uint8),  # all hits or all misses
+    np.array([[0], [1], [1]], np.uint8),  # width 1
+    np.array([[1, 1, 0, 1], [0, 0, 0, 1], [1, 0, 1, 1]], np.uint8),
+], ids=["zeros", "ones", "width-1", "mixed"])
+def test_longest_runs_edge_rows_equal_where_reference(rows, value):
+    # the table is (col + 1) * miss - 1; _reference_longest_runs builds it
+    # with np.where(rows == value, -1, cols)
+    got = longest_runs(rows, value)
+    assert got.tolist() == _reference_longest_runs(rows, value).tolist()
+    assert got.tolist() == [_longest_run(row, value) for row in rows]
+
+
+def _workspace_p_values(bits):
+    return (spectral_fft_test(bits).p_value, approximate_entropy_test(bits).p_value,
+            approximate_entropy_test(bits, m_pattern=5).p_value)
+
+
+def _kept_ids():
+    return {name: [id(a) for a in arrays] for name, arrays in nist._spare_workspaces.items()}
+
+
+def test_kept_workspaces_change_no_p_value(monkeypatch):
+    # 10^5, 4 096 and 10^5 bits share one kept set per test; a stream above
+    # the cap gets arrays of its own, which are not kept
+    above = nist._WORKSPACE_CAP + 1
+    lengths = [100_000, 4096, 100_000, above, 100_000]
+    assert 100_104 <= nist._WORKSPACE_CAP
+    rng = np.random.default_rng(37)
+    streams = [rng.integers(0, 2, n, dtype=np.uint8) for n in lengths]
+    monkeypatch.setattr(nist, "_spare_workspaces", {})
+    got, kept = [], []
+    for bits in streams:
+        got.append(_workspace_p_values(bits))
+        kept.append(_kept_ids())
+    assert set(kept[0]) == {"spectral_fft", "approximate_entropy"}
+    assert kept[0] == kept[1] == kept[2] == kept[3] == kept[4]
+    assert all(arrays[0].size <= nist._WORKSPACE_CAP
+               for arrays in nist._spare_workspaces.values())
+    for bits, want in zip(streams, got):
+        nist._spare_workspaces.clear()  # fresh workspaces
+        assert _workspace_p_values(bits) == want, len(bits)
+    for bits, want in zip(streams, got):
+        for arrays in nist._spare_workspaces.values():
+            for array in arrays:
+                array.fill(-7)  # what an earlier call left is never read
+        assert _workspace_p_values(bits) == want, len(bits)
+    assert all(isinstance(p, float) for p in got[0])
+
+
 def test_import_does_not_load_scipy_stats():
     # importing scipy.stats takes over a second; the battery needs only
     # scipy.special

@@ -301,10 +301,14 @@ def test_with_sweep_value_axes():
     assert with_sweep_value(cfg, "alpha", 0.9).quantizer.alpha == 0.9
     assert with_sweep_value(cfg, "block_size", 32).quantizer.block_size == 32
     assert with_sweep_value(cfg, "snr", 20.0).channel.snr_db == 20.0
+    assert with_sweep_value(cfg, "num_taps", 2.0).channel.num_taps == 2
+    assert with_sweep_value(cfg, "decay_db", 6.0).channel.decay_db == 6.0
     with pytest.raises(ParameterError):
         with_sweep_value(cfg, "taps", 1.0)
     with pytest.raises(ParameterError, match="block_size"):
         with_sweep_value(cfg, "block_size", 16.5)
+    with pytest.raises(ParameterError, match="num_taps"):
+        with_sweep_value(cfg, "num_taps", 1.5)
 
 
 def test_qber_consumption_shortens_cascaded_key():
