@@ -10,6 +10,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from chirpkey.nist import (
     PASS_LEVEL,
     TEST_NAMES,
     TESTS,
+    NistReport,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -225,6 +228,106 @@ def test_suite_runs_its_tests_under_their_names_in_order(n):
     )
     for i, name in enumerate(TEST_NAMES):
         assert getattr(nist, f"{name}_test") is TESTS[i]
+
+
+def _stream(kind, n):
+    rng = np.random.default_rng((38, n))
+    if kind == "random":
+        return rng.integers(0, 2, n, dtype=np.uint8)
+    if kind == "biased":
+        return (rng.random(n) < 0.1).astype(np.uint8)
+    return np.full(n, kind == "ones", dtype=np.uint8)
+
+
+def _one_by_one(bits):
+    return tuple(test(bits) for test in nist.TESTS)
+
+
+@pytest.mark.parametrize("kind", ["random", "biased", "zeros", "ones"])
+@pytest.mark.parametrize("n", [0, 50, 99, 100, 127, 128, 2000, 6272, 99_999, 100_000, 250_000])
+def test_suite_equals_its_tests_one_by_one(n, kind):
+    # the spectral test runs on a helper thread; neither the results nor
+    # the threads alive afterwards may show it
+    bits = _stream(kind, n)
+    threads = threading.enumerate()
+    report = run_suite(bits)
+    assert threading.enumerate() == threads
+    want = NistReport(_one_by_one(bits))
+    assert report.results == want.results
+    assert report.to_csv().encode() == want.to_csv().encode()
+
+
+def test_concurrent_suites_equal_their_tests_one_by_one():
+    # four callers, each with its own helper, take workspaces out of the
+    # one store; a set two calls shared would change some p-value
+    streams = [_stream(kind, n) for kind in ("random", "biased")
+               for n in (100_000, 99_999, 4096)]
+    want = [NistReport(_one_by_one(bits)).to_csv() for bits in streams]
+    got = {}
+
+    def caller(k):
+        for j in range(k, k + 2 * len(streams), 4):
+            got[j] = run_suite(streams[j % len(streams)]).to_csv()
+
+    threads = threading.enumerate()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert threading.enumerate() == threads
+    assert got == {j: want[j % len(streams)] for j in range(2 * len(streams))}
+
+
+class _MainSideError(Exception):
+    pass
+
+
+class _SpectralError(Exception):
+    pass
+
+
+def _raising(error, delay=0.0):
+    def test(bits):
+        time.sleep(delay)
+        raise error(f"{error.__name__} after {delay} s")
+    return test
+
+
+@pytest.mark.parametrize("main_side, spectral, want", [
+    ("frequency_test", None, _MainSideError),
+    ("longest_run_test", None, _MainSideError),
+    ("linear_complexity_test", None, _MainSideError),
+    (None, "fast", _SpectralError),
+    (None, "slow", _SpectralError),
+    ("frequency_test", "slow", _MainSideError),  # earlier in TESTS than spectral
+    ("approximate_entropy_test", "fast", _SpectralError),  # later than spectral
+    ("linear_complexity_test", "slow", _SpectralError),
+])
+def test_suite_raises_what_its_tests_one_by_one_raise(monkeypatch, main_side, spectral, want):
+    tests = dict(zip(TEST_NAMES, TESTS))
+    if main_side:
+        tests[main_side.removesuffix("_test")] = _raising(_MainSideError)
+    if spectral:
+        # a slow spectral failure is still running when the main side is done
+        boom = _raising(_SpectralError, 0.05 if spectral == "slow" else 0.0)
+        monkeypatch.setattr(nist, "spectral_fft_test", boom)
+        tests["spectral_fft"] = boom
+    monkeypatch.setattr(nist, "TESTS", tuple(tests.values()))
+    bits = _stream("random", 100_000)
+    with pytest.raises(want) as one_by_one:
+        _one_by_one(bits)
+    threads = threading.enumerate()
+    with pytest.raises(want) as suite:
+        run_suite(bits)
+    assert threading.enumerate() == threads
+    assert str(suite.value) == str(one_by_one.value)
 
 
 @pytest.mark.slow
@@ -551,8 +654,18 @@ def test_linear_complexity_long_blocks_equal_reference(block_len):
 
 @pytest.mark.parametrize("block_len", [1, 2, 3])
 def test_linear_complexity_short_blocks_inapplicable(block_len):
-    bits = np.random.default_rng(0).integers(0, 2, 1000, dtype=np.uint8)
-    assert not linear_complexity_test(bits, block_len=block_len).applicable
+    # 10^5 bits hold far more than 200 such blocks: the note names the
+    # bound that refused them
+    bits = np.random.default_rng(0).integers(0, 2, 100_000, dtype=np.uint8)
+    result = linear_complexity_test(bits, block_len=block_len)
+    assert not result.applicable
+    assert result.note == f"needs block_len >= 4, got {block_len}"
+
+
+def test_linear_complexity_short_stream_note_names_the_block_count():
+    result = linear_complexity_test(np.zeros(500, dtype=np.uint8))
+    assert not result.applicable
+    assert result.note == "needs at least 200 blocks of 500, got 500 bits"
 
 
 @given(st.integers(1, 6), st.integers(1, 40), st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
@@ -621,42 +734,55 @@ def test_kept_workspaces_change_no_p_value(monkeypatch):
     assert all(isinstance(p, float) for p in got[0])
 
 
-def test_import_does_not_load_scipy_stats():
-    # importing scipy.stats takes over a second; the battery needs only
-    # scipy.special
+def _run_fresh(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, chirpkey; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_import_does_not_load_scipy_stats():
+    # importing scipy.stats takes over a second; the battery needs only
+    # scipy.special
+    out = _run_fresh("import sys, chirpkey; print('scipy.stats' in sys.modules)")
+    assert out.strip() == "False"
 
 
 _SCIPY_FREE_IMPORT = """
-import sys
+import sys, threading
 import numpy as np
 import chirpkey, chirpkey.cli
 from chirpkey import nist
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+      threading.active_count())
 nist.run_suite(np.random.default_rng(0).integers(0, 2, 1000, dtype=np.uint8))
-print("scipy.special" in sys.modules, "scipy.fft" in sys.modules)
+print("scipy.special" in sys.modules, "scipy.fft" in sys.modules, threading.active_count())
 """
 
 
 def test_import_loads_no_scipy_and_the_battery_only_scipy_special():
     # scipy's import is most of the package's; only the battery's p-values
-    # need it, and they load scipy.special on first use
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_IMPORT],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True False"]
+    # need it, and they load scipy.special on first use.  Neither the import
+    # nor the battery leaves a thread behind.
+    assert _run_fresh(_SCIPY_FREE_IMPORT).splitlines() == ["[] 1", "True False 1"]
+
+
+_FIRST_SUITE_CALL = """
+import numpy as np
+from chirpkey import nist
+bits = np.random.default_rng(38).integers(0, 2, 100_000, dtype=np.uint8)
+first = nist.run_suite(bits).to_csv()
+print(first == nist.NistReport(tuple(test(bits) for test in nist.TESTS)).to_csv())
+"""
+
+
+def test_first_suite_call_in_a_fresh_interpreter_equals_its_tests_one_by_one():
+    # the first call imports scipy.special from both threads at once
+    assert _run_fresh(_FIRST_SUITE_CALL).strip() == "True"
 
 
 def _pinned_streams():
