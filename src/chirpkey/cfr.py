@@ -27,7 +27,6 @@ class Cfr:
     """Complex channel gain per retained FFT bin."""
 
     bins: np.ndarray = field(repr=False)
-    bin_indices: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.bins)
@@ -85,4 +84,4 @@ def estimate_from_frame(
     if len(idx) < n_sym:
         spectra = spectra.take(idx, axis=1)
     spectra /= ref_idx
-    return Cfr(spectra.mean(axis=0), idx)
+    return Cfr(spectra.mean(axis=0))

@@ -23,15 +23,6 @@ the one-block-at-a-time reference exactly.  The Approximate Entropy test
 takes its m-bit and (m+1)-bit pattern counts from one count of the
 (m+1)-bit patterns.
 
-The Spectral and Approximate Entropy tests keep their stream-length
-workspaces from call to call: spectral its float64 +-1 stream, ``rfft``
-output and magnitudes, approximate entropy its intp pattern codes.  Streams
-of up to ``_WORKSPACE_CAP`` = 2^17 bits share one kept set per test, sized
-to the longest such stream seen; a longer stream gets arrays of its own and
-leaves the kept set alone.  A call takes the set out of the store while it
-runs, so overlapping calls never share one, and a test returns only
-scalars, so no caller ever sees a workspace.
-
 The p-value functions come from ``scipy.special``, imported inside the
 tests that call them: the battery loads it on first use, and ``import
 chirpkey`` loads no scipy.
@@ -41,9 +32,9 @@ thread runs the other seven.  Spectral is the one that overlaps: its time
 is one ``rfft`` and whole-array ufuncs, native kernels that release the
 GIL, where Linear Complexity's is Python-level step overhead that would
 contend with the caller.  The helper is joined before the call returns or
-raises, so no thread outlives it.  Each test reads only the stream and its
-own workspace, so every p-value is the one the tests give one by one,
-whatever the threads' timing.
+raises, so no thread outlives it.  The battery keeps no state between
+calls and each test reads only the stream, so every p-value is the one the
+tests give one by one, whatever the threads' timing.
 """
 from __future__ import annotations
 
@@ -72,30 +63,6 @@ _LONGEST_RUN_TABLE = (
 # (its first entry is 0.01047 rather than the rounded theoretical 0.010417;
 # kept so the suite's worked example reproduces bit-for-bit)
 _LC_PROBS = np.array([0.01047, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833])
-
-_WORKSPACE_CAP = 1 << 17  # stream bits per kept workspace: 10^5 and 100 104 fit
-# test name -> its workspace arrays while no call holds them, sized to the
-# longest stream up to _WORKSPACE_CAP seen so far
-_spare_workspaces: dict[str, tuple[np.ndarray, ...]] = {}
-
-
-def _take_workspace(name: str, n: int, make) -> tuple[np.ndarray, ...]:
-    """The kept workspace of test ``name`` if it fits an n-bit stream, else ``make(n)``.
-
-    Its first array holds at least n entries.  A call takes the set out of
-    ``_spare_workspaces``, so no other call can hold it at the same time;
-    ``_keep_workspace`` puts it back.
-    """
-    workspace = _spare_workspaces.pop(name, None) if n <= _WORKSPACE_CAP else None
-    if workspace is None or workspace[0].size < n:
-        workspace = make(n)
-    return workspace
-
-
-def _keep_workspace(name: str, n: int, workspace: tuple[np.ndarray, ...]) -> None:
-    if n <= _WORKSPACE_CAP:  # a larger call leaves the kept set alone
-        _spare_workspaces[name] = workspace
-
 
 @dataclass(frozen=True)
 class TestResult:
@@ -214,17 +181,12 @@ def spectral_fft_test(bits) -> TestResult:
     n = len(b)
     if n < 100:
         return TestResult("spectral_fft", None, f"needs n >= 100, got {n}")
-    workspace = _take_workspace("spectral_fft", n, lambda size: (
-        np.empty(size), np.empty(size // 2 + 1, complex), np.empty(size // 2 + 1)))
-    x, spectrum, mags = workspace
-    x = np.multiply(b, 2.0, out=x[:n])
+    x = np.multiply(b, 2.0)
     x -= 1.0
-    spectrum = np.fft.rfft(x, out=spectrum[: n // 2 + 1])
-    mags = np.abs(spectrum[: n // 2], out=mags[: n // 2])
+    mags = np.abs(np.fft.rfft(x)[: n // 2])
     threshold = np.sqrt(np.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(mags < threshold))
-    _keep_workspace("spectral_fft", n, workspace)
     d = (n1 - n0) / np.sqrt(n * 0.95 * 0.05 / 4.0)
     from scipy.special import erfc
     p = float(erfc(abs(d) / np.sqrt(2.0)))
@@ -285,16 +247,12 @@ def approximate_entropy_test(bits, m_pattern: int = 2) -> TestResult:
             "approximate_entropy", None, f"needs n >= max(100, 2^(m+1)) = {need}, got {n}"
         )
     # intp codes, so bincount casts no copy; the window at i wraps past the end
-    workspace = _take_workspace("approximate_entropy", n, lambda size: (
-        np.empty(size, np.intp),))
-    codes = workspace[0][:n]
-    np.copyto(codes, b)
+    codes = b.astype(np.intp)
     for j in range(1, m_pattern + 1):
         codes <<= 1
         codes[: n - j] |= b[j:]
         codes[n - j :] |= b[:j]
     counts = np.bincount(codes, minlength=2 ** (m_pattern + 1))
-    _keep_workspace("approximate_entropy", n, workspace)
 
     def phi(counts: np.ndarray) -> float:
         freqs = counts[counts > 0] / n
@@ -442,8 +400,9 @@ def run_suite(bits) -> NistReport:
     The Spectral test runs on one helper thread, since its ``rfft`` and
     ufuncs release the GIL, while this thread runs the other seven in
     ``TESTS`` order.  The helper is joined before the call returns or
-    raises.  The results are those of the eight tests called one by one,
-    whatever the threads' timing, and so is a failure: the exception raised
+    raises.  Each test reads only the stream, so the results are those of
+    the eight tests called one by one, whatever the threads' timing, and so
+    is a failure: the exception raised
     is the one from the earliest test in ``TESTS`` order that raised.
     """
     b = as_bits(bits)

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chirpkey import ExperimentConfig, ParameterError, load_config
-from chirpkey.channel import ChannelModel
+from chirpkey import ExperimentConfig, ParameterError, channel, cli, load_config
+from chirpkey.channel import ChannelModel, exponential_profile
 from chirpkey.cli import FLAG_KEYS, build_parser, main
 from chirpkey.config import KEYS, MIN_SNR_DB
 from chirpkey.pipeline import (
@@ -455,6 +455,54 @@ def test_cli_fractional_num_taps_sweep_is_single_line_error(capsys):
     assert main(["sweep", "--sweep-axis", "num_taps", "--sweep-values", "1.5",
                  "--trials", "1"]) == 1
     assert "[channel] num_taps" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("values", ["inf", "nan"])
+def test_cli_non_finite_num_taps_sweep_is_single_line_error(values, capsys):
+    assert main(["sweep", "--sweep-axis", "num_taps", "--sweep-values", values,
+                 "--trials", "1"]) == 1
+    assert "[channel] num_taps" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--num-taps", "4097"],
+    ["simulate", "--num-taps", "10000000000000"],
+    ["sweep", "--sweep-axis", "num_taps", "--sweep-values", "1e13"],
+    ["simulate", "--preamble-len", "1", "--num-taps", "513"],
+    ["simulate", "--config", "taps.cfg"],
+], ids=["one-past", "huge", "sweep-huge", "short-preamble", "config-file"])
+def test_cli_num_taps_past_the_preamble_is_single_line_error(args, tmp_path, monkeypatch,
+                                                             capsys):
+    # the refusal comes before any array of num_taps entries is built
+    def profile(num_taps, decay_db):
+        assert num_taps <= 4096, "a profile was built for the refused tap count"
+        return exponential_profile(num_taps, decay_db)
+
+    monkeypatch.setattr(channel, "exponential_profile", profile)
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path / "taps.cfg", {("channel", "num_taps"): "4097"})
+    assert main(args + ["--trials", "1"]) == 1
+    assert "[channel] num_taps" in _single_error_line(capsys)
+
+
+def test_as_many_taps_as_preamble_samples_build(tmp_path):
+    path = _write_config(tmp_path / "taps.cfg", {("channel", "num_taps"): "4096"})
+    assert load_config(path).channel.num_taps == 4096
+    with pytest.raises(ParameterError, match=r"\[channel\] num_taps"):
+        ExperimentConfig(channel=ChannelModel(num_taps=4097))
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 74.5 TiB for an array with shape (10000000000000,)"),
+    MemoryError(),
+], ids=["numpy", "bare"])
+def test_cli_memory_error_is_single_line_error(exc, monkeypatch, capsys):
+    def out_of_memory(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_trials", out_of_memory)
+    assert main(["simulate", "--trials", "1"]) == 1
+    assert "out of memory" in _single_error_line(capsys)
 
 
 # (option strings, dest, required, help, const) of every option but -h

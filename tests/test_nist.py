@@ -258,8 +258,9 @@ def test_suite_equals_its_tests_one_by_one(n, kind):
 
 
 def test_concurrent_suites_equal_their_tests_one_by_one():
-    # four callers, each with its own helper, take workspaces out of the
-    # one store; a set two calls shared would change some p-value
+    # four callers, each with its own helper, run at once; a test that read
+    # anything but its stream could see another call's data and change some
+    # p-value
     streams = [_stream(kind, n) for kind in ("random", "biased")
                for n in (100_000, 99_999, 4096)]
     want = [NistReport(_one_by_one(bits)).to_csv() for bits in streams]
@@ -695,43 +696,6 @@ def test_longest_runs_edge_rows_equal_where_reference(rows, value):
     got = longest_runs(rows, value)
     assert got.tolist() == _reference_longest_runs(rows, value).tolist()
     assert got.tolist() == [_longest_run(row, value) for row in rows]
-
-
-def _workspace_p_values(bits):
-    return (spectral_fft_test(bits).p_value, approximate_entropy_test(bits).p_value,
-            approximate_entropy_test(bits, m_pattern=5).p_value)
-
-
-def _kept_ids():
-    return {name: [id(a) for a in arrays] for name, arrays in nist._spare_workspaces.items()}
-
-
-def test_kept_workspaces_change_no_p_value(monkeypatch):
-    # 10^5, 4 096 and 10^5 bits share one kept set per test; a stream above
-    # the cap gets arrays of its own, which are not kept
-    above = nist._WORKSPACE_CAP + 1
-    lengths = [100_000, 4096, 100_000, above, 100_000]
-    assert 100_104 <= nist._WORKSPACE_CAP
-    rng = np.random.default_rng(37)
-    streams = [rng.integers(0, 2, n, dtype=np.uint8) for n in lengths]
-    monkeypatch.setattr(nist, "_spare_workspaces", {})
-    got, kept = [], []
-    for bits in streams:
-        got.append(_workspace_p_values(bits))
-        kept.append(_kept_ids())
-    assert set(kept[0]) == {"spectral_fft", "approximate_entropy"}
-    assert kept[0] == kept[1] == kept[2] == kept[3] == kept[4]
-    assert all(arrays[0].size <= nist._WORKSPACE_CAP
-               for arrays in nist._spare_workspaces.values())
-    for bits, want in zip(streams, got):
-        nist._spare_workspaces.clear()  # fresh workspaces
-        assert _workspace_p_values(bits) == want, len(bits)
-    for bits, want in zip(streams, got):
-        for arrays in nist._spare_workspaces.values():
-            for array in arrays:
-                array.fill(-7)  # what an earlier call left is never read
-        assert _workspace_p_values(bits) == want, len(bits)
-    assert all(isinstance(p, float) for p in got[0])
 
 
 def _run_fresh(script):
