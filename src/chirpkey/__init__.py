@@ -7,7 +7,7 @@ seeded experiment harness on top.
 """
 from .captures import ingest_capture, write_capture
 from .cfr import Cfr, estimate_from_frame
-from .channel import ChannelModel, apply_channel, exponential_profile, probe, sample_channel
+from .channel import ChannelModel, apply_channel, exponential_profile, sample_channel
 from .config import ExperimentConfig, load_config
 from .confirm import ConfirmationResult, KeyDigest, confirm, digest, serialize_key
 from .errors import (

@@ -1,4 +1,4 @@
-"""Reciprocal multipath channel simulation and bidirectional probing.
+"""Reciprocal multipath channel model and simulation.
 
 Stands in for a physical indoor link: an L-tap Rayleigh channel with an
 exponential power delay profile, a reciprocity knob rho correlating the
@@ -14,21 +14,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cfr import Cfr, estimate_from_frame
 from .errors import ParameterError
-from .waveform import IqSamples, LoRaParams, gen_preamble
 
 
 @lru_cache(maxsize=16)
 def exponential_profile(num_taps: int, decay_db: float) -> np.ndarray:
-    """Per-tap power decaying by ``decay_db`` dB per tap, normalized to 1; cached, read-only."""
-    if num_taps < 1:
-        raise ParameterError("num_taps must be >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Per-tap power decaying by ``decay_db`` dB per tap, normalized to 1; cached,
+    read-only.  The values are those a ``ChannelModel`` accepts."""
+    with np.errstate(over="ignore"):
         p = 10.0 ** (-decay_db * np.arange(num_taps) / 10.0)
         p = p / p.sum()
-    if not np.all(np.isfinite(p)):
-        raise ParameterError(f"decay_db must keep {num_taps} tap powers finite, got {decay_db}")
     p.setflags(write=False)
     return p
 
@@ -57,7 +52,17 @@ class ChannelModel:
     eavesdropper_independent: bool = True
 
     def __post_init__(self) -> None:
-        exponential_profile(self.num_taps, self.decay_db)  # checks both
+        if self.num_taps < 1:
+            raise ParameterError("num_taps must be >= 1")
+        # the profile's largest term, its last at a negative decay; a finite
+        # one keeps every normalized tap power finite
+        try:
+            largest = 10.0 ** (-self.decay_db * (self.num_taps - 1) / 10.0)
+        except OverflowError:
+            largest = math.inf
+        if not (math.isfinite(self.decay_db) and largest < math.inf):
+            raise ParameterError(
+                f"decay_db must keep {self.num_taps} tap powers finite, got {self.decay_db}")
         if not (0.0 <= self.reciprocity_rho <= 1.0):
             raise ParameterError("reciprocity_rho must be in [0, 1]")
         _snr_ratio(self.snr_db)  # checks it
@@ -212,17 +217,3 @@ def receive(tx: np.ndarray, model: ChannelModel, seeds) -> tuple[np.ndarray, ...
     s_real, *noise_seeds = seeds
     return tuple(apply_channel(tx, taps, model.snr_db, s)
                  for taps, s in zip(sample_channel(model, s_real), noise_seeds, strict=True))
-
-
-def probe(
-    params: LoRaParams,
-    model: ChannelModel,
-    seed,
-    bin_policy: str = "all-bins",
-) -> tuple[Cfr, Cfr, Cfr]:
-    """Run one bidirectional probing round; each receiver estimates the CFR
-    from its received frame, returned as (G, A, E) like ``receive``.  The
-    same int ``seed`` gives the same round."""
-    seeds = np.random.SeedSequence(seed).spawn(4)
-    return tuple(estimate_from_frame(IqSamples(rx, params.fs), params, bin_policy)
-                 for rx in receive(gen_preamble(params), model, seeds))

@@ -70,25 +70,17 @@ class ExperimentConfig:
             raise ParameterError("qber_sample_fraction must lie in (0, 0.5]")
         if self.master_seed < 0:
             raise ParameterError("master_seed must be >= 0")
-        _check_num_taps(self.channel.num_taps, self.lora)
+        # the channel applies no tap at a lag past the frame, yet each would
+        # take its share of the profile's power
+        limit = self.lora.preamble_len * self.lora.samples_per_symbol
+        if self.channel.num_taps > limit:
+            raise ParameterError(
+                f"[channel] num_taps must be <= preamble_len x samples_per_symbol = {limit}, "
+                f"got {self.channel.num_taps}")
         if self.channel.snr_db < MIN_SNR_DB:
             raise ParameterError(
                 f"snr_db must be >= {MIN_SNR_DB:.1f}, or its noise overflows the "
                 f"{CAPTURE_DTYPE.name} capture depth, got {self.channel.snr_db}")
-
-
-def _check_num_taps(num_taps: int, lora: LoRaParams) -> None:
-    """Refuse more taps than the preamble has samples.
-
-    The channel applies no tap at a lag past the frame, yet each would take
-    its share of the profile's power.  The check builds no array, so it can
-    run before a ``ChannelModel`` builds its profile of ``num_taps`` entries.
-    """
-    limit = lora.preamble_len * lora.samples_per_symbol
-    if num_taps > limit:
-        raise ParameterError(
-            f"[channel] num_taps must be <= preamble_len x samples_per_symbol = {limit}, "
-            f"got {num_taps}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -175,11 +167,8 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     quantizer = given["quantizer"]
     if "shuffle" in quantizer:
         quantizer["shuffle_enabled"] = quantizer.pop("shuffle")
-    lora = LoRaParams(**given["lora"])
-    if "num_taps" in given["channel"]:
-        _check_num_taps(given["channel"]["num_taps"], lora)
     return ExperimentConfig(
-        lora=lora,
+        lora=LoRaParams(**given["lora"]),
         channel=ChannelModel(**given["channel"]),
         quantizer=QuantizerConfig(**quantizer),
         cascade=CascadeConfig(**given["cascade"]),
@@ -198,6 +187,4 @@ def with_sweep_value(config: ExperimentConfig, axis: str, value: float) -> Exper
         pinned = None
     if pinned != value:
         raise ParameterError(f"sweep_axis {axis}: {value} is not a valid [{section}] {key}")
-    if key == "num_taps":
-        _check_num_taps(pinned, config.lora)
     return replace(config, **{section: replace(getattr(config, section), **{key: pinned})})

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from chirpkey import (
     ChannelModel,
+    IqSamples,
     LoRaParams,
     ParameterError,
     apply_channel,
+    estimate_from_frame,
     exponential_profile,
     gen_preamble,
-    probe,
     sample_channel,
 )
 from chirpkey import channel
@@ -42,6 +45,48 @@ def test_exponential_profile_shape():
 def test_invalid_model_rejected(kwargs):
     with pytest.raises(ParameterError):
         ChannelModel(**kwargs)
+
+
+def _old_rule_refuses(num_taps, decay_db):
+    """The profile rule a model was once checked by: build it, refuse unless all finite."""
+    with np.errstate(all="ignore"):
+        p = 10.0 ** (-decay_db * np.arange(num_taps) / 10.0)
+        p = p / p.sum()
+    return not np.all(np.isfinite(p))
+
+
+@pytest.mark.parametrize("num_taps", [*range(1, 40), 100, 1000, 4096])
+def test_model_refuses_the_decays_the_built_profile_refused(num_taps):
+    decays = [0.0, -0.0, 3.0, -3.0, 1e308, -1e308, math.nan, math.inf, -math.inf,
+              5e-324, -5e-324]
+    if num_taps > 1:  # 40 ulps either side of where the last tap's power overflows
+        edge = -math.log10(np.finfo(float).max) * 10.0 / (num_taps - 1)
+        for direction in (-math.inf, math.inf):
+            d = edge
+            for _ in range(40):
+                d = math.nextafter(d, direction)
+                decays.append(d)
+    decays += np.random.default_rng(num_taps).uniform(-2000.0, 2000.0, 200).tolist()
+    mismatches = []
+    for decay_db in decays:
+        try:
+            ChannelModel(num_taps=num_taps, decay_db=decay_db)
+            refused = False
+        except ParameterError:
+            refused = True
+        if refused != _old_rule_refuses(num_taps, decay_db):
+            mismatches.append(decay_db)
+        elif not refused:  # an accepted model's profile is finite
+            assert np.all(np.isfinite(exponential_profile(num_taps, decay_db)))
+    assert mismatches == []
+
+
+def test_model_builds_no_profile(monkeypatch):
+    def no_profile(num_taps, decay_db):
+        raise AssertionError("a model built its profile")
+
+    monkeypatch.setattr(channel, "exponential_profile", no_profile)
+    assert ChannelModel(num_taps=4097).num_taps == 4097
 
 
 def test_perfect_reciprocity_is_exact():
@@ -163,9 +208,16 @@ def test_energy_preserved_on_average(default_params):
     assert total / trials == pytest.approx(1.0, rel=0.05)
 
 
+def _probe(params, model, seed, bin_policy="all-bins"):
+    """G's, A's and the eavesdropper's CFR of one round, each from its whole reception."""
+    seeds = np.random.SeedSequence(seed).spawn(4)
+    return [estimate_from_frame(IqSamples(rx, params.fs), params, bin_policy)
+            for rx in channel.receive(gen_preamble(params), model, seeds)]
+
+
 def test_probe_perfect_channel_matches_bin_for_bin(default_params):
     model = ChannelModel(reciprocity_rho=1.0, snr_db=np.inf)
-    cfr_g, cfr_a, cfr_e = probe(default_params, model, seed=5)
+    cfr_g, cfr_a, cfr_e = _probe(default_params, model, seed=5)
     assert len(cfr_a) == len(cfr_g) == len(cfr_e)
     np.testing.assert_allclose(cfr_a.bins, cfr_g.bins, atol=1e-9)
 
@@ -174,7 +226,7 @@ def test_probe_amplitude_correlation_at_30db(default_params):
     model = ChannelModel(reciprocity_rho=0.99, snr_db=30.0)
     corrs = []
     for seed in range(100):
-        cfr_g, cfr_a, _ = probe(default_params, model, seed, bin_policy="occupied-band")
+        cfr_g, cfr_a, _ = _probe(default_params, model, seed, bin_policy="occupied-band")
         a = np.abs(cfr_a.bins)
         g = np.abs(cfr_g.bins)
         corrs.append(np.corrcoef(a, g)[0, 1])
@@ -185,7 +237,7 @@ def test_probe_eavesdropper_decorrelated(default_params):
     model = ChannelModel(eavesdropper_independent=True)
     corrs = []
     for seed in range(100):
-        cfr_g, _, cfr_e = probe(default_params, model, seed)
+        cfr_g, _, cfr_e = _probe(default_params, model, seed)
         corrs.append(np.corrcoef(np.abs(cfr_e.bins), np.abs(cfr_g.bins))[0, 1])
     assert abs(np.mean(corrs)) < 0.2
 
@@ -198,18 +250,11 @@ def test_probe_dependent_eavesdropper_tracks_far_end():
 
 def test_probe_deterministic(default_params):
     model = ChannelModel()
-    r1 = probe(default_params, model, seed=11)
-    r2 = probe(default_params, model, seed=11)
+    r1 = _probe(default_params, model, seed=11)
+    r2 = _probe(default_params, model, seed=11)
     assert len(r1) == len(r2) == 3
     for cfr1, cfr2 in zip(r1, r2):
         np.testing.assert_array_equal(cfr1.bins, cfr2.bins)
-
-
-def test_probe_rejects_seed_sequence(default_params):
-    # spawning from a caller's SeedSequence would advance it, so a second
-    # call with the same object would see another channel
-    with pytest.raises(TypeError):
-        probe(default_params, ChannelModel(), np.random.SeedSequence(11))
 
 
 def test_reciprocity_monotone_in_rho(default_params):
@@ -218,7 +263,7 @@ def test_reciprocity_monotone_in_rho(default_params):
         model = ChannelModel(reciprocity_rho=rho, snr_db=np.inf)
         corrs = []
         for seed in range(200):
-            cfr_g, cfr_a, _ = probe(default_params, model, seed)
+            cfr_g, cfr_a, _ = _probe(default_params, model, seed)
             corrs.append(np.corrcoef(np.abs(cfr_a.bins), np.abs(cfr_g.bins))[0, 1])
         means.append(np.mean(corrs))
     assert all(b >= a for a, b in zip(means, means[1:]))
