@@ -18,6 +18,7 @@ depth, so serializing them to capture files and replaying through
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from itertools import count, islice
@@ -216,6 +217,11 @@ def export_probe_captures(config: ExperimentConfig, trial_seed: int, directory) 
     return paths
 
 
+def _mean(values) -> float:
+    """The mean; NaN for no values, where numpy would warn."""
+    return float(np.mean(values)) if len(values) else float("nan")
+
+
 def aggregate(
     results: list[PipelineResult],
     axis: str,
@@ -229,40 +235,46 @@ def aggregate(
         sweep_axis=axis,
         sweep_value=value,
         shuffle=shuffle_on,
-        skdr_mean=float(skdrs.mean()),
-        skdr_std=float(skdrs.std()),
-        skgr_mean=float(np.mean([r.metrics.skgr_bits_per_probe for r in results])),
-        l0_mean=float(np.mean([r.metrics.l0 for r in results])),
-        l1_mean=float(np.mean([r.metrics.l1 for r in results])),
-        eve_skdr_mean=float(eves.mean()) if eves.size else float("nan"),
-        cascade_converged_frac=float(
-            np.mean([r.reconciliation.converged for r in results])
-        ),
-        leak_mean=float(np.mean([r.reconciliation.parity_bits_leaked for r in results])),
+        skdr_mean=_mean(skdrs),
+        skdr_std=float(skdrs.std()) if skdrs.size else float("nan"),
+        skgr_mean=_mean([r.metrics.skgr_bits_per_probe for r in results]),
+        l0_mean=_mean([r.metrics.l0 for r in results]),
+        l1_mean=_mean([r.metrics.l1 for r in results]),
+        eve_skdr_mean=_mean(eves),
+        cascade_converged_frac=_mean([r.reconciliation.converged for r in results]),
+        leak_mean=_mean([r.reconciliation.parity_bits_leaked for r in results]),
         trials=len(results),
         seed=seed,
     )
 
 
-def rounds(*arms: ExperimentConfig) -> Iterator[tuple[PipelineResult, ...]]:
+def rounds(*arms: ExperimentConfig) -> Iterator[tuple[PipelineResult | None, ...]]:
     """Trials 0, 1, 2, ... without end: per trial, one result per arm, in arm order.
 
     Within a trial, arms that agree on everything ``observe`` reads besides
-    the trial index share one observation; only that trial's are held.
+    the trial index share one observation; only that trial's are held.  An
+    observation that finds no preamble leaves every arm sharing it out of
+    the trial: their results are None, and one stderr line names the trial,
+    the channel and the error.  Any other error ends the rounds.
     """
     channels = [(arm.lora, arm.channel, arm.bin_policy, arm.master_seed) for arm in arms]
     for t in count():
         observed, results = {}, []
         for arm, channel in zip(arms, channels):
             if channel not in observed:
-                observed[channel] = observe(arm, t)
-            results.append(distill(observed[channel], arm))
+                try:
+                    observed[channel] = observe(arm, t)
+                except PreambleNotFoundError as exc:
+                    observed[channel] = None
+                    print(f"trial {t} left out at {arm.channel}: {exc}", file=sys.stderr)
+            obs = observed[channel]
+            results.append(None if obs is None else distill(obs, arm))
         yield tuple(results)
 
 
 def run_trials(config: ExperimentConfig) -> list[PipelineResult]:
-    """``config.trials`` independent seeded rounds."""
-    return [result for (result,) in islice(rounds(config), config.trials)]
+    """``config.trials`` independent seeded rounds, less those ``rounds`` leaves out."""
+    return [result for (result,) in islice(rounds(config), config.trials) if result is not None]
 
 
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -283,7 +295,8 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRow]:
             arms.append(replace(
                 pinned, quantizer=replace(pinned.quantizer, shuffle_enabled=shuffle_on)))
     columns = zip(*islice(rounds(*arms), config.trials))
-    return [aggregate(list(results), config.sweep_axis, value, shuffle_on, config.master_seed)
+    return [aggregate([r for r in results if r is not None], config.sweep_axis, value,
+                      shuffle_on, config.master_seed)
             for (value, shuffle_on), results in zip(labels, columns)]
 
 

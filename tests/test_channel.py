@@ -36,7 +36,7 @@ def test_exponential_profile_shape():
         dict(reciprocity_rho=-0.1),
         dict(decay_db=np.nan),
         dict(decay_db=np.inf),
-        dict(decay_db=-1100.0),  # finite, but 10**330 overflows the profile
+        dict(decay_db=-np.inf),
         dict(snr_db=-np.inf),  # a zero power ratio, not a noiseless channel
         dict(snr_db=3100.0),  # 10**310 overflows the power ratio
         dict(snr_db=-3300.0),  # 10**-330 underflows it to zero
@@ -47,19 +47,21 @@ def test_invalid_model_rejected(kwargs):
         ChannelModel(**kwargs)
 
 
-def _old_rule_refuses(num_taps, decay_db):
-    """The profile rule a model was once checked by: build it, refuse unless all finite."""
+def _old_profile(num_taps, decay_db):
+    """The profile as first computed, relative to the first tap: the reference
+    for every decay >= 0, whose largest term is still the first."""
     with np.errstate(all="ignore"):
         p = 10.0 ** (-decay_db * np.arange(num_taps) / 10.0)
-        p = p / p.sum()
-    return not np.all(np.isfinite(p))
+        return p / p.sum()
 
 
 @pytest.mark.parametrize("num_taps", [*range(1, 40), 100, 1000, 4096])
 def test_model_refuses_the_decays_the_built_profile_refused(num_taps):
+    """A model refuses a decay exactly when its built profile is no profile
+    (not finite, no nonzero tap, or not summing to 1): NaN and +-inf."""
     decays = [0.0, -0.0, 3.0, -3.0, 1e308, -1e308, math.nan, math.inf, -math.inf,
               5e-324, -5e-324]
-    if num_taps > 1:  # 40 ulps either side of where the last tap's power overflows
+    if num_taps > 1:  # 40 ulps either side of where the old last tap's power overflowed
         edge = -math.log10(np.finfo(float).max) * 10.0 / (num_taps - 1)
         for direction in (-math.inf, math.inf):
             d = edge
@@ -74,11 +76,24 @@ def test_model_refuses_the_decays_the_built_profile_refused(num_taps):
             refused = False
         except ParameterError:
             refused = True
-        if refused != _old_rule_refuses(num_taps, decay_db):
+        with np.errstate(invalid="ignore"):  # inf * 0 at a non-finite decay
+            p = exponential_profile(num_taps, decay_db)
+        valid = (np.all(np.isfinite(p)) and np.any(p > 0)
+                 and abs(math.fsum(p) - 1.0) <= 1e-12)
+        if refused == valid or valid != math.isfinite(decay_db):
             mismatches.append(decay_db)
-        elif not refused:  # an accepted model's profile is finite
-            assert np.all(np.isfinite(exponential_profile(num_taps, decay_db)))
+        elif decay_db >= 0:
+            assert p.tobytes() == _old_profile(num_taps, decay_db).tobytes(), decay_db
     assert mismatches == []
+
+
+def test_model_with_its_sum_past_the_float_range_keeps_its_taps():
+    # the sum of 4096 terms relative to the first tap overflowed, and every
+    # tap normalized to 0
+    model = ChannelModel(num_taps=4096, decay_db=-0.752)
+    p = exponential_profile(model.num_taps, model.decay_db)
+    assert np.count_nonzero(p) > 0 and p.argmax() == 4095
+    assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_model_builds_no_profile(monkeypatch):

@@ -6,12 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chirpkey import ExperimentConfig, ParameterError, channel, cli, load_config
+from chirpkey import (
+    ExperimentConfig,
+    ParameterError,
+    PreambleNotFoundError,
+    channel,
+    cli,
+    load_config,
+)
 from chirpkey.channel import ChannelModel, exponential_profile
 from chirpkey.cli import FLAG_KEYS, build_parser, main
-from chirpkey.config import KEYS, MIN_SNR_DB
+from chirpkey.config import KEYS, MIN_SNR_DB, with_sweep_value
 from chirpkey.pipeline import (
     export_probe_captures,
+    observe,
     run_pipeline_once,
     run_trials,
     simulate_probe_frames,
@@ -228,6 +236,45 @@ def test_cli_keys_prints_each_trial_key(capsys):
     want = [str(r.reconciliation.corrected_key)
             for r in run_trials(ExperimentConfig(trials=3))]
     assert capsys.readouterr().out.splitlines() == want
+
+
+def _trials_without_preamble(config, trials) -> list[int]:
+    missed = []
+    for t in range(trials):
+        try:
+            observe(config, t)
+        except PreambleNotFoundError:
+            missed.append(t)
+    return missed
+
+
+def test_cli_sweep_leaves_out_the_trials_without_a_preamble(capsys):
+    # at -5 dB no round finds its preamble, at 0 dB a few miss it; such a
+    # sweep once ended in one error line and printed no row
+    assert main(["sweep", "--sweep-axis", "snr", "--sweep-values", "10,0,-5",
+                 "--trials", "20"]) == 0
+    out, err = capsys.readouterr()
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    snrs = (10.0, 0.0, -5.0)
+    arms = {snr: with_sweep_value(ExperimentConfig(), "snr", snr) for snr in snrs}
+    missed = {snr: _trials_without_preamble(arm, 20) for snr, arm in arms.items()}
+    assert len(missed[10.0]) == 0 < len(missed[0.0]) < 20 == len(missed[-5.0])
+    assert [(float(row[1]), row[2], int(row[-2])) for row in rows] == [
+        (snr, shuffle, 20 - len(missed[snr])) for snr in snrs for shuffle in ("on", "off")]
+    assert rows[-1][3:-2] == ["nan"] * 8  # a row with no trial
+    # one line per left-out trial and channel, in trial then arm order
+    assert [line.split(": ")[0] for line in err.splitlines()] == [
+        f"trial {t} left out at {arms[snr].channel}"
+        for t in range(20) for snr in snrs if t in missed[snr]]
+
+
+def test_cli_keys_prints_no_line_for_a_trial_without_a_preamble(capsys):
+    assert main(["keys", "--snr-db", "0", "--trials", "20"]) == 0
+    out, err = capsys.readouterr()
+    missed = _trials_without_preamble(ExperimentConfig(channel=ChannelModel(snr_db=0.0)), 20)
+    assert len(out.splitlines()) == 20 - len(missed)
+    assert [line.split(" left out")[0] for line in err.splitlines()] == [
+        f"trial {t}" for t in missed]
 
 
 def test_cli_captures_missing_file_is_single_line_error(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,19 @@ def test_sweep_equals_per_arm_trials(axis, values):
             arm = replace(pinned, quantizer=replace(pinned.quantizer, shuffle_enabled=shuffle_on))
             rows.append(aggregate(run_trials(arm), axis, value, shuffle_on, cfg.master_seed))
     assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(rows)
+
+
+def test_aggregate_of_no_results_is_nan_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = aggregate([], "snr", -5.0, True, 1)
+    assert row.to_csv() == "snr,-5,on,nan,nan,nan,nan,nan,nan,nan,nan,0,1"
+
+
+def test_sweep_aborts_on_an_error_in_distillation():
+    # alpha 100 censors every position: a config error, not a lost trial
+    with pytest.raises(ParameterError, match="censored every position"):
+        run_sweep(ExperimentConfig(trials=2, sweep_axis="alpha", sweep_values=(0.5, 100.0)))
 
 
 def _count_observe(monkeypatch) -> list:
