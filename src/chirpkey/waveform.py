@@ -6,7 +6,6 @@ t = 0, so sample 0 always has phase 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -107,29 +106,6 @@ def gen_preamble(params: LoRaParams) -> np.ndarray:
     return preamble
 
 
-@lru_cache(maxsize=64)
-def _smooth_lengths(bits: int) -> tuple[int, ...]:
-    """Every 2^a 3^b 5^c 7^d 11^e up to 2**bits, sorted.  Cached."""
-    limit = 1 << bits
-    lengths = [1]
-    for prime in (2, 3, 5, 7, 11):
-        grown = []
-        for n in lengths:
-            while n <= limit:
-                grown.append(n)
-                n *= prime
-        lengths = grown
-    return tuple(sorted(lengths))
-
-
-def _next_fast_len(target: int) -> int:
-    """Smallest 11-smooth integer >= target (target >= 1): the length
-    ``scipy.fft.next_fast_len`` picks for complex input.  Read from a cached
-    table that ends at the power of two >= target."""
-    lengths = _smooth_lengths((target - 1).bit_length())
-    return lengths[bisect_left(lengths, target)]
-
-
 @lru_cache(maxsize=16)
 def _matched_filter_spectrum(params: LoRaParams, nfft: int) -> np.ndarray:
     """FFT of the conjugate-reversed upchirp, zero-padded to nfft.  Cached,
@@ -153,11 +129,12 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     sum over the K rows).  The window energy is a difference of one
     cumulative sum of |cap|^2, built in one buffer by ``abs``, ``square``
     and ``cumsum`` in place; the template energy is K times the chirp's.
-    The correlation is one ``numpy.fft`` product against the chirp's cached
-    spectrum, both zero-padded to the smallest 11-smooth length (2^a 3^b
-    5^c 7^d 11^e) that holds the full linear correlation; its "valid" lags
-    are kept.  The decision rule is the K-symbol one, unchanged: normalized
-    |correlation|, argmax, threshold.  A capture-depth
+    The correlation is one circular correlation at nfft, the smallest power
+    of two >= width, against the chirp's cached spectrum: lag l reads
+    S[l : l + n_sym], and l + n_sym <= width <= nfft, so no kept lag wraps.
+    A long capture whose width sits just above a power of two pays for up
+    to ~2x its width.  The decision rule is the K-symbol one, unchanged:
+    normalized |correlation|, argmax, threshold.  A capture-depth
     (complex64) capture is widened to complex128 once, on entry, so every
     step computes in double precision whatever the capture's depth.
 
@@ -179,8 +156,9 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     folded = cap[:width] + cap[n_sym : n_sym + width] if k > 1 else cap[:width]
     for i in range(2, k):
         folded += cap[i * n_sym : i * n_sym + width]
-    nfft = _next_fast_len(width + n_sym - 1)
-    spectrum = np.fft.fft(folded, nfft) * _matched_filter_spectrum(params, nfft)
+    nfft = 1 << (width - 1).bit_length()
+    spectrum = np.fft.fft(folded, nfft)
+    spectrum *= _matched_filter_spectrum(params, nfft)
     num = np.abs(np.fft.ifft(spectrum)[n_sym - 1 : n_sym - 1 + lags])
     # cs[i] is the energy of cap[:i], built in one buffer
     cs = np.empty(len(cap) + 1)

@@ -471,6 +471,31 @@ def test_detect_at_capture_depth_equals_detect_widened(cell, trials, misses):
 PINNED_FRONT_END = "27724fce340b3800e28a8e6d5f64bdac29264a0c256cbf123f5c9986ccd1279f"
 
 
+# SHA-256 over "offset," ("miss," where no preamble is found) for
+# every leg simulate_probe_frames makes: default trials 0..199, then SF 7, 8
+# and 9 at 0 dB and at 10 dB, trials 0..19 each (6 misses, all at 0 dB).  It
+# pins the aligner stage, which the golden digests and the amplitude pin see
+# only through what follows it.
+PINNED_OFFSETS = "3308d79ead1ef00f6458584799ee1ac91d845f9f97d44a8e9803ca3f6d26b705"
+
+
+def test_aligner_offsets_match_pin():
+    cells = [(cell_config(7, 50.0), 200)]
+    cells += [(cell_config(sf, snr), 20) for sf in (7, 8, 9) for snr in (0.0, 10.0)]
+    h = hashlib.sha256()
+    misses = 0
+    for cfg, trials in cells:
+        for t in range(trials):
+            for rx in simulate_probe_frames(cfg, derive_trial_seeds(cfg.master_seed, t)):
+                try:
+                    got = str(waveform.detect_preamble(rx, cfg.lora))
+                except PreambleNotFoundError:
+                    got, misses = "miss", misses + 1
+                h.update(f"{got},".encode())
+    assert misses == 6
+    assert h.hexdigest() == PINNED_OFFSETS
+
+
 def test_front_end_amplitudes_match_pinned_bytes():
     cases = [(ExperimentConfig(), 50),
              (ExperimentConfig(lora=LoRaParams(sf=9)), 5),

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from chirpkey import (
@@ -12,7 +11,6 @@ from chirpkey import (
     gen_preamble,
     gen_upchirp,
 )
-from chirpkey import waveform
 from chirpkey.waveform import DETECTION_THRESHOLD
 
 
@@ -139,7 +137,9 @@ def _template_correlation_peak(cap: np.ndarray, params: LoRaParams) -> tuple[int
 
 
 @pytest.mark.parametrize("snr_db", [None, 0.0, -4.0, -15.0])
-@pytest.mark.parametrize("lag_case", ["one", "below-symbol", "above-symbol"])
+# "frame": a simulated frame's lag count, n_sym + 1, so the fold width 2*n_sym
+# is itself the transform length, with the preamble at the last lag
+@pytest.mark.parametrize("lag_case", ["one", "below-symbol", "above-symbol", "frame"])
 @pytest.mark.parametrize("k", [1, 2, 8])
 @pytest.mark.parametrize(
     "link",
@@ -149,9 +149,10 @@ def test_detect_equals_k_symbol_template_reference(link, k, lag_case, snr_db):
     sf, bw, fs = link
     p = LoRaParams(sf=sf, bw=bw, fs=fs, preamble_len=k)
     n_sym = p.samples_per_symbol
-    lags = {"one": 1, "below-symbol": n_sym // 2 + 3, "above-symbol": 2 * n_sym + 5}[lag_case]
+    lags = {"one": 1, "below-symbol": n_sym // 2 + 3, "above-symbol": 2 * n_sym + 5,
+            "frame": n_sym + 1}[lag_case]
     rng = np.random.default_rng([sf, k, lags, 0 if snr_db is None else int(snr_db) + 100])
-    offset = int(rng.integers(lags))
+    offset = lags - 1 if lag_case == "frame" else int(rng.integers(lags))
     signal = gen_preamble(p)
     if snr_db is not None:
         # multipath smears the peak over neighbouring lags, noise sets its height
@@ -172,6 +173,16 @@ def test_detect_equals_k_symbol_template_reference(link, k, lag_case, snr_db):
         assert detect_preamble(IqSamples(cap, p.fs), p) == want
     if snr_db is None:
         assert want == offset
+
+
+def test_detect_at_fold_widths_beside_a_power_of_two(small_params):
+    # the transform must hold the whole fold, also one sample past a power of
+    # two; the preamble sits at the last lag, which reads the fold's last sample
+    pre = gen_preamble(small_params)
+    n_sym = small_params.samples_per_symbol
+    for width in (63, 64, 65):
+        lags = width - n_sym + 1
+        assert detect_preamble(_embed(pre, lags - 1, 0, small_params.fs), small_params) == lags - 1
 
 
 def test_detect_rejects_silence(default_params):
@@ -209,33 +220,3 @@ def test_iq_samples_take_strided_samples(dtype):
         IqSamples(x[::2], 1e6)
     frame = np.zeros(8, dtype=np.complex64)
     assert IqSamples(frame, 1e6).samples is frame
-
-
-def test_next_fast_len_equals_scipy():
-    targets = range(1, 2**17 + 1)
-    got = [waveform._next_fast_len(t) for t in targets]
-    assert got == [sp_fft.next_fast_len(t) for t in targets]
-
-
-# (bw, fs): the README's and the benchmark's link, 8 samples a chip, and
-# critical sampling (small_params)
-@pytest.mark.parametrize("bw, fs", [(250e3, 1e6), (125e3, 1e6), (250e3, 250e3)])
-@pytest.mark.parametrize("sf", range(5, 13))
-def test_aligner_transforms_equal_scipy_fft_bytes(sf, bw, fs):
-    # the aligner's numpy.fft calls give the bytes scipy.fft gives; on a numpy
-    # whose FFT differs, this names the cause before the pinned digests fail
-    p = LoRaParams(sf=sf, bw=bw, fs=fs)
-    n_sym, k = p.samples_per_symbol, p.preamble_len
-    rng = np.random.default_rng([sf, int(bw), int(fs)])
-    for length in ((k + 1) * n_sym, k * n_sym + 3):  # K+1 symbols, and a short capture
-        cap = rng.standard_normal((length, 2)).astype(np.float32).view(np.complex64)[:, 0]
-        cap = cap.astype(np.complex128)
-        width = length - (k - 1) * n_sym
-        folded = np.sum([cap[i * n_sym : i * n_sym + width] for i in range(k)], axis=0)
-        nfft = waveform._next_fast_len(width + n_sym - 1)
-        spectrum = waveform._matched_filter_spectrum(p, nfft)
-        want = sp_fft.fft(np.conj(gen_upchirp(p)[::-1]), nfft)
-        assert spectrum.tobytes() == want.tobytes(), (length, nfft)
-        got = np.fft.ifft(np.fft.fft(folded, nfft) * spectrum)
-        want = sp_fft.ifft(sp_fft.fft(folded, nfft) * spectrum)
-        assert got.tobytes() == want.tobytes(), (length, nfft)
