@@ -5,8 +5,9 @@ channel and estimates the parties' CFR amplitudes; ``distill`` quantizes
 both parties' amplitudes into initial keys, scores them, estimates the
 disagreement rate (consuming the sampled bits), cascade-reconciles, and
 confirms by digest exchange.  The eavesdropper runs the identical public
-steps against its own amplitudes (``quantizer.listener_key``: shared
-shuffle rule, its own thresholds, the overheard retained-index list).
+steps against its own amplitudes (shared shuffle rule, its own thresholds,
+the overheard retained-index list): its row rides in the same
+``quantizer.quantize_pipeline`` call as A's and G's.
 
 Simulated received frames are rounded to capture depth (complex64), the
 cf32 layout SDR file sinks write, and stay there: written to and read from
@@ -35,7 +36,7 @@ from .metrics import MetricsReport
 from .metrics import report as metrics_report
 from .metrics import skdr as skdr_of
 from .pipeline_seeds import TrialSeeds, derive_trial_seeds
-from .quantizer import BitKey, listener_key, quantize_pipeline
+from .quantizer import BitKey, quantize_pipeline
 from .reconciliation import (
     LocalParityOracle,
     QberSample,
@@ -140,15 +141,16 @@ def distill(observation: Observation, config: ExperimentConfig) -> PipelineResul
     """Distill keys from one observation under the config's quantizer and cascade."""
     seeds = observation.seeds
     qcfg = replace(config.quantizer, shuffle_seed=seeds.shuffle)
-    key_a, key_g, retained = quantize_pipeline(observation.amps_a, observation.amps_g, qcfg)
+    parties = [observation.amps_a, observation.amps_g]
+    if observation.amps_e is not None:
+        parties.append(observation.amps_e)
+    keys, _ = quantize_pipeline(parties, qcfg)
+    key_a, key_g = keys[:2]
     if len(key_g) == 0:
         raise ParameterError("quantization censored every position; lower alpha")
 
     scores = metrics_report(key_a, key_g)
-
-    eve_skdr = None
-    if observation.amps_e is not None:
-        eve_skdr = skdr_of(listener_key(observation.amps_e, retained, qcfg), key_g)
+    eve_skdr = skdr_of(keys[2], key_g) if len(keys) > 2 else None
 
     # disagreement-rate estimation consumes its disclosed sample
     work_a, work_g = key_a, key_g

@@ -5,19 +5,23 @@ compute per-block thresholds mean +/- alpha * (population standard
 deviation), censor values strictly between their own thresholds through a
 two-message index exchange, and quantize the surviving positions to bits.
 An optional shared-seed shuffle decorrelates adjacent amplitudes before
-blocking.  An eavesdropper runs the same public steps on its own amplitudes
-(``listener_key``): the shared shuffle, its own thresholds, and the
-overheard retained-index list.  Each retained value gives one key bit.
+blocking.  An eavesdropper runs the same public steps on its own amplitudes:
+the shared shuffle, its own thresholds, and the overheard retained-index
+list.  Each retained value gives one key bit.
+
+``quantize_pipeline`` runs every party in one pass over a (parties, n)
+array: row A, row G, then any listener's.  Its per-row reductions are the
+1-d steps' (``shuffle``, ``block_thresholds``, ``censoring_exchange``,
+``quantize``), so both give the same thresholds and bits.
 
 Amplitudes are plain float64 arrays, thresholds a (2, blocks) array (row 0
-q_plus, row 1 q_minus).  ``block_thresholds`` and ``quantize`` reject
-amplitudes that are not 1-d, non-empty, finite and non-negative; every
-party path goes through both.
+q_plus, row 1 q_minus) per party.  Every entry that reads amplitudes
+rejects them unless non-empty, finite and non-negative: the 1-d steps a
+1-d array, ``quantize_pipeline`` a 2-d one with at least two rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -77,65 +81,70 @@ class BitKey:
         return "".join(str(int(b)) for b in self.bits)
 
 
-@lru_cache(maxsize=4)
-def _permutation(seed: int, n: int) -> np.ndarray:
-    """``default_rng(seed).permutation(n)``, cached and read-only."""
-    perm = np.random.default_rng(seed).permutation(n)
-    perm.setflags(write=False)
-    return perm
-
-
 def shuffle(amps: np.ndarray, seed: int) -> np.ndarray:
-    """Apply the seed-determined uniform random permutation (the shared rule).
+    """Apply the seed-determined uniform random permutation (the shared rule)
+    along the last axis, ``default_rng(seed).permutation(n)``.
 
-    The permutation is drawn once per (seed, length) and cached, so A, G
-    and the eavesdropper of one round share a single draw.  The values are
-    not checked here; ``block_thresholds`` and ``quantize`` check them.
+    The values are not checked here; the step after it checks them.
     """
-    return amps[_permutation(seed, len(amps))]
+    return amps.take(np.random.default_rng(seed).permutation(amps.shape[-1]), axis=-1)
 
 
-def _checked(amps: np.ndarray) -> np.ndarray:
-    """``amps`` as float64, rejected unless 1-d, non-empty, finite and >= 0."""
-    v = np.asarray(amps, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ParameterError("amplitudes must be a non-empty 1-d array")
+def _checked(amps: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """``amps`` as float64, rejected unless an ndim-d array (rows of one
+    length), non-empty, finite and >= 0."""
+    try:
+        v = np.asarray(amps, dtype=np.float64)
+    except ValueError as exc:  # rows of unequal length, or not numbers
+        raise ParameterError(
+            f"amplitudes must be a {ndim}-d float array, rows of equal length ({exc})") from exc
+    if v.ndim != ndim or v.size == 0:
+        raise ParameterError(f"amplitudes must be a non-empty {ndim}-d array")
     if not np.all((v >= 0) & (v < np.inf)):  # NaN fails both comparisons
         raise ParameterError("amplitudes must be finite and non-negative")
     return v
 
 
-def _row_thresholds(rows: np.ndarray, alpha: float) -> np.ndarray:
-    """(2, len(rows)) array: q_plus and q_minus of each row, mean +/- alpha * std."""
-    center = rows.mean(axis=1)
-    width = rows.std(axis=1)
+def _row_thresholds(blocks: np.ndarray, alpha: float) -> np.ndarray:
+    """(..., 2, blocks) array: q_plus and q_minus of each block, a row along
+    the last axis of ``blocks``, mean +/- alpha * std."""
+    center = blocks.mean(axis=-1)
+    width = blocks.std(axis=-1)
     # exactly zero spread: keep q+ == q- == c so nothing is censored
-    constant = np.all(rows == rows[:, :1], axis=1)
-    return np.where(constant, rows[:, 0], [center + alpha * width, center - alpha * width])
+    constant = np.all(blocks == blocks[..., :1], axis=-1)
+    bounds = np.stack([center + alpha * width, center - alpha * width], axis=-2)
+    return np.where(constant[..., None, :], blocks[..., None, :, 0], bounds)
+
+
+def _thresholds(v: np.ndarray, config: QuantizerConfig) -> np.ndarray:
+    """(..., 2, blocks) thresholds of each row of ``v`` along its last axis:
+    one pair per block of m values, a trailing remainder one more block."""
+    m, n = config.block_size, v.shape[-1]
+    full = n - n % m
+    blocks = [v[..., :full].reshape(*v.shape[:-1], -1, m)]
+    if full < n:
+        blocks.append(v[..., None, full:])
+    return np.concatenate([_row_thresholds(b, config.alpha) for b in blocks], axis=-1)
 
 
 def block_thresholds(amps: np.ndarray, config: QuantizerConfig) -> np.ndarray:
     """(2, blocks) thresholds, q_plus in row 0 and q_minus in row 1, of each
     block of m values; a trailing remainder is one more block.  Raises
     ParameterError for amplitudes not 1-d, non-empty, finite and >= 0."""
-    v = _checked(amps)
-    m = config.block_size
-    full = len(v) - len(v) % m
-    rows = [v[:full].reshape(-1, m)]
-    if full < len(v):
-        rows.append(v[None, full:])
-    return np.concatenate([_row_thresholds(r, config.alpha) for r in rows], axis=1)
+    return _thresholds(_checked(amps), config)
 
 
 def _censored_mask(v: np.ndarray, thresholds: np.ndarray, m: int) -> np.ndarray:
-    """True where a value falls strictly between its own block's thresholds.
+    """True where a value falls strictly between its own block's thresholds,
+    for each row of ``v`` and its (2, blocks) thresholds.
 
     A trailing block of length 1 is censored outright (no usable spread).
     """
-    block_of = np.arange(len(v)) // m
-    mask = (v > thresholds[1, block_of]) & (v < thresholds[0, block_of])
-    if len(v) % m == 1:
-        mask[-1] = True
+    n = v.shape[-1]
+    th = thresholds.take(np.arange(n) // m, axis=-1)
+    mask = (v > th[..., 1, :]) & (v < th[..., 0, :])
+    if n % m == 1:
+        mask[..., -1] = True
     return mask
 
 
@@ -160,6 +169,15 @@ def censoring_exchange(
     m = config.block_size
     censored = _censored_mask(amps_a, th_a, m) | _censored_mask(amps_g, th_g, m)
     return np.flatnonzero(~censored), th_a, th_g
+
+
+def _bits(v: np.ndarray, retained: np.ndarray, thresholds: np.ndarray,
+          block_size: int) -> np.ndarray:
+    """The uint8 bits of each row of ``v`` at the retained positions: the
+    nearer of its block's thresholds, q_plus 1 and q_minus 0, ties to 1."""
+    x = v.take(retained, axis=-1)
+    th = thresholds.take(retained // block_size, axis=-1)
+    return ((th[..., 0, :] - x) <= (x - th[..., 1, :])).astype(np.uint8)
 
 
 def quantize(
@@ -196,37 +214,29 @@ def quantize(
             0 <= idx[0] and idx[-1] < len(amps) and np.all(idx[1:] > idx[:-1])):
         raise ParameterError(
             f"retained positions must be strictly increasing, 1-d and in [0, {len(amps)})")
-    v = amps[idx]
-    block_of = idx // block_size
-    qp, qm = th[0, block_of], th[1, block_of]
-    return BitKey(((qp - v) <= (v - qm)).astype(np.uint8), "initial")
-
-
-def _shuffled(amps: np.ndarray, config: QuantizerConfig) -> np.ndarray:
-    """The amplitudes under the shared shuffle rule, if the config enables it."""
-    return shuffle(amps, config.shuffle_seed) if config.shuffle_enabled else amps
+    return BitKey(_bits(amps, idx, th, block_size), "initial")
 
 
 def quantize_pipeline(
-    amps_a: np.ndarray,
-    amps_g: np.ndarray,
+    amps: np.ndarray,
     config: QuantizerConfig,
-) -> tuple[BitKey, BitKey, np.ndarray]:
-    """Shuffle (optional) -> censoring exchange -> per-party quantization.
+) -> tuple[list[BitKey], np.ndarray]:
+    """Shuffle (optional) -> censoring exchange -> per-party quantization,
+    for every party in one pass.
 
-    Returns both keys and the shared retained positions, which an
-    eavesdropper overhears.
+    ``amps`` is a (parties, n) array: A's amplitudes in row 0, G's in row
+    1, then any listener's, who runs the same public steps on its own row.
+    Censoring reads rows 0 and 1 only.  Returns one key per row, in row
+    order, and the shared retained positions, which a listener overhears.
+    Raises ParameterError for amplitudes that are not a 2-d array of at
+    least two equal-length, non-empty rows of finite values >= 0.
     """
-    amps_a, amps_g = _shuffled(amps_a, config), _shuffled(amps_g, config)
-    retained, th_a, th_g = censoring_exchange(amps_a, amps_g, config)
-    key_a = quantize(amps_a, retained, th_a, config.encoding, config.block_size)
-    key_g = quantize(amps_g, retained, th_g, config.encoding, config.block_size)
-    return key_a, key_g, retained
-
-
-def listener_key(amps: np.ndarray, retained: np.ndarray, config: QuantizerConfig) -> BitKey:
-    """The key a third party quantizes from its own amplitudes by the public steps:
-    the shared shuffle, its own thresholds, and the overheard retained list."""
-    amps = _shuffled(amps, config)
-    return quantize(amps, retained, block_thresholds(amps, config), config.encoding,
-                    config.block_size)
+    v = _checked(amps, ndim=2)
+    if len(v) < 2:
+        raise ParameterError("amplitudes need a row for each of A and G")
+    if config.shuffle_enabled:
+        v = shuffle(v, config.shuffle_seed)
+    m = config.block_size
+    th = _thresholds(v, config)
+    retained = np.flatnonzero(~_censored_mask(v[:2], th[:2], m).any(axis=0))
+    return [BitKey(bits, "initial") for bits in _bits(v, retained, th, m)], retained

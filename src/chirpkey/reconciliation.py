@@ -266,8 +266,8 @@ def cascade(
     tables = _take_tables(len(sizes) * n)
     orders, inverse = (t[: len(sizes) * n].reshape(len(sizes), n) for t in tables)
     orders[:] = np.arange(n)
-    for row in orders[1:]:
-        rng.shuffle(row)  # what rng.permutation(n) draws, in place
+    # in place, row by row in order: each row is what rng.permutation(n) draws
+    rng.permuted(orders[1:], axis=1, out=orders[1:])
     flat = orders.reshape(-1)
     start = [lo for p, k in enumerate(sizes) for lo in range(p * n, (p + 1) * n, k)]
     length = [hi - lo for lo, hi in zip(start, start[1:] + [flat.size])]

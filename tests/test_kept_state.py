@@ -1,6 +1,6 @@
 """Results do not depend on what earlier calls left in the package's stores.
 
-The speed-ups keep state between calls in ten stores: the seven
+The speed-ups keep state between calls in nine stores: the six
 ``functools.lru_cache``s in the package's modules, plus three hand-made
 stores.  Runs with every store cleared before each trial must equal runs
 that read what earlier trials left behind.
@@ -38,7 +38,7 @@ def _clear_every_store() -> None:
 
 
 def test_every_store_is_found():
-    assert len(_lru_caches()) + len(HAND_MADE) == 10, sorted(_lru_caches())
+    assert len(_lru_caches()) + len(HAND_MADE) == 9, sorted(_lru_caches())
 
 
 def _digests(results) -> list[bytes]:

@@ -47,7 +47,7 @@ def test_listener_recovers_g_key_from_the_public_discussion():
     for t in range(10):
         obs = observe(cfg, t)
         qcfg = replace(cfg.quantizer, shuffle_seed=obs.seeds.shuffle)
-        _, key_g, retained = quantize_pipeline(obs.amps_a, obs.amps_g, qcfg)
+        (_, key_g), retained = quantize_pipeline([obs.amps_a, obs.amps_g], qcfg)
         guess = _listener_bits(retained, qcfg.shuffle_seed, len(obs.amps_g), qcfg.alpha,
                                qcfg.block_size, cfg.channel.num_taps, cfg.channel.decay_db)
         wrong = np.mean(guess != key_g.bits)

@@ -79,6 +79,14 @@ def test_eavesdropper_runs_public_pipeline():
     assert 0.0 <= result.eve_skdr <= 1.0
 
 
+@pytest.mark.parametrize("party", ["amps_a", "amps_e"])
+def test_distill_rejects_parties_of_unequal_length(party):
+    obs = observe(ExperimentConfig(), 0)
+    short = replace(obs, **{party: getattr(obs, party)[:-1]})
+    with pytest.raises(ParameterError, match="equal length"):
+        pipeline.distill(short, ExperimentConfig())
+
+
 def test_pipeline_deterministic():
     cfg = ExperimentConfig()
     r1 = run_pipeline_once(cfg, trial_seed=7)

@@ -14,12 +14,7 @@ from chirpkey import (
 )
 from chirpkey.metrics import max_run_lengths
 from chirpkey.reconciliation import LocalParityOracle
-from chirpkey.quantizer import (
-    BitKey,
-    _permutation,
-    block_thresholds,
-    listener_key,
-)
+from chirpkey.quantizer import BitKey, block_thresholds
 
 amplitude_arrays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -48,14 +43,13 @@ def test_shuffle_length_one_is_identity():
     np.testing.assert_array_equal(shuffle(amps, 99), amps)
 
 
-def test_permutation_cache_is_the_seeded_draw_read_only_and_small():
+def test_shuffle_is_the_seeded_draw():
     for seed, n in ((0, 1), (7, 128), (2**40 + 3, 512), (7, 129), (123456789, 2048)):
-        perm = _permutation(seed, n)
-        np.testing.assert_array_equal(perm, np.random.default_rng(seed).permutation(n))
-        with pytest.raises(ValueError):
-            perm[0] = 0
-    # a round needs one entry, so a bound this small cannot grow with trials
-    assert _permutation.cache_info().maxsize <= 8
+        want = np.random.default_rng(seed).permutation(n)
+        np.testing.assert_array_equal(shuffle(np.arange(n), seed), want)
+        # every row of a stack moves by the same draw
+        np.testing.assert_array_equal(shuffle(np.arange(3 * n).reshape(3, n), seed),
+                                      np.arange(0, 3 * n, n)[:, None] + want)
 
 
 def _one_block(values, alpha: float) -> tuple[float, float]:
@@ -120,16 +114,26 @@ def test_block_thresholds_reject_crossed_or_ragged_arrays():
 
 
 _GOOD = np.array([1.0, 9.0, 2.0, 8.0])
+
+
+def _rows(v, row: int) -> list:
+    """A, G and a listener on _GOOD, with ``v`` in place of one row."""
+    rows = [_GOOD] * 3
+    rows[row] = v
+    return rows
+
+
 _PARTY_STEPS = {
     "block_thresholds": lambda v: block_thresholds(v, QuantizerConfig(block_size=4)),
     "censoring_exchange": lambda v: censoring_exchange(v, _GOOD, QuantizerConfig(block_size=4)),
     "censoring_exchange-g": lambda v: censoring_exchange(_GOOD, v, QuantizerConfig(block_size=4)),
     "quantize": lambda v: quantize(v, np.arange(4), np.array([[6.0], [4.0]]),
                                    "plain", 4),
-    "quantize_pipeline": lambda v: quantize_pipeline(v, _GOOD, QuantizerConfig(block_size=4)),
-    "quantize_pipeline-g": lambda v: quantize_pipeline(_GOOD, v, QuantizerConfig(block_size=4)),
-    "listener_key": lambda v: listener_key(v, np.arange(4),
-                                           QuantizerConfig(block_size=4)),
+    "quantize_pipeline": lambda v: quantize_pipeline(_rows(v, 0), QuantizerConfig(block_size=4)),
+    "quantize_pipeline-g": lambda v: quantize_pipeline(_rows(v, 1),
+                                                       QuantizerConfig(block_size=4)),
+    # the eavesdropper's row
+    "listener_key": lambda v: quantize_pipeline(_rows(v, 2), QuantizerConfig(block_size=4)),
 }
 _BAD_AMPLITUDES = {
     "nan": np.array([1.0, np.nan, 2.0, 8.0]),
@@ -145,15 +149,36 @@ _BAD_AMPLITUDES = {
 @pytest.mark.parametrize("step", _PARTY_STEPS.values(), ids=_PARTY_STEPS.keys())
 def test_quantizer_entries_reject_bad_amplitudes(step, values):
     # every entry that reads amplitudes checks them (shuffle leaves that to
-    # the step after it); the same call on good values goes through
+    # the step after it); the same call on good values goes through.  In the
+    # stacked call a row of another shape is rows of unequal length
     step(_GOOD)
     with pytest.raises(ParameterError):
         step(values)
 
 
+_BAD_STACKS = {
+    "empty": np.empty((0, 4)),
+    "empty-rows": np.empty((3, 0)),
+    "1-d": _GOOD,
+    "3-d": np.ones((3, 2, 4)),
+    "single-row": _GOOD[None],
+}
+
+
+@pytest.mark.parametrize("amps", _BAD_STACKS.values(), ids=_BAD_STACKS.keys())
+def test_quantize_pipeline_rejects_what_is_not_two_or_more_rows(amps):
+    quantize_pipeline([_GOOD, _GOOD], QuantizerConfig(block_size=4))
+    with pytest.raises(ParameterError):
+        quantize_pipeline(amps, QuantizerConfig(block_size=4))
+
+
+_SHUFFLED = shuffle(_GOOD, 0)
 _RETAINED_STEPS = {
     "quantize": lambda r: quantize(_GOOD, r, np.array([[6.0], [4.0]]), "plain", 4),
-    "listener_key": lambda r: listener_key(_GOOD, r, QuantizerConfig(block_size=4)),
+    # the eavesdropper's one-party steps as perfbench's traced round takes
+    # them: the shared shuffle, its own thresholds, the overheard positions
+    "listener_key": lambda r: quantize(
+        _SHUFFLED, r, block_thresholds(_SHUFFLED, QuantizerConfig(block_size=4)), "plain", 4),
 }
 _BAD_RETAINED = {
     "repeated": [0, 2, 2],
@@ -292,7 +317,7 @@ def test_pipeline_identical_amplitudes_agree_with_and_without_shuffle():
     amps = rng.rayleigh(size=512)
     for shuffle_on in (True, False):
         cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=5)
-        key_a, key_g, _ = quantize_pipeline(amps, amps, cfg)
+        (key_a, key_g), _ = quantize_pipeline([amps, amps], cfg)
         assert len(key_a) > 0
         assert skdr(key_a, key_g) == 0.0
 
@@ -307,9 +332,7 @@ def test_pipeline_correlated_gaussian_pairs():
         a = 10 + base
         g = 10 + rho * base + np.sqrt(1 - rho**2) * noise
         cfg = QuantizerConfig(shuffle_seed=int(rng.integers(2**31)))
-        key_a, key_g, _ = quantize_pipeline(
-            np.abs(a), np.abs(g), cfg
-        )
+        (key_a, key_g), _ = quantize_pipeline(np.abs([a, g]), cfg)
         skdrs.append(skdr(key_a, key_g))
         fractions.append(len(key_a) / 512)
     assert np.mean(skdrs) < 0.05
@@ -327,7 +350,7 @@ def test_pipeline_shuffle_shortens_runs_on_smooth_profiles():
         amps = smooth
         for shuffle_on, sink in ((True, on_runs), (False, off_runs)):
             cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=trial)
-            key_a, _, _ = quantize_pipeline(amps, amps, cfg)
+            (key_a, _), _ = quantize_pipeline([amps, amps], cfg)
             l0, l1 = max_run_lengths(key_a)
             sink.append(max(l0, l1))
     assert np.mean(off_runs) > np.mean(on_runs)
@@ -339,8 +362,8 @@ def test_shuffle_preserves_bit_multiset_under_global_thresholds():
     amps = values
     cfg_off = QuantizerConfig(shuffle_enabled=False, block_size=128)
     cfg_on = QuantizerConfig(shuffle_enabled=True, block_size=128, shuffle_seed=77)
-    key_off, _, _ = quantize_pipeline(amps, amps, cfg_off)
-    key_on, _, _ = quantize_pipeline(amps, amps, cfg_on)
+    (key_off, _), _ = quantize_pipeline([amps, amps], cfg_off)
+    (key_on, _), _ = quantize_pipeline([amps, amps], cfg_on)
     assert sorted(key_off.bits.tolist()) == sorted(key_on.bits.tolist())
 
 
@@ -375,21 +398,57 @@ def test_pipeline_deterministic():
     a = rng.rayleigh(size=300)
     g = rng.rayleigh(size=300)
     cfg = QuantizerConfig(shuffle_seed=21)
-    k1 = quantize_pipeline(a, g, cfg)
-    k2 = quantize_pipeline(a, g, cfg)
+    k1, _ = quantize_pipeline([a, g], cfg)
+    k2, _ = quantize_pipeline([a, g], cfg)
     np.testing.assert_array_equal(k1[0].bits, k2[0].bits)
     np.testing.assert_array_equal(k1[1].bits, k2[1].bits)
 
 
 @pytest.mark.parametrize("shuffle_on", [True, False], ids=["shuffle", "no-shuffle"])
 def test_listener_key_is_the_party_step(shuffle_on):
-    # G's amplitudes through the listener's public steps give G's own key
+    # a listener's row holding G's amplitudes gives G's own key
     rng = np.random.default_rng(41)
     amps_a = rng.rayleigh(size=300)
     amps_g = np.abs(amps_a + 0.1 * rng.standard_normal(300))
     cfg = QuantizerConfig(shuffle_enabled=shuffle_on, shuffle_seed=9)
-    _, key_g, retained = quantize_pipeline(amps_a, amps_g, cfg)
-    np.testing.assert_array_equal(listener_key(amps_g, retained, cfg).bits, key_g.bits)
+    (_, key_g, key_e), _ = quantize_pipeline([amps_a, amps_g, amps_g], cfg)
+    np.testing.assert_array_equal(key_e.bits, key_g.bits)
+    # and the listener's row leaves A's and G's keys as they were
+    (_, alone_g), _ = quantize_pipeline([amps_a, amps_g], cfg)
+    np.testing.assert_array_equal(alone_g.bits, key_g.bits)
+
+
+@given(
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=2, max_value=70),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=300)
+def test_stacked_call_equals_the_one_party_steps(parties, n, m, alpha, shuffle_on, coarse, seed):
+    # the one-party steps as perfbench's traced round takes them: shuffle
+    # each row, censor on A and G, then each row's own thresholds at the
+    # shared positions.  Coarse values make ties, constant blocks and values
+    # exactly at a threshold
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.3:  # a trailing block of one value
+        n = n - n % m + 1
+    rows = rng.rayleigh(size=(parties, n))
+    if coarse:
+        rows = np.round(rows, 1)
+    cfg = QuantizerConfig(alpha=alpha, block_size=m, shuffle_enabled=shuffle_on,
+                          shuffle_seed=seed)
+    keys, retained = quantize_pipeline(rows, cfg)
+    one = [shuffle(r, seed) if shuffle_on else r for r in rows]
+    want_retained, _, _ = censoring_exchange(one[0], one[1], cfg)
+    np.testing.assert_array_equal(retained, want_retained)
+    assert len(keys) == parties
+    for key, r in zip(keys, one):
+        want = quantize(r, want_retained, block_thresholds(r, cfg), "plain", m)
+        np.testing.assert_array_equal(key.bits, want.bits)
 
 
 def test_bitkey_rejects_non_bits():
