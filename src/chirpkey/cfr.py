@@ -55,6 +55,30 @@ def _reference(params: LoRaParams, bin_policy: str) -> tuple[np.ndarray, np.ndar
     return ref_idx, idx
 
 
+def _frame_bins(samples: np.ndarray, params: LoRaParams, bin_policy: str) -> np.ndarray:
+    """The averaged LS estimate per retained bin from the first K symbol
+    windows of 1-d ``samples``, which are not checked for finiteness."""
+    n_sym = params.samples_per_symbol
+    k = params.preamble_len
+    if len(samples) < k * n_sym:
+        raise ParameterError(
+            f"frame has {len(samples)} samples, needs {k * n_sym}"
+        )
+    ref_idx, idx = _reference(params, bin_policy)
+    symbols = samples[: k * n_sym].astype(np.complex128, copy=False)
+    spectra = np.fft.fft(symbols.reshape(k, n_sym), axis=1)
+    # take() keeps the quotients row-major, so the sum over the K symbols
+    # runs in the same order a per-symbol stack would; a policy that keeps
+    # every bin needs no take(), and the fresh spectra are divided in place
+    if len(idx) < n_sym:
+        spectra = spectra.take(idx, axis=1)
+    spectra /= ref_idx
+    # the mean over the K symbols: numpy's mean runs this sum and division
+    bins = np.add.reduce(spectra, axis=0)
+    bins /= k
+    return bins
+
+
 def estimate_from_frame(
     rx: IqSamples,
     params: LoRaParams,
@@ -65,23 +89,11 @@ def estimate_from_frame(
     The first K symbol windows of ``rx``, widened to complex128 (a
     capture-depth frame is complex64), go through one (K, n) FFT; each
     retained bin is divided by the reference upchirp's spectrum and the K
-    quotients are averaged.  Bins whose reference magnitude falls below the
-    low-reference guard are dropped, never divided.  The retained bins and
-    their reference spectrum are cached per (params, bin_policy).
+    quotients are averaged, as one sum and one division by K.  Bins whose
+    reference magnitude falls below the low-reference guard are dropped,
+    never divided.  The retained bins and their reference spectrum are
+    cached per (params, bin_policy).  The pipeline runs the same estimate
+    on the samples of a capture from the detected offset on, without
+    wrapping (and so rescanning) them in another ``IqSamples``.
     """
-    n_sym = params.samples_per_symbol
-    k = params.preamble_len
-    if len(rx.samples) < k * n_sym:
-        raise ParameterError(
-            f"frame has {len(rx.samples)} samples, needs {k * n_sym}"
-        )
-    ref_idx, idx = _reference(params, bin_policy)
-    symbols = rx.samples[: k * n_sym].astype(np.complex128, copy=False)
-    spectra = np.fft.fft(symbols.reshape(k, n_sym), axis=1)
-    # take() keeps the quotients row-major, so the mean sums the K symbols
-    # in the same order a per-symbol stack would; a policy that keeps every
-    # bin needs no take(), and the fresh spectra are divided in place
-    if len(idx) < n_sym:
-        spectra = spectra.take(idx, axis=1)
-    spectra /= ref_idx
-    return Cfr(spectra.mean(axis=0))
+    return Cfr(_frame_bins(rx.samples, params, bin_policy))

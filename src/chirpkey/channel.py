@@ -143,8 +143,10 @@ def _faded(tx: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, float]:
     preamble through the same taps.  Only read-only inputs are kept, as a
     writable one could change under its entry.  At most ``_LEGS`` sums are
     kept, the least recently used evicted first: 3 x 256 KB at SF 9 with an
-    8-symbol preamble.  A non-finite sample or tap makes the mean power
-    non-finite, which is refused before anything is kept.
+    8-symbol preamble.  The mean power is |y|^2 summed by ``np.add.reduce``
+    and divided by the length, the calls ``np.mean`` makes, so it keeps
+    their bits.  A non-finite sample or tap makes the mean power non-finite,
+    which is refused before anything is kept.
     """
     key = taps.tobytes()
     hit = _legs.pop(key, None)
@@ -152,7 +154,9 @@ def _faded(tx: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, float]:
         _legs[key] = hit
         return hit[1], hit[2]
     y = _tap_sum(tx, taps)
-    p_rx = np.mean(np.abs(y) ** 2)
+    power = np.abs(y)
+    np.square(power, out=power)
+    p_rx = np.add.reduce(power) / len(y)
     if not math.isfinite(p_rx):
         raise ParameterError("samples and taps must be finite, with finite received power")
     y.setflags(write=False)

@@ -22,7 +22,7 @@ def skdr(key_a: BitKey, key_g: BitKey) -> float:
     """Secret key disagreement ratio: Hamming distance / length."""
     if len(key_a) == 0 or len(key_a) != len(key_g):
         raise ParameterError("keys must be non-empty and of equal length")
-    return float(np.mean(key_a.bits != key_g.bits))
+    return int(np.count_nonzero(key_a.bits != key_g.bits)) / len(key_a)
 
 
 def longest_runs(rows: np.ndarray, value: int) -> np.ndarray:
@@ -43,7 +43,9 @@ def max_run_lengths(bits) -> tuple[int, int]:
     b = as_bits(bits)
     if b.size == 0:
         raise ParameterError("bit sequence must be non-empty")
-    return int(longest_runs(b[None], 0)[0]), int(longest_runs(b[None], 1)[0])
+    # the 1-runs of b are the 0-runs of b ^ 1
+    zeros, ones = longest_runs(np.stack([b, b ^ 1]), 0)
+    return int(zeros), int(ones)
 
 
 def report(key_a: BitKey, key_g: BitKey, probes: int = 1) -> MetricsReport:

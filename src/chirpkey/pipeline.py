@@ -27,7 +27,7 @@ from itertools import count, islice
 import numpy as np
 
 from .captures import CAPTURE_DTYPE, ingest_capture, write_capture
-from .cfr import estimate_from_frame
+from .cfr import Cfr, _frame_bins
 from .channel import receive
 from .config import ExperimentConfig, with_sweep_value
 from .confirm import ConfirmationResult, confirm
@@ -124,8 +124,9 @@ def _amplitudes(capture: IqSamples, config: ExperimentConfig) -> np.ndarray:
     """One party's front end, for simulate and replay alike: locate the
     preamble and estimate the CFR amplitudes of the K symbols from there on."""
     offset = detect_preamble(capture, config.lora)
-    frame = IqSamples(capture.samples[offset:], capture.fs)
-    amps = estimate_from_frame(frame, config.lora, config.bin_policy).amplitudes()
+    # the capture's samples were checked when it was made or read
+    bins = _frame_bins(capture.samples[offset:], config.lora, config.bin_policy)
+    amps = Cfr(bins).amplitudes()
     amps.setflags(write=False)  # shared by every arm that distills it
     return amps
 

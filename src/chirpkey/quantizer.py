@@ -100,18 +100,31 @@ def _checked(amps: np.ndarray, ndim: int = 1) -> np.ndarray:
             f"amplitudes must be a {ndim}-d float array, rows of equal length ({exc})") from exc
     if v.ndim != ndim or v.size == 0:
         raise ParameterError(f"amplitudes must be a non-empty {ndim}-d array")
-    if not np.all((v >= 0) & (v < np.inf)):  # NaN fails both comparisons
+    # NaN fails both comparisons
+    if not np.logical_and.reduce((v >= 0) & (v < np.inf), axis=None):
         raise ParameterError("amplitudes must be finite and non-negative")
     return v
 
 
 def _row_thresholds(blocks: np.ndarray, alpha: float) -> np.ndarray:
     """(..., 2, blocks) array: q_plus and q_minus of each block, a row along
-    the last axis of ``blocks``, mean +/- alpha * std."""
-    center = blocks.mean(axis=-1)
-    width = blocks.std(axis=-1)
+    the last axis of ``blocks``, mean +/- alpha * std.
+
+    The mean is one sum and one division by m, and the population std is
+    built from it by the ufuncs ``np.std`` runs (deviations, squares, sum,
+    division by m, square root), so both keep ``mean`` and ``std``'s bits
+    without taking the mean twice."""
+    m = blocks.shape[-1]
+    center = np.add.reduce(blocks, axis=-1, keepdims=True)
+    center /= m
+    dev = np.subtract(blocks, center)
+    np.square(dev, out=dev)
+    width = np.add.reduce(dev, axis=-1)
+    width /= m
+    np.sqrt(width, out=width)
+    center = center[..., 0]
     # exactly zero spread: keep q+ == q- == c so nothing is censored
-    constant = np.all(blocks == blocks[..., :1], axis=-1)
+    constant = np.logical_and.reduce(blocks == blocks[..., :1], axis=-1)
     bounds = np.stack([center + alpha * width, center - alpha * width], axis=-2)
     return np.where(constant[..., None, :], blocks[..., None, :, 0], bounds)
 

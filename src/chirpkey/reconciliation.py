@@ -380,11 +380,14 @@ def estimate_qber(
     if count >= n:
         raise ParameterError(f"a {count}-bit QBER sample leaves nothing of a {n}-bit key")
     rng = np.random.default_rng(seed)
-    positions = np.sort(rng.choice(n, size=count, replace=False))
-    disagree = float(np.mean(key_a.bits[positions] != key_g.bits[positions]))
-    return QberSample(float(np.clip(disagree, 0.01, 0.49)), positions)
+    positions = rng.choice(n, size=count, replace=False)
+    positions.sort()
+    disagree = int(np.count_nonzero(key_a.bits[positions] != key_g.bits[positions])) / count
+    return QberSample(min(max(disagree, 0.01), 0.49), positions)
 
 
 def consume_positions(key: BitKey, positions: np.ndarray) -> BitKey:
     """Remove disclosed positions from a key (post-sampling hygiene)."""
-    return BitKey(np.delete(key.bits, positions), key.stage)
+    keep = np.ones(len(key), dtype=bool)  # the mask np.delete builds
+    keep[positions,] = False
+    return BitKey(key.bits[keep], key.stage)

@@ -127,8 +127,13 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     S = sum_k cap[k*n_sym : k*n_sym + n_sym + lags - 1], folded by K - 1
     slice-adds in row order (the order, and so the bits, of numpy's axis-0
     sum over the K rows).  The window energy is a difference of one
-    cumulative sum of |cap|^2, built in one buffer by ``abs``, ``square``
-    and ``cumsum`` in place; the template energy is K times the chirp's.
+    cumulative sum of |cap|^2 over the capture, taken as re^2 + im^2 and
+    summed in one buffer; the template energy is K times the chirp's.
+    The power is not folded as the samples are: that would sum only the
+    fold's width (2 * n_sym on a frame, against 9 * n_sym), but through
+    K - 1 adds over the width, which on a capture much longer than the
+    preamble (width ~ its length) cost more than the (K - 1) * n_sym
+    cumulative-sum terms they save (~3% of a call on 10^5 samples at SF 7).
     The correlation is one circular correlation at nfft, the smallest power
     of two >= width, against the chirp's cached spectrum: lag l reads
     S[l : l + n_sym], and l + n_sym <= width <= nfft, so no kept lag wraps.
@@ -160,16 +165,15 @@ def detect_preamble(capture: IqSamples, params: LoRaParams) -> int:
     spectrum = np.fft.fft(folded, nfft)
     spectrum *= _matched_filter_spectrum(params, nfft)
     num = np.abs(np.fft.ifft(spectrum)[n_sym - 1 : n_sym - 1 + lags])
-    # cs[i] is the energy of cap[:i], built in one buffer
+    # cs[i] is the energy of cap[:i], re^2 + im^2 summed in one buffer
     cs = np.empty(len(cap) + 1)
     cs[0] = 0.0
-    energy = np.abs(cap, out=cs[1:])
-    np.square(energy, out=energy)
+    energy = np.multiply(cap.real, cap.real, out=cs[1:])
+    energy += np.square(cap.imag)
     np.cumsum(energy, out=energy)
     window_energy = np.maximum(cs[n:] - cs[:lags], 0.0)
     den = np.sqrt(window_energy * (k * np.vdot(chirp, chirp).real))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(den > 0, num / den, 0.0)
+    corr = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     offset = int(np.argmax(corr))
     if corr[offset] < DETECTION_THRESHOLD:
         raise PreambleNotFoundError(

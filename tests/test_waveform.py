@@ -220,3 +220,27 @@ def test_iq_samples_take_strided_samples(dtype):
         IqSamples(x[::2], 1e6)
     frame = np.zeros(8, dtype=np.complex64)
     assert IqSamples(frame, 1e6).samples is frame
+
+
+@pytest.mark.parametrize("silence", [0, 1], ids=["one-lag", "frame"])
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("link", [(7, 250e3, 1e6), (5, 250e3, 250e3)])
+def test_detect_decides_at_the_threshold(link, k, silence):
+    # the preamble T plus a component U orthogonal to it with ||U|| = ||T||:
+    # at lag 0 the normalized correlation is exactly c / sqrt(c^2 + (1 - c^2)) = c,
+    # so a window energy one sample off moves it by ~1 / (2n), across the threshold
+    sf, bw, fs = link
+    p = LoRaParams(sf=sf, bw=bw, fs=fs, preamble_len=k)
+    template = gen_preamble(p)
+    rng = np.random.default_rng([sf, k])
+    u = rng.standard_normal(len(template)) + 1j * rng.standard_normal(len(template))
+    u -= np.vdot(template, u) / np.vdot(template, template) * template
+    u *= np.linalg.norm(template) / np.linalg.norm(u)
+    tail = np.zeros(silence * p.samples_per_symbol)
+    for c, found in ((DETECTION_THRESHOLD + 1e-6, True), (DETECTION_THRESHOLD - 1e-6, False)):
+        cap = IqSamples(np.concatenate([c * template + np.sqrt(1 - c * c) * u, tail]), fs)
+        if found:
+            assert detect_preamble(cap, p) == 0
+        else:
+            with pytest.raises(PreambleNotFoundError):
+                detect_preamble(cap, p)
